@@ -49,7 +49,6 @@ class KnotSet:
     """Strictly increasing knot locations for a cubic spline."""
 
     locations: np.ndarray
-    placement: str = "quantile"
 
     def __post_init__(self):
         loc = np.asarray(self.locations, dtype=np.float64)
@@ -120,7 +119,6 @@ class BasisBlock:
     kind: str
     n_cov: int = 1
     constraint: dict | None = None
-    marginal_maps: dict | None = None
     sub_terms: list | None = None
     _total_null: int | None = field(default=None, repr=False)
 
@@ -371,7 +369,7 @@ def knots_quantile(x, k: int) -> KnotSet:
     if distinct.size < k:
         raise RankError(f"need >= {k} distinct values, got {distinct.size}")
     locations = np.quantile(distinct, np.linspace(0.0, 1.0, k))
-    return KnotSet(locations=locations, placement="quantile")
+    return KnotSet(locations=locations)
 
 
 def cr_basis(x, knots: KnotSet) -> BasisBlock:
@@ -624,8 +622,7 @@ def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
     L, p, ev = _per_level_layout(block, factor, "factor smooth")
     S = block.penalties[0][0]
     w, V = eigh(_symmetrize(S))
-    top = max(w[-1], 1.0)
-    null_cols = V[:, w <= 1e-9 * top]
+    null_cols = V[:, w <= 1e-9 * w[-1]]
     N = null_cols @ null_cols.T                      # projector onto null(S)
     n = block.n_rows
     X = np.zeros((n, L * p))
@@ -638,11 +635,10 @@ def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
         sl = slice(lev * p, (lev + 1) * p)
         S1[sl, sl] = S
         S2[sl, sl] = N
-    rank_s = rank_psd(S)
     m_null = null_cols.shape[1]
     return BasisBlock(term_label="fs", X=X,
                       penalties=[(S1, "fs:wiggle"), (S2, "fs:null")],
-                      null_dim=(L * p - L * rank_s, L * p - L * m_null),
+                      null_dim=(L * m_null, L * (p - m_null)),
                       evaluator=ev, kind="smooth", n_cov=block.n_cov + 1)
 
 
@@ -687,5 +683,4 @@ def absorb_constraints(block: BasisBlock) -> BasisBlock:
     return BasisBlock(term_label=block.term_label, X=Xc, penalties=penalties,
                       null_dim=tuple(null_dims), evaluator=ev, kind=block.kind,
                       n_cov=block.n_cov,
-                      constraint={"type": "sum_to_zero", "Z": Z},
-                      marginal_maps=block.marginal_maps, sub_terms=None)
+                      constraint={"type": "sum_to_zero"}, sub_terms=None)

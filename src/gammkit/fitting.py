@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg import block_diag, cho_factor, cho_solve, qr, solve_triangular
 from scipy.optimize import minimize
 
 from . import basis as basis_mod
@@ -35,6 +35,7 @@ from .errors import (DomainError, GammkitError, NumericError, RankError,
 LOG_LAMBDA_MIN = math.log(1e-10)
 LOG_LAMBDA_MAX = math.log(1e12)
 RIDGE_OF_LAST_RESORT = 1e-10
+_SPECTRUM_RTOL = 1e-9
 
 DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
 
@@ -86,29 +87,23 @@ class ModelSpec:
 
 @dataclass
 class PenaltyEntry:
-    """One penalty embedded in the full design at a column offset."""
+    """One penalty embedded in the full design at a column offset.
+
+    rank and sqrt come from the term's penalty spectrum (_term_penalties),
+    the same eigendecomposition and threshold that give the design's
+    closed-form log|S_lambda|_+, so sqrt always has rank rows.
+    """
 
     label: str
     term_label: str
     S: np.ndarray              # block-local, p_block x p_block
     offset: int
     rank: int
-    logpdet_unit: float        # log pseudo-determinant of S at lambda = 1
     sqrt: np.ndarray           # rank x p_block factor with sqrt' sqrt = S
 
     @property
     def p_block(self) -> int:
         return self.S.shape[0]
-
-    def support(self) -> np.ndarray:
-        local = np.where(np.abs(self.S).sum(axis=0) > 0)[0]
-        return local + self.offset
-
-
-class PenaltyGroup(NamedTuple):
-    indices: tuple[int, ...]
-    support: np.ndarray
-    rank: int
 
 
 @dataclass
@@ -119,7 +114,8 @@ class AssembledDesign:
     X: np.ndarray
     col_ranges: dict
     penalties: list
-    groups: list
+    logpdet_const: float       # log|S_lambda|_+ = const + sum log(weights @ lambda)
+    logpdet_weights: np.ndarray
     m_null_total: int
     blocks: dict
     term_covariates: dict
@@ -149,13 +145,6 @@ class AssembledDesign:
             self._xty = self.X.T @ self.y
             self._yty = float(self.y @ self.y)
         return self._xtx, self._xty, self._yty
-
-    def embed_penalty(self, j: int) -> np.ndarray:
-        entry = self.penalties[j]
-        S = np.zeros((self.p, self.p))
-        sl = slice(entry.offset, entry.offset + entry.p_block)
-        S[sl, sl] = entry.S
-        return S
 
     def column_range(self, term: str) -> tuple[int, int]:
         try:
@@ -350,50 +339,67 @@ def _natural_reparam(block: BasisBlock) -> BasisBlock:
                       null_dim=(p - int(np.sum(w > 0)),), evaluator=ev,
                       kind=block.kind, n_cov=block.n_cov,
                       constraint=block.constraint,
-                      marginal_maps=block.marginal_maps,
                       sub_terms=block.sub_terms)
 
 
-def _group_penalties(entries: list, p: int) -> list:
-    """Connected components of penalties by overlapping column support."""
-    supports = [e.support() for e in entries]
-    parent = list(range(len(entries)))
+def _term_penalties(term: str, offset: int, penalties: list):
+    """Entries and closed-form log pseudo-determinant of one term's penalties.
 
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    One or two penalties S_j, each divided by its max-abs entry s_j so that
+    the threshold below does not depend on covariate units:
 
-    owner = -np.ones(p, dtype=np.int64)
-    for i, supp in enumerate(supports):
-        for c in supp:
-            if owner[c] == -1:
-                owner[c] = i
-            else:
-                ri, rj = find(i), find(int(owner[c]))
-                if ri != rj:
-                    parent[ri] = rj
-    comps: dict[int, list[int]] = {}
-    for i in range(len(entries)):
-        comps.setdefault(find(i), []).append(i)
-    groups = []
-    for members in comps.values():
-        members = sorted(members)
-        support = np.unique(np.concatenate([supports[i] for i in members]))
-        if len(members) == 1:
-            rank = entries[members[0]].rank
-        else:
-            local = np.zeros((support.size, support.size))
-            pos = {c: t for t, c in enumerate(support)}
-            for i in members:
-                e = entries[i]
-                idx = np.array([pos[c] for c in supports[i]])
-                sub = e.S[np.ix_(supports[i] - e.offset, supports[i] - e.offset)]
-                local[np.ix_(idx, idx)] += sub
-            rank = rank_psd(local)
-        groups.append(PenaltyGroup(tuple(members), support, rank))
-    return groups
+    - eigh(sum_j S_j / s_j) = U diag(w) U', keeping the r directions with
+      w > 1e-9 * max(w);
+    - whitened, C_j = G' S_j G / s_j with G = U_r diag(w_r)^(-1/2) sum to I,
+      so they commute and share the eigenvectors V of C_1 (V = I for one
+      penalty); m_ij = (V' C_j V)_ii, zeroed at or below 1e-9 * max_i m_ij.
+
+    Then, exactly, with W_ij = s_j m_ij,
+
+        log|sum_j lambda_j S_j|_+ = sum log w_r + sum_i log(sum_j W_ij lambda_j),
+
+    rank(S_j) counts the nonzero W_ij, and their rows of
+    sqrt(W_ij) V' diag(w_r)^(1/2) U_r' form sqrt_j. More than two penalties
+    (by-factor levels) must sit on disjoint columns, where each stands
+    alone. Returns (entries, sum log w_r, W); all-zero penalties get no
+    entry.
+    """
+    penalties = [(S, lbl) for S, lbl in penalties if np.any(S)]
+    if len(penalties) > 2:
+        supports = np.array([np.abs(S).sum(axis=0) > 0 for S, _ in penalties])
+        if np.any(supports.sum(axis=0) > 1):
+            raise DomainError(f"term {term!r}: more than two penalties "
+                              "share columns")
+        parts = [_term_penalties(term, offset, [pen]) for pen in penalties]
+        return ([e for part in parts for e in part[0]],
+                sum(part[1] for part in parts),
+                block_diag(*[part[2] for part in parts]))
+    if not penalties:
+        return [], 0.0, np.zeros((0, 0))
+    scales = np.array([np.abs(S).max() for S, _ in penalties])
+    try:
+        w, U = np.linalg.eigh(sum(S / s for (S, _), s in zip(penalties, scales)))
+        keep = w > _SPECTRUM_RTOL * w[-1]
+        root = np.sqrt(w[keep])[:, None] * U[:, keep].T
+        m = np.ones((root.shape[0], 1))        # one penalty: C_1 = I
+        if len(penalties) == 2:
+            G = U[:, keep] / np.sqrt(w[keep])
+            C = [G.T @ S @ G / s for (S, _), s in zip(penalties, scales)]
+            _, V = np.linalg.eigh(C[0])
+            root = V.T @ root
+            m = np.column_stack([np.einsum("ij,ji->i", V.T @ Cj, V) for Cj in C])
+    except np.linalg.LinAlgError:
+        raise NumericError(f"term {term!r}: penalty eigendecomposition "
+                           "did not converge") from None
+    m = np.where(m > _SPECTRUM_RTOL * m.max(axis=0), m, 0.0)
+    entries = []
+    for j, (S, lbl) in enumerate(penalties):
+        kept = m[:, j] > 0
+        entries.append(PenaltyEntry(
+            label=f"{term}/{lbl}", term_label=term, S=S, offset=offset,
+            rank=int(kept.sum()),
+            sqrt=np.sqrt(scales[j] * m[kept, j])[:, None] * root[kept]))
+    return entries, float(np.sum(np.log(w[keep]))), m * scales
 
 
 def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
@@ -428,7 +434,8 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     blocks: dict[str, BasisBlock] = {}
     term_covariates: dict[str, tuple] = {}
     entries: list[PenaltyEntry] = []
-    scale_maps = table.meta.get("scale_maps", {})
+    logpdet_const = 0.0
+    weight_blocks = []
     for term in spec.smooth_terms:
         block, cov_names = _build_smooth(term, table)
         if block.kind == "smooth" and len(block.penalties) == 1:
@@ -437,8 +444,6 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         if label in col_ranges:
             raise SchemaError(f"term label collision: {label!r}")
         block.term_label = label
-        maps = {c: scale_maps[c] for c in cov_names if c in scale_maps}
-        block.marginal_maps = maps or None
         if block.sub_terms is not None:
             block.sub_terms = [(f"{label.split(':')[0]}:{lev}", a, b)
                                for lev, a, b in block.sub_terms]
@@ -447,30 +452,26 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         col_parts.append(block.X)
         coef_names.extend(f"{label}[{j}]" for j in range(block.p_term))
         col_ranges[label] = (cursor, cursor + block.p_term)
-        for S, pen_label in block.penalties:
-            rank = rank_psd(S)
-            if rank == 0:
-                continue
-            w, V = np.linalg.eigh(0.5 * (S + S.T))
-            keep = w > 1e-9 * max(w[-1], 1.0)
-            sqrt = (np.sqrt(w[keep])[:, None] * V[:, keep].T)
-            entries.append(PenaltyEntry(label=f"{label}/{pen_label}", term_label=label,
-                                        S=S, offset=cursor, rank=rank,
-                                        logpdet_unit=float(np.sum(np.log(w[keep]))),
-                                        sqrt=sqrt))
+        term_entries, const, weights = _term_penalties(label, cursor,
+                                                       block.penalties)
+        entries.extend(term_entries)
+        logpdet_const += const
+        weight_blocks.append(weights)
         cursor += block.p_term
 
     X = np.hstack(col_parts)
     if not np.all(np.isfinite(X)):
         raise NumericError("assembled design contains non-finite entries")
-    groups = _group_penalties(entries, X.shape[1])
-    m_null = X.shape[1] - sum(g.rank for g in groups)
+    weights = block_diag(*weight_blocks) if weight_blocks else np.zeros((0, 0))
+    m_null = X.shape[1] - weights.shape[0]
     series_codes = order_values = None
     if table.series_key is not None:
         series_codes = table.factor(table.series_key).codes
         order_values = table.numeric(table.order_key)
     return AssembledDesign(y=y, X=X, col_ranges=col_ranges, penalties=entries,
-                           groups=groups, m_null_total=m_null, blocks=blocks,
+                           logpdet_const=logpdet_const,
+                           logpdet_weights=weights, m_null_total=m_null,
+                           blocks=blocks,
                            term_covariates=term_covariates, parametric=parametric,
                            coef_names=coef_names, spec=spec, table=table,
                            series_codes=series_codes, order_values=order_values)
@@ -589,92 +590,17 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
 # REML
 
 
-def _logpdet_pair(lam1: float, A1: np.ndarray, r1: int,
-                  lam2: float, A2: np.ndarray, r2: int,
-                  rank_total: int) -> float:
-    """Log pseudo-determinant of lam1*A1 + lam2*A2 for a two-penalty group.
-
-    Direct eigendecomposition of the weighted sum loses the lam2-scale
-    eigenvalues once lam1/lam2 exceeds float precision. Instead: split on
-    the range/null of A1 alone (well-scaled eigenproblem), where the top
-    block T = lam1*D1 + lam2*B11 is positive definite and the Schur
-    complement carries the lam2 scale exactly. log pdet = log det(T) +
-    sum of the top (rank_total - r1) log eigenvalues of the Schur block,
-    exact because the summed matrix's null space lies inside null(A1).
-    """
-    if lam2 * np.abs(A2).max(initial=0.0) > lam1 * np.abs(A1).max(initial=0.0):
-        lam1, A1, r1, lam2, A2, r2 = lam2, A2, r2, lam1, A1, r1
-    w1, U = np.linalg.eigh(0.5 * (A1 + A1.T))
-    order = np.argsort(w1)[::-1]
-    d1 = w1[order[:r1]]
-    if np.any(d1 <= 0):
-        raise NumericError("penalty pair dominant block lost rank")
-    Uo = U[:, order]
-    B = Uo.T @ (0.5 * (A2 + A2.T)) @ Uo
-    total = 0.0
-    if r1:
-        T = lam1 * np.diag(d1) + lam2 * B[:r1, :r1]
-        try:
-            ct = cho_factor(T, lower=True)
-        except np.linalg.LinAlgError:
-            raise NumericError("penalty pair top block not positive definite") from None
-        total += 2.0 * float(np.sum(np.log(np.diag(ct[0]))))
-    dim = A1.shape[0]
-    r_rest = rank_total - r1
-    if dim > r1:
-        B12 = B[:r1, r1:]
-        C = B[r1:, r1:]
-        if r1:
-            C = C - lam2 * (B12.T @ cho_solve(ct, B12))
-        w2 = np.linalg.eigvalsh(lam2 * 0.5 * (C + C.T))
-        kept = np.sort(w2)[::-1][:r_rest]
-        if kept.size < r_rest or np.any(kept <= 0):
-            raise NumericError("penalty pair lost rank in the Schur block")
-        total += float(np.sum(np.log(kept)))
-    elif r_rest:
-        raise NumericError("penalty pair rank exceeds its support")
-    return total
-
-
 def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
-    """Rank-aware log pseudo-determinant of sum_j lambda_j S_j.
+    """Log pseudo-determinant of sum_j lambda_j S_j in closed form.
 
-    Penalties with disjoint column support factor exactly into
-    rank * log(lambda) + log pdet(S). Overlapping pairs (factor smooths,
-    tensor margins) go through the scale-split Schur path; any larger
-    group falls back to an eigendecomposition of the weighted sum
-    restricted to the group's columns, keeping the structural rank computed
-    at unit weights so extreme lambda ratios cannot change the rank count.
+    assemble reduces every term's penalties to their spectrum once
+    (_term_penalties), so log|S_lambda|_+ = const + sum_i log((W lambda)_i)
+    with W nonnegative, one row per penalized direction: O(rank) work per
+    call, exact at any lambda ratio because no lambda enters an
+    eigenproblem.
     """
-    total = 0.0
-    for group in design.groups:
-        if len(group.indices) == 1:
-            j = group.indices[0]
-            total += design.penalties[j].rank * math.log(lambdas[j])
-            total += design.penalties[j].logpdet_unit
-            continue
-        support = group.support
-        pos = {c: t for t, c in enumerate(support)}
-        locals_ = []
-        for j in group.indices:
-            e = design.penalties[j]
-            supp_j = e.support()
-            idx = np.array([pos[c] for c in supp_j])
-            sub = e.S[np.ix_(supp_j - e.offset, supp_j - e.offset)]
-            A = np.zeros((support.size, support.size))
-            A[np.ix_(idx, idx)] = sub
-            locals_.append((float(lambdas[j]), A, e.rank))
-        if len(locals_) == 2:
-            (l1, A1, r1), (l2, A2, r2) = locals_
-            total += _logpdet_pair(l1, A1, r1, l2, A2, r2, group.rank)
-            continue
-        local = sum(lam * A for lam, A, _ in locals_)
-        w = np.linalg.eigvalsh(0.5 * (local + local.T))
-        kept = np.sort(w)[::-1][:group.rank]
-        if np.any(kept <= 0):
-            raise NumericError(f"penalty group lost rank at lambdas {lambdas}")
-        total += float(np.sum(np.log(kept)))
-    return total
+    return design.logpdet_const + \
+        float(np.sum(np.log(design.logpdet_weights @ lambdas)))
 
 
 def reml_score(design: AssembledDesign, log_lambdas) -> float:
@@ -727,7 +653,8 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
 
     Starts from init (default log lambda = 0) plus restarts at +-5 in log10
     space; the best of the three runs wins. Non-convergence returns the best
-    point found with converged=False rather than raising.
+    point found with converged=False rather than raising. n_eval counts the
+    distinct points scored.
     """
     m = len(design.penalties)
     if m == 0:
@@ -735,15 +662,18 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     if init is None:
         init = np.zeros(m)
     init = np.clip(np.asarray(init, dtype=np.float64), LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
-    evals = 0
+    scores: dict[bytes, float] = {}
 
     def objective(x):
-        nonlocal evals
-        evals += 1
-        try:
-            return reml_score(design, x)
-        except NumericError:
-            return np.inf
+        # Searches stuck against a lambda bound revisit the same clipped
+        # points; the score is deterministic, so each point is scored once.
+        key = x.tobytes()
+        if key not in scores:
+            try:
+                scores[key] = reml_score(design, x)
+            except NumericError:
+                scores[key] = np.inf
+        return scores[key]
 
     starts = [init,
               np.full(m, 5.0 * math.log(10.0)),
@@ -763,7 +693,7 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
         warnings.warn("lambda search hit its evaluation budget before "
                       "converging; returning best point found", stacklevel=2)
     return LambdaSearch(lambdas=np.exp(best.x), score=float(best.fun),
-                        converged=bool(best.success), n_eval=evals)
+                        converged=bool(best.success), n_eval=len(scores))
 
 
 # ---------------------------------------------------------------------------

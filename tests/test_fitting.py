@@ -1,18 +1,22 @@
 """Design assembly, AR(1) whitening, the penalized solver, and REML."""
 
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from gammkit import fitting
 from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
-from gammkit.errors import DomainError, SchemaError, ShapeError
-from gammkit.fitting import (ModelSpec, ParametricTerm, _group_penalties,
-                             ar1_whiten, assemble, design_matrix_for, fit,
-                             optimize_lambdas, partial_effect, pls_solve,
-                             predict, reml_score)
+from gammkit.diagnostics import pilot_spec
+from gammkit.errors import DomainError, NumericError, SchemaError, ShapeError
+from gammkit.fitting import (LOG_LAMBDA_MAX, ModelSpec, ParametricTerm,
+                             _term_penalties, ar1_whiten, assemble,
+                             design_matrix_for, fit, optimize_lambdas,
+                             partial_effect, pls_solve, predict, reml_score)
+from gammkit.simulate import FixedEffect, ScenarioSpec, gen_experiment
 
 
 def _table(n=40, seed=0, series=False):
@@ -332,15 +336,17 @@ def test_reml_split_penalty_matches_merged():
     """Duplicating a penalty and splitting its lambda leaves REML unchanged.
 
     lam_a S + lam_b S is (lam_a + lam_b) S, so the score must agree with the
-    single-penalty design at the summed lambda. This exercises the grouped
-    pseudo-determinant path against the plain one on the same arithmetic.
+    single-penalty design at the summed lambda. This exercises the
+    two-penalty spectrum against the one-penalty one on the same arithmetic.
     """
     des = assemble(ModelSpec(response="y",
                              smooth_terms=(SmoothTermSpec("x", "cr", k=8),)),
                    _table(55, seed=7))
     e = des.penalties[0]
-    des2 = replace(des, penalties=[e, e],
-                   groups=_group_penalties([e, e], des.p))
+    entries, const, weights = _term_penalties(
+        e.term_label, e.offset, [(e.S, "a"), (e.S, "b")])
+    des2 = replace(des, penalties=entries, logpdet_const=const,
+                   logpdet_weights=weights)
     for lam_a, lam_b in [(0.5, 0.5), (3.0, 0.01), (40.0, 2.0)]:
         merged = reml_score(des, [math.log(lam_a + lam_b)])
         split = reml_score(des2, [math.log(lam_a), math.log(lam_b)])
@@ -406,6 +412,66 @@ def test_optimizer_shrinks_affine_data_to_the_null_space():
     assert model.total_edf < 3.5
     slope, inter = np.polyfit(x, y, 1)
     assert np.abs(model.fitted_values - (inter + slope * x)).max() < 0.02
+
+
+def test_optimizer_scores_each_point_once_on_a_search_stuck_at_the_bound(
+        monkeypatch):
+    """The permutation-test pilot fit of simulate seed 120 (4 x 150) under
+    permutation seed 88 pins lambda_1 at its bound and revisits the same
+    clipped points; each is scored once, on the un-memoized search path."""
+    table, _ = gen_experiment(ScenarioSpec(
+        n_subjects=4, n_trials=150,
+        fixed_effects=(FixedEffect("cond", "factor2", 0.8),),
+        trend="undulating", trend_amplitude=1.0, rho=0.3, sigma=1.0,
+        subject_intercept_sd=0.5, seed=120))
+    codes = table.factor("subject").codes
+    order = np.asarray(table.numeric("trial"))
+    rng = np.random.default_rng([88, 0])
+    shuffled = order.copy()
+    for j in range(4):
+        rows = np.flatnonzero(codes == j)
+        shuffled[rows] = order[rows][rng.permutation(rows.size)]
+    permuted = table.with_column("trial", shuffled)
+    des = assemble(pilot_spec(permuted, "y"), permuted)
+
+    real_score, real_minimize = fitting.reml_score, fitting.minimize
+    scored = Counter()
+    calls = 0
+    runs = []
+
+    def counting_score(design, x):
+        scored[np.asarray(x).tobytes()] += 1
+        return real_score(design, x)
+
+    def plain(x):
+        try:
+            return real_score(des, x)
+        except NumericError:
+            return np.inf
+
+    def checking_minimize(fun, x0, **kw):
+        def counted(x):
+            nonlocal calls
+            calls += 1
+            return fun(x)
+        runs.append((real_minimize(counted, x0, **kw),
+                     real_minimize(plain, x0, **kw)))
+        return runs[-1][0]
+
+    monkeypatch.setattr(fitting, "reml_score", counting_score)
+    monkeypatch.setattr(fitting, "minimize", checking_minimize)
+    with pytest.warns(UserWarning, match="evaluation budget"):
+        search = optimize_lambdas(des)
+    assert not search.converged
+    assert math.log(search.lambdas[0]) > LOG_LAMBDA_MAX - 1.0
+    assert max(scored.values()) == 1
+    assert search.n_eval == len(scored) < calls
+    for memo, ref in runs:
+        np.testing.assert_array_equal(memo.x, ref.x)
+        assert memo.fun == ref.fun
+    best = min(runs, key=lambda r: r[1].fun)[1]
+    np.testing.assert_array_equal(search.lambdas, np.exp(best.x))
+    assert search.score == best.fun
 
 
 # ---------------------------------------------------------------------------
