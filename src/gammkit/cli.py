@@ -513,6 +513,7 @@ def _write_fit_json(path: str, model, args, extra=None):
         "total_edf": float(model.total_edf),
         "converged": bool(model.converged),
         "ridged": bool(model.ridged),
+        "n_eval": int(model.n_eval),
         "seed": args.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

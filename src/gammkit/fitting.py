@@ -1,6 +1,8 @@
 """Design assembly, AR(1) whitening, penalized least squares, REML.
 
-The fitting pipeline is assemble -> whiten -> select lambdas -> solve. The
+The fitting pipeline is assemble -> whiten -> select lambdas -> solve. Past
+whitening the n rows enter only through X'X, X'y and y'y, formed once per
+design, so each REML score and the final solve (pls_solve) cost O(p^3). The
 REML criterion is the negative log of the Gaussian restricted marginal
 likelihood with the scale profiled out:
 
@@ -36,6 +38,7 @@ LOG_LAMBDA_MIN = math.log(1e-10)
 LOG_LAMBDA_MAX = math.log(1e12)
 RIDGE_OF_LAST_RESORT = 1e-10
 _SPECTRUM_RTOL = 1e-9
+_GRAM_RTOL = 1e-13
 
 DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
 
@@ -305,7 +308,7 @@ def _build_smooth(term: SmoothTermSpec, table: DataTable) -> tuple[BasisBlock, t
     return block, cov_names
 
 
-def _natural_reparam(block: BasisBlock) -> BasisBlock:
+def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
     """Rotate a single-penalty smooth into its natural parameterization.
 
     Chooses T with (X T)'(X T) = I and T'S T diagonal (the Demmler-Reinsch
@@ -325,7 +328,11 @@ def _natural_reparam(block: BasisBlock) -> BasisBlock:
     except np.linalg.LinAlgError:
         return block
     r_inv = solve_triangular(R, np.eye(A.shape[0]), lower=True)
-    w, U = np.linalg.eigh(r_inv @ S @ r_inv.T)
+    try:
+        w, U = np.linalg.eigh(r_inv @ S @ r_inv.T)
+    except np.linalg.LinAlgError:
+        raise NumericError(f"term {term!r}: natural reparameterization "
+                           "eigendecomposition did not converge") from None
     w = np.where(w < 1e-12 * max(w[-1], 0.0), 0.0, w)
     T = r_inv.T @ U
     # Nesting (rather than folding T into the constraint map) keeps the
@@ -438,9 +445,9 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     weight_blocks = []
     for term in spec.smooth_terms:
         block, cov_names = _build_smooth(term, table)
-        if block.kind == "smooth" and len(block.penalties) == 1:
-            block = _natural_reparam(block)
         label = term.label
+        if block.kind == "smooth" and len(block.penalties) == 1:
+            block = _natural_reparam(block, label)
         if label in col_ranges:
             raise SchemaError(f"term label collision: {label!r}")
         block.term_label = label
@@ -506,10 +513,11 @@ def ar1_whiten(design: AssembledDesign, rho: float,
         if np.any(order[inside] <= order[np.flatnonzero(inside) - 1]):
             raise DomainError("rows are not sorted by order within series")
     scale = math.sqrt(1.0 - rho * rho)
-    y = design.y.copy()
-    X = design.X.copy()
-    y[1:] -= rho * design.y[:-1]
-    X[1:] -= rho * design.X[:-1]
+    # Differences form in place: no n x p temporary. Row 0 starts a series.
+    y, X = np.empty_like(design.y), np.empty_like(design.X)
+    for raw, out in ((design.y, y), (design.X, X)):
+        np.multiply(raw[:-1], rho, out=out[1:])
+        np.subtract(raw[1:], out[1:], out=out[1:])
     y[starts] = scale * design.y[starts]
     X[starts] = scale * design.X[starts]
     return replace(design, y=y, X=X, whitened=True, rho=rho,
@@ -539,12 +547,17 @@ def _augmented_rows(design: AssembledDesign, lambdas: np.ndarray):
 
 
 def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
-    """Penalized least squares via QR of the augmented system.
+    """Penalized least squares on a p-row square root of X'X.
 
-    Stacks X over the penalty square roots sqrt(lambda_j) R_j and solves the
-    joint least-squares problem, which is backward stable even for extreme
-    lambdas. If the penalized Hessian is numerically singular, a ridge of
-    1e-10 * mean(diag) is added once and the solution is flagged.
+    Reads only the cached X'X and X'y, never the n rows. With D =
+    diag(X'X)^(1/2) and eigh(D^-1 X'X D^-1) = U diag(w) U' kept where
+    w > 1e-13 max(w), R0 = diag(w)^(1/2) U' D and
+    f0 = diag(w)^(-1/2) U' D^-1 X'y give R0'R0 = X'X and R0'f0 = X'y, and
+    beta solves [R0; sqrt(lambda_j) R_j] beta = [f0; 0] by QR. The penalty rows stay in the QR, never squared: a
+    Cholesky of X'X + S_lambda misplaces a rank-deficient factor smooth's
+    group offsets at lambda = (1e10, 1e-6) by up to 2.09. D keeps the rank
+    threshold free of column units. A numerically singular system gets a
+    ridge of 1e-10 * mean(diag(X'X + S_lambda)) once, and is flagged.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.shape != (len(design.penalties),):
@@ -552,21 +565,31 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
                          f"got shape {lambdas.shape}")
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise DomainError("lambdas must be finite and >= 0")
-    B = np.vstack([design.X] + _augmented_rows(design, lambdas))
-    y_aug = np.concatenate([design.y, np.zeros(B.shape[0] - design.n)])
+    xtx, xty, _ = design.ensure_products()
+    p = design.p
+    d = np.sqrt(np.diag(xtx))
+    d = np.where(d > 0, d, 1.0)
+    try:
+        w, U = np.linalg.eigh(xtx / np.outer(d, d))
+    except np.linalg.LinAlgError:
+        raise NumericError("final solve: eigendecomposition of X'X "
+                           "did not converge") from None
+    keep = w > _GRAM_RTOL * w[-1]
+    w, U = w[keep], U[:, keep]
+    B = np.vstack([np.sqrt(w)[:, None] * U.T * d]
+                  + _augmented_rows(design, lambdas))
+    rhs = np.zeros(B.shape[0])
+    rhs[:w.size] = (U.T @ (xty / d)) / np.sqrt(w)
     ridged = False
     Q, R = qr(B, mode="economic")
     rdiag = np.abs(np.diag(R))
-    if rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
-        diag_a = (design.X ** 2).sum(axis=0)
-        for entry, lam in zip(design.penalties, lambdas):
-            sl = slice(entry.offset, entry.offset + entry.p_block)
-            diag_a[sl] += lam * np.diag(entry.S)
-        delta = RIDGE_OF_LAST_RESORT * float(diag_a.mean())
+    if R.shape[0] < p or rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
+        # B'B = X'X + S_lambda, so its column sums of squares are that diagonal
+        delta = RIDGE_OF_LAST_RESORT * float(np.mean(np.sum(B * B, axis=0)))
         if delta <= 0:
             raise RankError("design is identically zero")
-        B = np.vstack([B, math.sqrt(delta) * np.eye(design.p)])
-        y_aug = np.concatenate([y_aug, np.zeros(design.p)])
+        B = np.vstack([B, math.sqrt(delta) * np.eye(p)])
+        rhs = np.concatenate([rhs, np.zeros(p)])
         Q, R = qr(B, mode="economic")
         rdiag = np.abs(np.diag(R))
         if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
@@ -574,11 +597,10 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
             raise RankError(f"penalized system singular even after ridge; "
                             f"offending column {worst!r}")
         ridged = True
-    beta = solve_triangular(R, Q.T @ y_aug)
-    r_inv = solve_triangular(R, np.eye(design.p))
+    beta = solve_triangular(R, Q.T @ rhs)
+    r_inv = solve_triangular(R, np.eye(p))
     vb = r_inv @ r_inv.T
     vb = 0.5 * (vb + vb.T)
-    xtx, _, _ = design.ensure_products()
     edf = np.einsum("ij,ji->i", vb, xtx)
     # Trim pure float noise at the [0, 1] boundaries; real excursions remain.
     edf = np.where((edf > 1.0) & (edf < 1.0 + 1e-8), 1.0, edf)
@@ -721,6 +743,7 @@ class FittedModel:
     residuals_whitened: np.ndarray
     converged: bool
     ridged: bool
+    n_eval: int                # REML points scored by the lambda search
 
     @property
     def n(self) -> int:
@@ -767,6 +790,7 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     residual-df convention RSS_whitened/(n - total edf); loglik is the
     Gaussian log-likelihood of the whitened residuals at the ML variance
     RSS/n, the convention under which AIC = n log(2 pi RSS/n) + n + 2(edf+1).
+    n_eval counts the REML points the search scored (0 if none ran).
     """
     design_raw = assemble(spec, table)
     if spec.rho > 0:
@@ -776,13 +800,13 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     else:
         design = design_raw
 
-    converged = True
+    converged, n_eval = True, 0
     if len(design.penalties) == 0:
         lambdas = np.zeros(0)
     elif lambdas is None:
         search = optimize_lambdas(design)
         lambdas = search.lambdas
-        converged = search.converged
+        converged, n_eval = search.converged, search.n_eval
     else:
         lambdas = np.asarray(lambdas, dtype=np.float64)
 
@@ -815,7 +839,7 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
                        edf_per_coef=sol.edf_per_coef, total_edf=total_edf,
                        reml=reml, loglik=loglik, rss_whitened=rss_w,
                        residuals_raw=resid_raw, residuals_whitened=resid_w,
-                       converged=converged, ridged=sol.ridged)
+                       converged=converged, ridged=sol.ridged, n_eval=n_eval)
 
 
 # ---------------------------------------------------------------------------

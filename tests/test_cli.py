@@ -118,6 +118,18 @@ def test_fit_reruns_byte_identical_except_timestamp(tmp_path):
     assert j1 == j2
 
 
+def test_fit_json_records_the_search_evaluation_count(tmp_path):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = _write(tmp_path / "m.spec", BASIC_SPEC)
+    counts = []
+    for run in ("o1", "o2"):
+        assert main(["fit", "--data", data, "--spec", spec,
+                     "--out", str(tmp_path / run)]) == 0
+        counts.append(json.loads((tmp_path / run / "fit.json").read_text())["n_eval"])
+    assert isinstance(counts[0], int) and counts[0] > 0
+    assert counts[0] == counts[1]
+
+
 def test_fit_summary_t_is_estimate_over_se(tmp_path):
     data = _basic_data(tmp_path / "d.csv")
     spec = _write(tmp_path / "m.spec", BASIC_SPEC)

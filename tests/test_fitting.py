@@ -3,6 +3,7 @@
 import math
 from collections import Counter
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -207,6 +208,33 @@ def test_whiten_rejects_unsorted_and_bad_rho():
         ar1_whiten(scrambled, 0.3)
 
 
+def test_whiten_matches_the_copy_and_subtract_formula_bit_for_bit():
+    """Series of 1, 2, 5 and 9 rows: the in-place whitening equals the
+    formula that formed rho * X[:-1] as a temporary, to the last bit."""
+    rng = np.random.default_rng(21)
+    lengths = [1, 2, 5, 9]
+    subj = np.repeat([f"s{i}" for i in range(len(lengths))], lengths)
+    trial = np.concatenate([np.arange(k, dtype=np.float64) for k in lengths])
+    n = len(trial)
+    tab = DataTable(columns={"y": rng.standard_normal(n), "trial": trial,
+                             "x": rng.uniform(0.0, 1.0, n),
+                             "subj": FactorColumn.from_strings(list(subj))},
+                    n_rows=n, series_key="subj", order_key="trial")
+    des = assemble(ModelSpec(response="y", smooth_terms=(
+        SmoothTermSpec("x", "cr", k=6),)), tab)
+    starts = np.ones(n, dtype=bool)
+    starts[1:] = des.series_codes[1:] != des.series_codes[:-1]
+    for rho in (0.3, 0.77, 0.999):
+        scale = math.sqrt(1.0 - rho * rho)
+        y, X = des.y.copy(), des.X.copy()
+        y[1:] -= rho * des.y[:-1]
+        X[1:] -= rho * des.X[:-1]
+        y[starts] = scale * des.y[starts]
+        X[starts] = scale * des.X[starts]
+        white = ar1_whiten(des, rho)
+        assert np.array_equal(white.y, y) and np.array_equal(white.X, X)
+
+
 # ---------------------------------------------------------------------------
 # penalized least squares
 
@@ -233,7 +261,8 @@ def test_pls_huge_lambda_tp_collapses_to_line():
 
 
 def test_pls_matches_dense_normal_equations():
-    """QR route agrees with an explicit (X'X + lambda S)^-1 solve."""
+    """The reduced p x p solve agrees with an explicit (X'X + lambda S)^-1
+    solve."""
     des = assemble(ModelSpec(response="y",
                              smooth_terms=(SmoothTermSpec("x", "cr", k=7),)),
                    _table(45, seed=3))
@@ -264,6 +293,179 @@ def test_pls_edf_monotone_and_bounded(kind):
         assert np.all(edf >= 0.0) and np.all(edf <= 1.0)
         totals.append(float(edf.sum()))
     assert np.all(np.diff(totals) <= 1e-9)
+
+
+def _exact_pls(des, lambdas):
+    """beta solving (X'X + sum_j lambda_j R_j'R_j) beta = X'y in exact
+    rational arithmetic on the stored floats: no rounding anywhere."""
+    cols = [[Fraction(v) for v in des.X[:, j]] for j in range(des.p)]
+    y = [Fraction(v) for v in des.y]
+    A = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    rhs = [sum(a * b for a, b in zip(ci, y)) for ci in cols]
+    for entry, lam in zip(des.penalties, lambdas):
+        root = [[Fraction(v) for v in row] for row in entry.sqrt]
+        for i in range(entry.p_block):
+            for j in range(entry.p_block):
+                A[entry.offset + i][entry.offset + j] += Fraction(lam) * sum(
+                    row[i] * row[j] for row in root)
+    for k in range(des.p):                  # Gauss-Jordan, exact pivots
+        piv = next(i for i in range(k, des.p) if A[i][k] != 0)
+        A[k], A[piv], rhs[k], rhs[piv] = A[piv], A[k], rhs[piv], rhs[k]
+        for i in range(des.p):
+            if i != k and A[i][k] != 0:
+                f = A[i][k] / A[k][k]
+                A[i] = [a - f * b for a, b in zip(A[i], A[k])]
+                rhs[i] -= f * rhs[k]
+    return np.array([float(rhs[k] / A[k][k]) for k in range(des.p)])
+
+
+def _augmented_lstsq(des, lambdas, ridge=0.0):
+    """Dense least squares on the full (n + rank) x p augmented system."""
+    rows = [des.X]
+    for entry, lam in zip(des.penalties, lambdas):
+        block = np.zeros((entry.rank, des.p))
+        block[:, entry.offset:entry.offset + entry.p_block] = \
+            math.sqrt(lam) * entry.sqrt
+        rows.append(block)
+    if ridge:
+        rows.append(math.sqrt(ridge) * np.eye(des.p))
+    B = np.vstack(rows)
+    rhs = np.concatenate([des.y, np.zeros(B.shape[0] - des.n)])
+    beta, *_ = np.linalg.lstsq(B, rhs, rcond=None)
+    return beta
+
+
+def _subject_table(n_subj=12, per=30, seed=5):
+    rng = np.random.default_rng(seed)
+    subj = np.repeat(np.arange(n_subj), per)
+    x = rng.uniform(0.0, 1.0, subj.size)
+    cond = rng.integers(0, 2, subj.size)
+    y = np.sin(2.0 * np.pi * x) + 0.4 * cond \
+        + rng.normal(0.0, 0.6, n_subj)[subj] + 0.2 * rng.standard_normal(subj.size)
+    return DataTable(columns={
+        "y": y, "x": x,
+        "cond": FactorColumn.from_strings(["ab"[c] for c in cond]),
+        "subj": FactorColumn.from_strings([f"s{i:02d}" for i in subj])},
+        n_rows=subj.size)
+
+
+def _fs_offsets_table():
+    """Per-level constant shifts only, as in the factor-smooth offsets test
+    of test_basis.py."""
+    rng = np.random.default_rng(77)
+    n, levels = 120, 4
+    codes = np.arange(n) % levels
+    x = rng.uniform(0.0, 1.0, n)
+    y = 10.0 + np.array([0.0, 1.5, -2.0, 0.5])[codes]
+    return DataTable(columns={
+        "x": x, "y": y,
+        "g": FactorColumn.from_strings([f"s{c}" for c in codes])}, n_rows=n)
+
+
+_COND_RE = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("subj", is_random_effect=True),))
+
+
+@pytest.mark.parametrize("case", [
+    "fs-huge-wiggle", "re-tiny", "re-huge", "tp-huge", "cr-zero"])
+def test_pls_matches_dense_augmented_least_squares(case):
+    """Fitted values agree with lstsq of the stacked [X; roots], beta with
+    the exact solution: at re-tiny the penalty alone splits the intercept
+    from the subject mean, and lstsq's beta is 1e-5 off there."""
+    if case == "fs-huge-wiggle":       # rank-deficient X: intercept + fs
+        des = assemble(ModelSpec(response="y", smooth_terms=(
+            SmoothTermSpec(("x",), "cr", k=5, fs_group="g"),)),
+            _fs_offsets_table())
+        lambdas = [1e10, 1e-6]
+    elif case.startswith("re-"):       # rank-deficient X: intercept + re
+        des = assemble(_COND_RE, _subject_table())
+        lambdas = [1e-10 if case == "re-tiny" else 1e12]
+    else:
+        kind, lam = ("tp", 1e12) if case == "tp-huge" else ("cr", 0.0)
+        des = assemble(ModelSpec(response="y", smooth_terms=(
+            SmoothTermSpec("x", kind, k=10),)), _table(90, seed=8))
+        lambdas = [lam]
+    sol = pls_solve(des, lambdas)
+    assert not sol.ridged
+    exact = _exact_pls(des, lambdas)
+    assert np.max(np.abs(sol.beta - exact)) <= 1e-8 * np.max(np.abs(exact))
+    fitted, fitted_ref = des.X @ sol.beta, des.X @ _augmented_lstsq(des, lambdas)
+    assert np.max(np.abs(fitted - fitted_ref)) <= \
+        1e-8 * np.max(np.abs(fitted_ref))
+
+
+def test_pls_ridges_a_singular_system_and_flags_it():
+    """intercept + re at lambda = 0 has no unique solution: the ridge of
+    1e-10 * mean(diag(X'X)) fires and the solution is that ridge fit."""
+    des = assemble(_COND_RE, _subject_table())
+    sol = pls_solve(des, [0.0])
+    assert sol.ridged
+    xtx, _, _ = des.ensure_products()
+    ref = _augmented_lstsq(des, [0.0], ridge=1e-10 * np.diag(xtx).mean())
+    fitted, fitted_ref = des.X @ sol.beta, des.X @ ref
+    assert np.max(np.abs(fitted - fitted_ref)) <= \
+        1e-8 * np.max(np.abs(fitted_ref))
+
+
+def test_pls_reads_only_the_cached_products():
+    """With X'X and X'y cached, an empty design gives the same solution:
+    the solve does no work on the n rows."""
+    des = assemble(ModelSpec(response="y", parametric_terms=(
+        ParametricTerm("cond"),), smooth_terms=(
+        SmoothTermSpec("x", "cr", k=8),
+        SmoothTermSpec("subj", is_random_effect=True))), _subject_table())
+    lambdas = [0.5, 2.0]
+    des.ensure_products()
+    sol = pls_solve(des, lambdas)
+    hollow = pls_solve(replace(des, X=np.empty((0, des.p)), y=np.empty(0)),
+                       lambdas)
+    for a, b in zip(sol, hollow):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_pls_solution_does_not_depend_on_covariate_units():
+    """A numeric covariate in units 1e-7 ... 1e7 leaves fitted values and
+    edf unchanged and never triggers the ridge."""
+    rng = np.random.default_rng(9)
+    n = 200
+    x, z = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    y = 0.3 * x + np.sin(6.0 * z) + 0.1 * rng.standard_normal(n)
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("x"),),
+                     smooth_terms=(SmoothTermSpec("z", "cr", k=8),))
+    ref = None
+    for unit in (1.0, 1e-7, 1e-3, 1e3, 1e7):
+        tab = DataTable(columns={"y": y, "x": unit * x, "z": z}, n_rows=n)
+        des = assemble(spec, tab)
+        sol = pls_solve(des, [1e-3])
+        assert not sol.ridged
+        if ref is None:
+            ref = des.X @ sol.beta, sol.edf_per_coef.sum()
+        np.testing.assert_allclose(des.X @ sol.beta, ref[0], rtol=1e-9)
+        assert sol.edf_per_coef.sum() == pytest.approx(ref[1], rel=1e-9)
+
+
+def test_final_solve_failure_is_a_numeric_error(monkeypatch):
+    spec = ModelSpec(response="y", smooth_terms=(SmoothTermSpec("x", "cr", k=8),))
+    tab = _table(60, seed=2)
+    p = assemble(spec, tab).p
+    real_eigh = np.linalg.eigh
+
+    def broken_on_the_gram(a):
+        if a.shape == (p, p):
+            raise np.linalg.LinAlgError("eigenvalues did not converge")
+        return real_eigh(a)
+    monkeypatch.setattr(np.linalg, "eigh", broken_on_the_gram)
+    with pytest.raises(NumericError, match="final solve"):
+        fit(spec, tab)
+
+
+def test_natural_reparam_failure_names_the_term(monkeypatch):
+    def broken(_):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    with pytest.raises(NumericError, match=r"cr\(x\).*natural"):
+        fit(ModelSpec(response="y", smooth_terms=(
+            SmoothTermSpec("x", "cr", k=8),)), _table(60, seed=2))
 
 
 def test_pls_validates_lambdas():
@@ -545,6 +747,15 @@ def test_fit_pinned_lambdas_respected():
     np.testing.assert_array_equal(model.lambdas, [5.0])
     assert model.sigma2 == pytest.approx(
         model.rss_whitened / (model.n - model.total_edf))
+
+
+def test_fit_reports_the_search_evaluation_count():
+    spec = ModelSpec(response="y", smooth_terms=(SmoothTermSpec("x", "cr", k=8),))
+    tab = _table(60, seed=15)
+    model = fit(spec, tab)
+    assert model.n_eval == optimize_lambdas(model.design).n_eval > 0
+    assert fit(spec, tab, lambdas=[5.0]).n_eval == 0
+    assert fit(ModelSpec(response="y"), tab).n_eval == 0
 
 
 def test_fit_lambda_zero_pins_to_ols_with_nan_reml():
