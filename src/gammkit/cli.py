@@ -514,6 +514,7 @@ def _write_fit_json(path: str, model, args, extra=None):
         "converged": bool(model.converged),
         "ridged": bool(model.ridged),
         "n_eval": int(model.n_eval),
+        "grad_max": float(model.grad_max),
         "seed": args.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }

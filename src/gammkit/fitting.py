@@ -14,7 +14,9 @@ where S_lambda = sum_j lambda_j S_j, |.|_+ is the pseudo-determinant over
 the penalty range space, and M = p - rank(sum_j S_j) counts all unpenalized
 directions (parametric coefficients and penalty null spaces), which are
 integrated out with flat priors. Lower is better; only differences between
-scores are meaningful.
+scores are meaningful. optimize_lambdas minimizes it over log lambda by
+Newton steps on its exact gradient and Hessian (Wood 2011, JRSSB 73(1)),
+from three starts, then probes the lambda bounds from the best point.
 """
 
 from __future__ import annotations
@@ -22,11 +24,12 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import block_diag, cho_factor, cho_solve, qr, solve_triangular
-from scipy.optimize import minimize
+from scipy.linalg import (block_diag, cho_factor, cho_solve, lapack, qr,
+                          solve_triangular)
 
 from . import basis as basis_mod
 from .basis import BasisBlock, SmoothTermSpec, rank_psd
@@ -39,6 +42,11 @@ LOG_LAMBDA_MAX = math.log(1e12)
 RIDGE_OF_LAST_RESORT = 1e-10
 _SPECTRUM_RTOL = 1e-9
 _GRAM_RTOL = 1e-13
+MAX_NEWTON_STEP = 5.0          # per coordinate, in log lambda
+GRAD_TOL = 1e-6                # stop at this largest |projected gradient|
+_SCORE_RTOL = 1e-12            # relative rounding of a REML score
+_EIG_FLOOR = 1e-7
+_NEWTON_MAX_ITER = 100
 
 DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
 
@@ -107,6 +115,13 @@ class PenaltyEntry:
     @property
     def p_block(self) -> int:
         return self.S.shape[0]
+
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """S's diagonal when S is diagonal (random effects and
+        natural-parameterized smooths), else None."""
+        d = np.diagonal(self.S)
+        return d if np.array_equal(self.S, np.diag(d)) else None
 
 
 @dataclass
@@ -625,8 +640,15 @@ def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
         float(np.sum(np.log(design.logpdet_weights @ lambdas)))
 
 
-def reml_score(design: AssembledDesign, log_lambdas) -> float:
-    """Negative log restricted marginal likelihood at the given log-lambdas."""
+def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
+    """Negative log restricted marginal likelihood at the given log-lambdas.
+
+    One Cholesky of A = X'X + S_lambda gives the score. With
+    derivatives=True it returns (score, grad, hess) in log lambda, exact
+    (Wood 2011, JRSSB 73(1)), from that same factor and A^-1 (LAPACK
+    potri). A that is not numerically positive definite raises
+    NumericError: the score of a ridged system would be another model's.
+    """
     log_lambdas = np.atleast_1d(np.asarray(log_lambdas, dtype=np.float64))
     if log_lambdas.shape != (len(design.penalties),):
         raise ShapeError(f"expected {len(design.penalties)} log-lambdas")
@@ -639,17 +661,13 @@ def reml_score(design: AssembledDesign, log_lambdas) -> float:
         sl = slice(entry.offset, entry.offset + entry.p_block)
         A[sl, sl] += lam * entry.S
     try:
-        chol = cho_factor(A, lower=True)
+        factor, _ = cho_factor(A, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError:
-        A[np.diag_indices_from(A)] += RIDGE_OF_LAST_RESORT * float(np.diag(A).mean())
-        try:
-            chol = cho_factor(A, lower=True)
-        except np.linalg.LinAlgError:
-            raise NumericError(f"penalized Hessian not positive definite "
-                               f"at lambdas {lambdas}") from None
-    beta = cho_solve(chol, xty)
+        raise NumericError(f"X'X + S_lambda not positive definite "
+                           f"at lambdas {lambdas}") from None
+    beta = cho_solve((factor, True), xty)
     rss_pen = max(yty - float(beta @ xty), 1e-300)
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(chol[0]))))
+    logdet_a = 2.0 * float(np.sum(np.log(np.diag(factor))))
     logpdet_s = _log_pdet_slambda(design, lambdas)
     n_eff = design.n - design.m_null_total
     if n_eff <= 0:
@@ -659,7 +677,57 @@ def reml_score(design: AssembledDesign, log_lambdas) -> float:
         - 0.5 * logpdet_s + 0.5 * logdet_a
     if not math.isfinite(score):
         raise NumericError(f"non-finite REML score at lambdas {lambdas}")
-    return float(score)
+    if not derivatives:
+        return float(score)
+    return (float(score),) + _reml_derivatives(design, factor, beta, lambdas,
+                                               rss_pen, n_eff)
+
+
+def _reml_derivatives(design, factor, beta, lambdas, rss_pen, n_eff):
+    """Gradient and Hessian of the REML score in log lambda.
+
+    With r_j = lambda_j b'S_j b, t_j = lambda_j tr(A^-1 S_j) and
+    P_kj = W_kj lambda_j / (W lambda)_k (W = logpdet_weights):
+
+        grad_j  = (n_eff r_j / rss + t_j - sum_k P_kj) / 2,
+        hess_ij = n_eff [(d_ij r_j - 2 lambda_i lambda_j b'S_j A^-1 S_i b) / rss
+                         - r_i r_j / rss^2] / 2
+                  + [d_ij t_j - lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)] / 2
+                  - [d_ij sum_k P_kj - sum_k P_ki P_kj] / 2.
+
+    Every product touches only the penalties' column blocks of A^-1.
+    """
+    a_inv, info = lapack.dpotri(factor, lower=1)
+    if info != 0:
+        raise NumericError(f"inverse of X'X + S_lambda failed at lambdas "
+                           f"{lambdas}")
+    a_inv = np.tril(a_inv) + np.tril(a_inv, -1).T
+    m = len(lambdas)
+    blocks = [slice(e.offset, e.offset + e.p_block) for e in design.penalties]
+    # M_j = lambda_j S_j A^-1[block_j, :]; a diagonal S_j scales rows
+    M = [lam * (e.S @ a_inv[sl] if e.diagonal is None
+                else e.diagonal[:, None] * a_inv[sl])
+         for e, lam, sl in zip(design.penalties, lambdas, blocks)]
+    s_beta = [lam * (e.S @ beta[sl])
+              for e, lam, sl in zip(design.penalties, lambdas, blocks)]
+    r = np.array([beta[sl] @ sb for sl, sb in zip(blocks, s_beta)])
+    t = np.array([np.trace(Mj[:, sl]) for Mj, sl in zip(M, blocks)])
+    a_inv_sb = [Mj.T @ beta[sl] for Mj, sl in zip(M, blocks)]
+    cross = np.empty((m, m))       # lambda_i lambda_j b'S_j A^-1 S_i b
+    trace2 = np.empty((m, m))      # lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)
+    for i in range(m):
+        for j in range(i, m):
+            cross[i, j] = cross[j, i] = s_beta[j] @ a_inv_sb[i][blocks[j]]
+            trace2[i, j] = trace2[j, i] = np.sum(M[i][:, blocks[j]]
+                                                 * M[j][:, blocks[i]].T)
+    W = design.logpdet_weights
+    P = W * lambdas / (W @ lambdas)[:, None]
+    p_sum = P.sum(axis=0)
+    grad = 0.5 * (n_eff * r / rss_pen + t - p_sum)
+    hess = 0.5 * n_eff * ((np.diag(r) - 2.0 * cross) / rss_pen
+                          - np.outer(r, r) / rss_pen ** 2) \
+        + 0.5 * (np.diag(t) - trace2) - 0.5 * (np.diag(p_sum) - P.T @ P)
+    return grad, hess
 
 
 @dataclass(frozen=True)
@@ -668,54 +736,120 @@ class LambdaSearch:
     score: float
     converged: bool
     n_eval: int
+    grad_max: float            # largest |projected gradient| at lambdas
+
+
+def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
+    """Projected Newton descent in log lambda from one start.
+
+    A coordinate at a lambda bound whose gradient points outward stays
+    fixed. On the free coordinates the step is Newton's along each
+    eigenvector of the Hessian with curvature above _EIG_FLOOR *
+    max(largest |eigenvalue|, 1), and MAX_NEWTON_STEP downhill along the
+    others, where the quadratic model has no minimum; it is then scaled to
+    at most MAX_NEWTON_STEP per coordinate and halved until the score
+    falls. Trial points are scored without derivatives. A start that
+    cannot be scored returns score inf.
+    """
+    lo, hi = LOG_LAMBDA_MIN, LOG_LAMBDA_MAX
+    try:
+        f, g, H = reml_score(design, x, derivatives=True)
+    except NumericError:
+        return LambdaSearch(np.exp(x), math.inf, False, 1, math.nan)
+    n_eval, converged = 1, False
+    for _ in range(_NEWTON_MAX_ITER):
+        free = _free_coordinates(x, g)
+        if np.max(np.abs(g[free]), initial=0.0) <= GRAD_TOL:
+            converged = True
+            break
+        w, V = np.linalg.eigh(H[np.ix_(free, free)])
+        c = V.T @ g[free]
+        # no quadratic minimum along nonpositive curvature: take the cap
+        floor = _EIG_FLOOR * max(np.abs(w).max(), 1.0)
+        step = np.zeros_like(x)
+        step[free] = -V @ np.where(w > floor, c / np.maximum(w, floor),
+                                   MAX_NEWTON_STEP * np.sign(c))
+        step *= min(1.0, MAX_NEWTON_STEP / np.abs(step).max())
+        trial = np.clip(x + step, lo, hi)
+        while True:
+            n_eval += 1
+            f_trial = _score_or_inf(design, trial)
+            if f_trial < f:
+                break
+            step *= 0.5
+            trial = np.clip(x + step, lo, hi)
+            # a descent smaller than the score's rounding cannot be seen
+            if abs(g @ (trial - x)) <= _SCORE_RTOL * (1.0 + abs(f)):
+                break
+        if f_trial >= f:
+            converged = True
+            break
+        x = trial
+        f, g, H = reml_score(design, x, derivatives=True)
+        n_eval += 1
+    free = _free_coordinates(x, g)
+    return LambdaSearch(np.exp(x), f, converged, n_eval,
+                        float(np.max(np.abs(g[free]), initial=0.0)))
+
+
+def _score_or_inf(design: AssembledDesign, x: np.ndarray) -> float:
+    try:
+        return reml_score(design, x)
+    except NumericError:
+        return math.inf
+
+
+def _free_coordinates(x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """False where x sits at a lambda bound and g points out of the box."""
+    return ~(((x <= LOG_LAMBDA_MIN) & (g > 0))
+             | ((x >= LOG_LAMBDA_MAX) & (g < 0)))
 
 
 def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
-    """Minimize the REML score over log-lambda by Nelder-Mead simplex.
+    """Minimize the REML score over log-lambda by projected Newton descent.
 
-    Starts from init (default log lambda = 0) plus restarts at +-5 in log10
-    space; the best of the three runs wins. Non-convergence returns the best
-    point found with converged=False rather than raising. n_eval counts the
-    distinct points scored.
+    Runs from init (default log lambda = 0), then from +5 and -5 in log10
+    space, each clipped to [LOG_LAMBDA_MIN, LOG_LAMBDA_MAX], on the exact
+    gradient and Hessian of reml_score; the lowest score wins. Then each
+    log lambda of the winner is set in turn to either bound, the others
+    held, and a fourth run starts from the lowest of these 2m probes if it
+    scores below the winner. A run converges when its largest projected
+    gradient is at most GRAD_TOL, or when no descent is possible: the step
+    has been halved until its predicted decrease is below the score's
+    rounding. A run out of iterations keeps its point with
+    converged=False, and a warning follows if it wins. A start that cannot
+    be scored is skipped. n_eval counts every point scored, probes and
+    points with derivatives included; grad_max is the largest absolute
+    projected gradient at the returned lambdas.
     """
     m = len(design.penalties)
     if m == 0:
         raise DomainError("no penalties to optimize")
     if init is None:
         init = np.zeros(m)
-    init = np.clip(np.asarray(init, dtype=np.float64), LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
-    scores: dict[bytes, float] = {}
-
-    def objective(x):
-        # Searches stuck against a lambda bound revisit the same clipped
-        # points; the score is deterministic, so each point is scored once.
-        key = x.tobytes()
-        if key not in scores:
-            try:
-                scores[key] = reml_score(design, x)
-            except NumericError:
-                scores[key] = np.inf
-        return scores[key]
-
-    starts = [init,
+    starts = [np.asarray(init, dtype=np.float64),
               np.full(m, 5.0 * math.log(10.0)),
               np.full(m, -5.0 * math.log(10.0))]
-    best = None
-    for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead",
-                       bounds=[(LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)] * m,
-                       options={"xatol": 1e-6, "fatol": 1e-8,
-                                "maxfev": 4000 * max(1, m // 2),
-                                "adaptive": m > 2})
-        if best is None or res.fun < best.fun:
-            best = res
-    if not math.isfinite(best.fun):
+    runs = [_newton_search(design, np.clip(x0, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX))
+            for x0 in starts]
+    best = min(runs, key=lambda run: run.score)
+    if not math.isfinite(best.score):
         raise NumericError("REML score non-finite at every candidate lambda")
-    if not best.success:
-        warnings.warn("lambda search hit its evaluation budget before "
+    # The score tends to a limit as a lambda goes to 0 or inf, and a basin
+    # a few 1e-3 deep can hold every start above a lower limit: probe both
+    # bounds of each coordinate from the best point.
+    x = np.log(best.lambdas)
+    probes = [np.where(np.arange(m) == j, bound, x)
+              for j in range(m) for bound in (LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)]
+    scores = [_score_or_inf(design, probe) for probe in probes]
+    k = int(np.argmin(scores))
+    if scores[k] < best.score:
+        runs.append(_newton_search(design, probes[k]))
+        best = min(runs, key=lambda run: run.score)
+    if not best.converged:
+        warnings.warn("lambda search hit its iteration budget before "
                       "converging; returning best point found", stacklevel=2)
-    return LambdaSearch(lambdas=np.exp(best.x), score=float(best.fun),
-                        converged=bool(best.success), n_eval=len(scores))
+    return replace(best, n_eval=len(probes) + sum(run.n_eval for run in runs))
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +878,7 @@ class FittedModel:
     converged: bool
     ridged: bool
     n_eval: int                # REML points scored by the lambda search
+    grad_max: float            # its largest |projected gradient| at lambdas
 
     @property
     def n(self) -> int:
@@ -790,7 +925,9 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     residual-df convention RSS_whitened/(n - total edf); loglik is the
     Gaussian log-likelihood of the whitened residuals at the ML variance
     RSS/n, the convention under which AIC = n log(2 pi RSS/n) + n + 2(edf+1).
-    n_eval counts the REML points the search scored (0 if none ran).
+    n_eval counts the REML points the search scored and grad_max is its
+    largest absolute projected gradient at the returned lambdas (both 0 if
+    no search ran).
     """
     design_raw = assemble(spec, table)
     if spec.rho > 0:
@@ -800,13 +937,14 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     else:
         design = design_raw
 
-    converged, n_eval = True, 0
+    converged, n_eval, grad_max = True, 0, 0.0
     if len(design.penalties) == 0:
         lambdas = np.zeros(0)
     elif lambdas is None:
         search = optimize_lambdas(design)
         lambdas = search.lambdas
         converged, n_eval = search.converged, search.n_eval
+        grad_max = search.grad_max
     else:
         lambdas = np.asarray(lambdas, dtype=np.float64)
 
@@ -839,7 +977,8 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
                        edf_per_coef=sol.edf_per_coef, total_edf=total_edf,
                        reml=reml, loglik=loglik, rss_whitened=rss_w,
                        residuals_raw=resid_raw, residuals_whitened=resid_w,
-                       converged=converged, ridged=sol.ridged, n_eval=n_eval)
+                       converged=converged, ridged=sol.ridged, n_eval=n_eval,
+                       grad_max=grad_max)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from gammkit.cli import main
+from gammkit.fitting import GRAD_TOL
 
 
 def _write(path, text):
@@ -121,13 +122,17 @@ def test_fit_reruns_byte_identical_except_timestamp(tmp_path):
 def test_fit_json_records_the_search_evaluation_count(tmp_path):
     data = _basic_data(tmp_path / "d.csv")
     spec = _write(tmp_path / "m.spec", BASIC_SPEC)
-    counts = []
+    counts, grads = [], []
     for run in ("o1", "o2"):
         assert main(["fit", "--data", data, "--spec", spec,
                      "--out", str(tmp_path / run)]) == 0
-        counts.append(json.loads((tmp_path / run / "fit.json").read_text())["n_eval"])
+        record = json.loads((tmp_path / run / "fit.json").read_text())
+        counts.append(record["n_eval"])
+        grads.append(record["grad_max"])
     assert isinstance(counts[0], int) and counts[0] > 0
     assert counts[0] == counts[1]
+    assert math.isfinite(grads[0]) and 0.0 <= grads[0] <= GRAD_TOL
+    assert grads[0] == grads[1]
 
 
 def test_fit_summary_t_is_estimate_over_se(tmp_path):
