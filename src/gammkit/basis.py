@@ -5,14 +5,23 @@ for one model term, the penalty matrices that measure its wiggliness, and an
 evaluator object that reproduces the columns at new covariate values. The
 stored X is always produced *through* the evaluator, so re-evaluating at the
 training covariates is bit-identical to the stored matrix.
+
+Per-level terms (random effects, factor smooths, by-factor smooths) give
+each factor level its own columns, zero off that level's rows. Their X is a
+scipy.sparse CSR matrix built in one step from the level codes and the base
+rows (per_level_rows): it stores n * p_base entries, not n * L * p_base.
+Every other block's X is a dense array. A LinAlgError inside a basis
+construction becomes a NumericError naming the stage.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh, qr, solve
 from scipy.spatial.distance import cdist
 
@@ -24,6 +33,15 @@ _PSD_RTOL = 1e-8
 
 def _symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
+
+
+@contextmanager
+def _stage(what: str):
+    """Raise a LinAlgError inside as a NumericError naming the stage."""
+    try:
+        yield
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"{what} failed: {exc}") from None
 
 
 def rank_psd(S: np.ndarray, rtol: float = 1e-9) -> int:
@@ -108,11 +126,12 @@ class BasisBlock:
 
     penalties is a list of (S, label) with S expressed in the block's own
     column space. null_dim[i] = p_term - rank(penalties[i]), the count of
-    directions unpenalized by that penalty.
+    directions unpenalized by that penalty. X is dense, or CSR for per-level
+    terms; the finite check reads its stored values.
     """
 
     term_label: str
-    X: np.ndarray
+    X: np.ndarray | sparse.csr_array
     penalties: list
     null_dim: tuple[int, ...]
     evaluator: object
@@ -123,8 +142,11 @@ class BasisBlock:
     _total_null: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        if not np.all(np.isfinite(self.X)):
+        if sparse.issparse(self.X):
+            values = self.X.data
+        else:
+            self.X = values = np.asarray(self.X, dtype=np.float64)
+        if not np.all(np.isfinite(values)):
             raise NumericError(f"basis {self.term_label!r} produced non-finite entries")
         for S, label in self.penalties:
             if S.shape != (self.p_term, self.p_term):
@@ -155,7 +177,9 @@ class BasisBlock:
         return self._total_null
 
     def evaluate(self, cols: list, extrapolate: bool = False) -> np.ndarray:
-        return self.evaluator.evaluate(cols, extrapolate=extrapolate)
+        """Dense columns at new covariate values (prediction)."""
+        X = self.evaluator.evaluate(cols, extrapolate=extrapolate)
+        return X.toarray() if sparse.issparse(X) else X
 
 
 # ---------------------------------------------------------------------------
@@ -259,22 +283,15 @@ class _TensorEval:
 class _PerLevelEval:
     """Shared machinery for by-factor and factor-smooth expansion."""
 
-    def __init__(self, base_ev, levels, p_base):
+    def __init__(self, base_ev, levels):
         self.base_ev = base_ev
         self.levels = tuple(levels)
-        self.p_base = p_base
 
     def evaluate(self, cols, extrapolate=False):
         base_cols, factor = cols[:-1], cols[-1]
         codes = recode_factor(factor, self.levels)
         Xb = self.base_ev.evaluate(base_cols, extrapolate=extrapolate)
-        n = Xb.shape[0]
-        L, p = len(self.levels), self.p_base
-        X = np.zeros((n, L * p))
-        for lev in range(L):
-            mask = codes == lev
-            X[mask, lev * p:(lev + 1) * p] = Xb[mask]
-        return X
+        return per_level_rows(codes, Xb, len(self.levels))
 
 
 class _RandomEffectEval:
@@ -283,14 +300,10 @@ class _RandomEffectEval:
         self.with_covariate = with_covariate
 
     def evaluate(self, cols, extrapolate=False):
-        factor = cols[0]
-        codes = recode_factor(factor, self.levels)
-        n = codes.size
-        X = np.zeros((n, len(self.levels)))
-        X[np.arange(n), codes] = 1.0
-        if self.with_covariate:
-            X *= np.asarray(cols[1], dtype=np.float64)[:, None]
-        return X
+        codes = recode_factor(cols[0], self.levels)
+        values = (np.asarray(cols[1], dtype=np.float64) if self.with_covariate
+                  else np.ones(codes.size))
+        return per_level_rows(codes, values[:, None], len(self.levels))
 
 
 class _ConstrainedEval:
@@ -317,6 +330,18 @@ def recode_factor(factor, levels: tuple[str, ...]) -> np.ndarray:
     if codes.size and (codes.min() < 0 or codes.max() >= len(levels)):
         raise DomainError("factor codes out of range")
     return codes
+
+
+def per_level_rows(codes: np.ndarray, base: np.ndarray,
+                   n_levels: int) -> sparse.csr_array:
+    """n x (n_levels * p) CSR matrix whose row i is base row i, placed in
+    the column block of level codes[i] and zero elsewhere."""
+    n, p = base.shape
+    indices = (codes[:, None] * p + np.arange(p)).ravel()
+    with _stage("per-level sparse design"):
+        return sparse.csr_array(
+            (np.ascontiguousarray(base, dtype=np.float64).ravel(), indices,
+             np.arange(0, n * p + 1, p)), shape=(n, n_levels * p))
 
 
 def row_kron(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -491,16 +516,19 @@ def tp_basis(X_cov, k: int, m: int = 2) -> BasisBlock:
         pts = pts[np.sort(keep)]
 
     E = _tp_eta(cdist(pts, pts), d, m)
-    w, U = eigh(_symmetrize(E))
+    with _stage("thin plate kernel eigendecomposition"):
+        w, U = eigh(_symmetrize(E))
     order = np.argsort(-np.abs(w), kind="stable")[:k]
     w_k = w[order]
     U_k = U[:, order]
     T_pts = _tp_poly(pts, powers)
     C = T_pts.T @ U_k                                   # M x k constraint
-    Qc, _ = qr(C.T, mode="full")
+    with _stage("thin plate constraint QR"):
+        Qc, _ = qr(C.T, mode="full")
     Z = Qc[:, M:]                                       # k x (k - M)
     P = _symmetrize(Z.T @ (w_k[:, None] * Z))
-    lam, V = eigh(P)
+    with _stage("thin plate penalty eigendecomposition"):
+        lam, V = eigh(P)
     if lam.size and lam[0] < -_PSD_RTOL * max(lam[-1], 1.0):
         raise NumericError(f"thin plate penalty not PSD (min eig {lam[0]:.3e})")
     lam = np.clip(lam, 0.0, None)
@@ -568,7 +596,7 @@ def _per_level_layout(block: BasisBlock, factor: FactorColumn, what: str):
             raise DomainError(
                 f"{what}: level {factor.levels[lev]!r} has {counts[lev]} rows, "
                 f"fewer than the basis null dimension {base_null}")
-    ev = _PerLevelEval(block.evaluator, factor.levels, p)
+    ev = _PerLevelEval(block.evaluator, factor.levels)
     return L, p, ev
 
 
@@ -582,13 +610,8 @@ def apply_by_factor(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
         raise DomainError("by-factor expansion needs a single-penalty block")
     L, p, ev = _per_level_layout(block, factor, "by-factor smooth")
     S = block.penalties[0][0]
-    # Expanding the stored X level-wise matches what the evaluator produces
-    # at the training covariates bit for bit: both mask the same base rows.
-    n = block.n_rows
-    X = np.zeros((n, L * p))
-    for lev in range(L):
-        mask = factor.codes == lev
-        X[mask, lev * p:(lev + 1) * p] = block.X[mask]
+    # The evaluator builds the same matrix from the same base rows.
+    X = per_level_rows(factor.codes, block.X, L)
     penalties = []
     null_dims = []
     rank_s = rank_psd(S)
@@ -621,14 +644,11 @@ def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
         raise DomainError("factor smooths take a univariate base smooth")
     L, p, ev = _per_level_layout(block, factor, "factor smooth")
     S = block.penalties[0][0]
-    w, V = eigh(_symmetrize(S))
+    with _stage("factor smooth null space eigendecomposition"):
+        w, V = eigh(_symmetrize(S))
     null_cols = V[:, w <= 1e-9 * w[-1]]
     N = null_cols @ null_cols.T                      # projector onto null(S)
-    n = block.n_rows
-    X = np.zeros((n, L * p))
-    for lev in range(L):
-        mask = factor.codes == lev
-        X[mask, lev * p:(lev + 1) * p] = block.X[mask]
+    X = per_level_rows(factor.codes, block.X, L)
     S1 = np.zeros((L * p, L * p))
     S2 = np.zeros((L * p, L * p))
     for lev in range(L):
@@ -670,7 +690,8 @@ def absorb_constraints(block: BasisBlock) -> BasisBlock:
     if scale < 1e-10 * max(1.0, np.abs(block.X).max()) * block.n_rows ** 0.5:
         raise NumericError(f"term {block.term_label!r}: column sums are already zero; "
                            "sum-to-zero reparameterization is degenerate")
-    Qc, _ = qr(c[:, None] / scale, mode="full")
+    with _stage("sum-to-zero constraint QR"):
+        Qc, _ = qr(c[:, None] / scale, mode="full")
     Z = Qc[:, 1:]
     ev = _ConstrainedEval(block.evaluator, Z)
     Xc = block.X @ Z

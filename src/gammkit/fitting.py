@@ -1,6 +1,10 @@
 """Design assembly, AR(1) whitening, penalized least squares, REML.
 
-The fitting pipeline is assemble -> whiten -> select lambdas -> solve. Past
+The fitting pipeline is assemble -> whiten -> select lambdas -> solve. The
+design keeps the columns of dense blocks (intercept, parametric terms,
+ordinary smooths) as one dense array and the per-level columns of random
+effects, factor smooths and by-factor smooths as one sparse matrix, which
+stores only each row's own level; no dense n x p array is formed. Past
 whitening the n rows enter only through X'X, X'y and y'y, formed once per
 design, so each REML score and the final solve (pls_solve) cost O(p^3). The
 REML criterion is the negative log of the Gaussian restricted marginal
@@ -28,6 +32,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import (block_diag, cho_factor, cho_solve, lapack, qr,
                           solve_triangular)
 
@@ -126,10 +131,18 @@ class PenaltyEntry:
 
 @dataclass
 class AssembledDesign:
-    """Stacked design for one model on one (sorted) table."""
+    """Stacked design for one model on one (sorted) table.
+
+    The n x p design X is held in two parts: X_dense, the columns dense_cols
+    (those of dense blocks) as one dense array, and X_sparse, every other
+    column in order (the per-level columns) as one CSR matrix. The fit path
+    reads only the parts; X stacks them into one sparse matrix on first use.
+    """
 
     y: np.ndarray
-    X: np.ndarray
+    X_dense: np.ndarray
+    X_sparse: sparse.csr_array
+    dense_cols: np.ndarray
     col_ranges: dict
     penalties: list
     logpdet_const: float       # log|S_lambda|_+ = const + sum log(weights @ lambda)
@@ -151,17 +164,53 @@ class AssembledDesign:
 
     @property
     def n(self) -> int:
-        return self.X.shape[0]
+        return self.X_dense.shape[0]
 
     @property
     def p(self) -> int:
-        return self.X.shape[1]
+        return self.X_dense.shape[1] + self.X_sparse.shape[1]
+
+    @cached_property
+    def sparse_cols(self) -> np.ndarray:
+        """Columns of X held in X_sparse, in order."""
+        keep = np.ones(self.p, dtype=bool)
+        keep[self.dense_cols] = False
+        return np.flatnonzero(keep)
+
+    @cached_property
+    def X(self) -> sparse.csr_array:
+        """The whole n x p design as one sparse matrix."""
+        H = sparse.coo_array(self.X_dense)
+        T = self.X_sparse.tocoo()
+        return sparse.csr_array(
+            (np.concatenate([H.data, T.data]),
+             (np.concatenate([H.row, T.row]),
+              np.concatenate([self.dense_cols[H.col],
+                              self.sparse_cols[T.col]]))),
+            shape=(self.n, self.p))
+
+    def dot(self, beta: np.ndarray) -> np.ndarray:
+        """X @ beta from the two parts."""
+        return self.X_dense @ beta[self.dense_cols] + \
+            self.X_sparse @ beta[self.sparse_cols]
 
     def ensure_products(self):
+        """X'X, X'y and y'y, formed once. With H = X_dense and T = X_sparse,
+        H'H goes through BLAS and T'H, T'T through sparse products; a design
+        without per-level columns has no T to multiply."""
         if self._xtx is None:
-            self._xtx = self.X.T @ self.X
-            self._xty = self.X.T @ self.y
-            self._yty = float(self.y @ self.y)
+            H, T, y = self.X_dense, self.X_sparse, self.y
+            xtx, xty = H.T @ H, H.T @ y
+            if self.sparse_cols.size:
+                Tt = T.T.tocsr()
+                th = Tt @ H
+                # the parts' order [dense | sparse] back to X's columns
+                order = np.argsort(np.concatenate([self.dense_cols,
+                                                   self.sparse_cols]))
+                xtx = np.block([[xtx, th.T], [th, (Tt @ T).toarray()]])
+                xtx = xtx[np.ix_(order, order)]
+                xty = np.concatenate([xty, Tt @ y])[order]
+            self._xtx, self._xty, self._yty = xtx, xty, float(y @ y)
         return self._xtx, self._xty, self._yty
 
     def column_range(self, term: str) -> tuple[int, int]:
@@ -338,6 +387,8 @@ def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
     if rank_psd(S) == 0:
         return block
     A = block.X.T @ block.X
+    if sparse.issparse(A):                 # a one-level by-factor smooth
+        A = A.toarray()
     try:
         R = np.linalg.cholesky(A)
     except np.linalg.LinAlgError:
@@ -352,7 +403,7 @@ def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
     T = r_inv.T @ U
     # Nesting (rather than folding T into the constraint map) keeps the
     # stored design bit-identical to what the evaluator returns at the
-    # training covariates: both compute (evaluated X) @ T.
+    # training covariates: both compute (evaluated X) @ T, dense result.
     ev = basis_mod._ConstrainedEval(block.evaluator, T)
     Xn = block.X @ T
     p = Xn.shape[1]
@@ -429,6 +480,10 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
 
     Rows are sorted by (series, order) when the table declares a series key,
     so AR(1) whitening and residual diagnostics see contiguous series runs.
+    Dense blocks stack into X_dense, whose columns dense_cols records; the
+    sparse per-level blocks stack into X_sparse. Both must be all finite. A
+    NumericError or LinAlgError while building a term's basis is raised as
+    a NumericError naming the term.
     """
     if spec.response not in table.columns:
         raise SchemaError(f"response column {spec.response!r} not in table")
@@ -439,7 +494,8 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         table = table.take(idx)
     y = np.asarray(table.numeric(spec.response), dtype=np.float64).copy()
 
-    col_parts = [np.ones((table.n_rows, 1))]
+    dense_parts, sparse_parts = [np.ones((table.n_rows, 1))], []
+    dense_cols = [np.arange(1)]
     coef_names = ["(Intercept)"]
     col_ranges = {"(Intercept)": (0, 1)}
     cursor = 1
@@ -447,7 +503,8 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     for term in spec.parametric_terms:
         built = _build_parametric(term, table)
         cols, names = built.build(table)
-        col_parts.append(cols)
+        dense_parts.append(cols)
+        dense_cols.append(np.arange(cursor, cursor + cols.shape[1]))
         coef_names.extend(names)
         col_ranges[term.label] = (cursor, cursor + cols.shape[1])
         cursor += cols.shape[1]
@@ -459,8 +516,14 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     logpdet_const = 0.0
     weight_blocks = []
     for term in spec.smooth_terms:
-        block, cov_names = _build_smooth(term, table)
         label = term.label
+        try:
+            block, cov_names = _build_smooth(term, table)
+        except NumericError as exc:
+            raise NumericError(f"term {label!r}: {exc}") from None
+        except np.linalg.LinAlgError as exc:
+            raise NumericError(f"term {label!r}: basis construction failed: "
+                               f"{exc}") from None
         if block.kind == "smooth" and len(block.penalties) == 1:
             block = _natural_reparam(block, label)
         if label in col_ranges:
@@ -471,7 +534,11 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
                                for lev, a, b in block.sub_terms]
         blocks[label] = block
         term_covariates[label] = cov_names
-        col_parts.append(block.X)
+        if sparse.issparse(block.X):
+            sparse_parts.append(block.X)
+        else:
+            dense_parts.append(block.X)
+            dense_cols.append(np.arange(cursor, cursor + block.p_term))
         coef_names.extend(f"{label}[{j}]" for j in range(block.p_term))
         col_ranges[label] = (cursor, cursor + block.p_term)
         term_entries, const, weights = _term_penalties(label, cursor,
@@ -481,16 +548,23 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         weight_blocks.append(weights)
         cursor += block.p_term
 
-    X = np.hstack(col_parts)
-    if not np.all(np.isfinite(X)):
+    X_dense = np.hstack(dense_parts)
+    if len(sparse_parts) == 1:
+        X_sparse = sparse_parts[0]
+    else:               # no per-level term, or several side by side
+        X_sparse = sparse.hstack(
+            sparse_parts or [sparse.csr_array((table.n_rows, 0))], format="csr")
+    if not (np.all(np.isfinite(X_dense)) and np.all(np.isfinite(X_sparse.data))):
         raise NumericError("assembled design contains non-finite entries")
     weights = block_diag(*weight_blocks) if weight_blocks else np.zeros((0, 0))
-    m_null = X.shape[1] - weights.shape[0]
+    m_null = cursor - weights.shape[0]
     series_codes = order_values = None
     if table.series_key is not None:
         series_codes = table.factor(table.series_key).codes
         order_values = table.numeric(table.order_key)
-    return AssembledDesign(y=y, X=X, col_ranges=col_ranges, penalties=entries,
+    return AssembledDesign(y=y, X_dense=X_dense, X_sparse=X_sparse,
+                           dense_cols=np.concatenate(dense_cols),
+                           col_ranges=col_ranges, penalties=entries,
                            logpdet_const=logpdet_const,
                            logpdet_weights=weights, m_null_total=m_null,
                            blocks=blocks,
@@ -509,7 +583,10 @@ def ar1_whiten(design: AssembledDesign, rho: float,
 
     Within each series, row t becomes row_t - rho*row_{t-1} and the first row
     is scaled by sqrt(1 - rho^2): left-multiplication by the inverse Cholesky
-    factor of the AR(1) correlation matrix. Penalties are unchanged.
+    factor of the AR(1) correlation matrix, a sparse bidiagonal D applied to
+    y, X_dense and X_sparse (whose rows may then span two levels). Each
+    output entry sums at most two products with 1, -rho or the scale, so it
+    equals the formula above to the last bit. Penalties are unchanged.
     """
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
@@ -527,15 +604,21 @@ def ar1_whiten(design: AssembledDesign, rho: float,
         inside = ~starts
         if np.any(order[inside] <= order[np.flatnonzero(inside) - 1]):
             raise DomainError("rows are not sorted by order within series")
-    scale = math.sqrt(1.0 - rho * rho)
-    # Differences form in place: no n x p temporary. Row 0 starts a series.
-    y, X = np.empty_like(design.y), np.empty_like(design.X)
-    for raw, out in ((design.y, y), (design.X, X)):
-        np.multiply(raw[:-1], rho, out=out[1:])
-        np.subtract(raw[1:], out[1:], out=out[1:])
-    y[starts] = scale * design.y[starts]
-    X[starts] = scale * design.X[starts]
-    return replace(design, y=y, X=X, whitened=True, rho=rho,
+    # Row t of D: -rho at t - 1 and 1 at t, or sqrt(1 - rho^2) at t alone
+    # where a series starts.
+    indptr = np.zeros(design.n + 1, dtype=np.int64)
+    np.cumsum(np.where(starts, 1, 2), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    data = np.empty(indptr[-1])
+    diag = indptr[1:] - 1
+    indices[diag] = np.arange(design.n)
+    data[diag] = np.where(starts, math.sqrt(1.0 - rho * rho), 1.0)
+    lag = indptr[:-1][~starts]
+    indices[lag] = np.flatnonzero(~starts) - 1
+    data[lag] = -rho
+    D = sparse.csr_array((data, indices, indptr), shape=(design.n, design.n))
+    return replace(design, y=D @ design.y, X_dense=D @ design.X_dense,
+                   X_sparse=D @ design.X_sparse, whitened=True, rho=rho,
                    _xtx=None, _xty=None, _yty=None)
 
 
@@ -646,8 +729,11 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     One Cholesky of A = X'X + S_lambda gives the score. With
     derivatives=True it returns (score, grad, hess) in log lambda, exact
     (Wood 2011, JRSSB 73(1)), from that same factor and A^-1 (LAPACK
-    potri). A that is not numerically positive definite raises
-    NumericError: the score of a ridged system would be another model's.
+    potri). derivatives=b, a number, returns (score, grad, hess) when the
+    score is below b and (score, None, None) otherwise: a line search needs
+    them only at the point it accepts. A that is not numerically positive
+    definite raises NumericError: the score of a ridged system would be
+    another model's.
     """
     log_lambdas = np.atleast_1d(np.asarray(log_lambdas, dtype=np.float64))
     if log_lambdas.shape != (len(design.penalties),):
@@ -677,8 +763,10 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
         - 0.5 * logpdet_s + 0.5 * logdet_a
     if not math.isfinite(score):
         raise NumericError(f"non-finite REML score at lambdas {lambdas}")
-    if not derivatives:
+    if derivatives is False:
         return float(score)
+    if derivatives is not True and not score < derivatives:
+        return float(score), None, None
     return (float(score),) + _reml_derivatives(design, factor, beta, lambdas,
                                                rss_pen, n_eff)
 
@@ -748,8 +836,10 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
     max(largest |eigenvalue|, 1), and MAX_NEWTON_STEP downhill along the
     others, where the quadratic model has no minimum; it is then scaled to
     at most MAX_NEWTON_STEP per coordinate and halved until the score
-    falls. Trial points are scored without derivatives. A start that
-    cannot be scored returns score inf.
+    falls. Each trial point is scored once, asking for derivatives below
+    the current score: the point accepted brings its gradient and Hessian,
+    a rejected one costs only its factorization. A start that cannot be
+    scored returns score inf.
     """
     lo, hi = LOG_LAMBDA_MIN, LOG_LAMBDA_MAX
     try:
@@ -773,7 +863,11 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
         trial = np.clip(x + step, lo, hi)
         while True:
             n_eval += 1
-            f_trial = _score_or_inf(design, trial)
+            try:
+                f_trial, g_trial, H_trial = reml_score(design, trial,
+                                                       derivatives=f)
+            except NumericError:
+                f_trial = math.inf
             if f_trial < f:
                 break
             step *= 0.5
@@ -784,9 +878,7 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
         if f_trial >= f:
             converged = True
             break
-        x = trial
-        f, g, H = reml_score(design, x, derivatives=True)
-        n_eval += 1
+        x, f, g, H = trial, f_trial, g_trial, H_trial
     free = _free_coordinates(x, g)
     return LambdaSearch(np.exp(x), f, converged, n_eval,
                         float(np.max(np.abs(g[free]), initial=0.0)))
@@ -818,9 +910,9 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     has been halved until its predicted decrease is below the score's
     rounding. A run out of iterations keeps its point with
     converged=False, and a warning follows if it wins. A start that cannot
-    be scored is skipped. n_eval counts every point scored, probes and
-    points with derivatives included; grad_max is the largest absolute
-    projected gradient at the returned lambdas.
+    be scored is skipped. n_eval counts every point scored, each once,
+    probes included; grad_max is the largest absolute projected gradient
+    at the returned lambdas.
     """
     m = len(design.penalties)
     if m == 0:
@@ -914,7 +1006,7 @@ class FittedModel:
 
     @property
     def fitted_values(self) -> np.ndarray:
-        return self.design_raw.X @ self.beta
+        return self.design_raw.dot(self.beta)
 
 
 def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
@@ -949,7 +1041,7 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
         lambdas = np.asarray(lambdas, dtype=np.float64)
 
     sol = pls_solve(design, lambdas)
-    resid_w = design.y - design.X @ sol.beta
+    resid_w = design.y - design.dot(sol.beta)
     rss_w = float(resid_w @ resid_w)
     total_edf = float(np.sum(sol.edf_per_coef))
     denom = design.n - total_edf
@@ -969,7 +1061,7 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
         reml = reml_score(design, np.zeros(0))
     else:
         reml = math.nan
-    resid_raw = design_raw.y - design_raw.X @ sol.beta
+    resid_raw = design_raw.y - design_raw.dot(sol.beta)
     sig = sigma2 if math.isfinite(sigma2) else 0.0
     return FittedModel(spec=spec, design_raw=design_raw, design=design,
                        beta=sol.beta, lambdas=lambdas, sigma2=sigma2,

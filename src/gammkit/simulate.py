@@ -276,7 +276,7 @@ def grid_reml_oracle(design, log_grid) -> tuple[np.ndarray, int]:
     if grid.shape[0] > 10_000:
         raise DomainError("grid larger than 10^4 points")
 
-    X, y = design.X, design.y
+    X, y = design.X.toarray(), design.y
     n, p = X.shape
     embedded = []
     for entry in design.penalties:

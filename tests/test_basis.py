@@ -7,6 +7,7 @@ quadrature built from second differences (exact inside a cubic piece).
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from gammkit.basis import (absorb_constraints, apply_by_factor, cr_basis,
                            factor_smooth, knots_quantile, poly_basis,
@@ -341,8 +342,8 @@ def test_by_factor_layout():
     assert len(by.penalties) == 2
     # rows in level u have zero v-columns and vice versa
     u_rows = f.codes == 0
-    assert not by.X[u_rows, 6:].any()
-    assert not by.X[~u_rows, :6].any()
+    assert not by.X.toarray()[u_rows, 6:].any()
+    assert not by.X.toarray()[~u_rows, :6].any()
 
 
 def test_by_factor_four_levels_four_penalties():
@@ -398,7 +399,7 @@ def test_random_effect_indicator_matrix():
     f = FactorColumn.from_strings(["a", "b", "c", "a"])
     blk = random_effect(f)
     expect = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], float)
-    np.testing.assert_array_equal(blk.X, expect)
+    np.testing.assert_array_equal(blk.X.toarray(), expect)
     S, _ = blk.penalties[0]
     np.testing.assert_array_equal(S, np.eye(3))
     assert blk.null_dim == (0,)
@@ -409,7 +410,7 @@ def test_random_slope_masks_covariate():
     f = FactorColumn.from_strings(["a", "b", "a"])
     x = np.array([2.0, 3.0, 5.0])
     blk = random_effect(f, covariate=x)
-    np.testing.assert_array_equal(blk.X, [[2, 0], [0, 3], [5, 0]])
+    np.testing.assert_array_equal(blk.X.toarray(), [[2, 0], [0, 3], [5, 0]])
 
 
 def test_random_effect_single_level():
@@ -466,4 +467,5 @@ def test_evaluators_reproduce_training_matrix():
     ]
     for blk, cols in cases:
         again = blk.evaluate(cols)
-        assert np.array_equal(again, blk.X), blk.term_label
+        stored = blk.X.toarray() if sparse.issparse(blk.X) else blk.X
+        assert np.array_equal(again, stored), blk.term_label

@@ -44,7 +44,7 @@ def test_assemble_intercept_only():
     tab = DataTable(columns={"y": np.arange(8.0)}, n_rows=8)
     des = assemble(ModelSpec(response="y"), tab)
     assert des.X.shape == (8, 1)
-    np.testing.assert_array_equal(des.X[:, 0], 1.0)
+    np.testing.assert_array_equal(des.X.toarray()[:, 0], 1.0)
     assert des.penalties == []
     assert des.coef_names == ["(Intercept)"]
     assert des.m_null_total == 1
@@ -70,7 +70,7 @@ def test_assemble_sum_coding_two_level():
     tab = DataTable(columns={"y": np.arange(4.0), "cond": g}, n_rows=4)
     spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),))
     des = assemble(spec, tab)
-    np.testing.assert_array_equal(des.X[:, 1], [0.5, -0.5, 0.5, -0.5])
+    np.testing.assert_array_equal(des.X.toarray()[:, 1], [0.5, -0.5, 0.5, -0.5])
     assert des.coef_names[1] == "cond"
 
 
@@ -82,8 +82,8 @@ def test_assemble_sum_coding_three_level():
     assert des.col_ranges["cond"] == (1, 3)
     assert des.coef_names[1:3] == ["cond[a]", "cond[b]"]
     # deviation coding: last level carries -0.5 in every column
-    np.testing.assert_array_equal(des.X[2, 1:3], [-0.5, -0.5])
-    np.testing.assert_array_equal(des.X[0, 1:3], [0.5, 0.0])
+    np.testing.assert_array_equal(des.X.toarray()[2, 1:3], [-0.5, -0.5])
+    np.testing.assert_array_equal(des.X.toarray()[0, 1:3], [0.5, 0.0])
 
 
 def test_assemble_treatment_coding():
@@ -92,8 +92,8 @@ def test_assemble_treatment_coding():
     spec = ModelSpec(response="y",
                      parametric_terms=(ParametricTerm("cond", coding="treatment"),))
     des = assemble(spec, tab)
-    np.testing.assert_array_equal(des.X[:, 1], [0.0, 1.0, 0.0])
-    np.testing.assert_array_equal(des.X[:, 2], [0.0, 0.0, 1.0])
+    np.testing.assert_array_equal(des.X.toarray()[:, 1], [0.0, 1.0, 0.0])
+    np.testing.assert_array_equal(des.X.toarray()[:, 2], [0.0, 0.0, 1.0])
     assert des.coef_names[1:] == ["cond[b]", "cond[c]"]
 
 
@@ -106,11 +106,12 @@ def test_assemble_interaction_is_columnwise_product():
                                        ParametricTerm("b"),
                                        ParametricTerm(("a", "b"))))
     des = assemble(spec, tab)
-    ca = des.X[:, des.col_ranges["a"][0]]
-    cb = des.X[:, des.col_ranges["b"][0]]
+    X = des.X.toarray()
+    ca = X[:, des.col_ranges["a"][0]]
+    cb = X[:, des.col_ranges["b"][0]]
     i0, i1 = des.col_ranges["a:b"]
     assert i1 - i0 == 1
-    np.testing.assert_allclose(des.X[:, i0], ca * cb)
+    np.testing.assert_allclose(X[:, i0], ca * cb)
     assert des.coef_names[i0] == "a:b"
 
 
@@ -183,7 +184,7 @@ def test_whiten_rho_zero_is_identity():
                    _table(30, series=True))
     white = ar1_whiten(des, 0.0)
     np.testing.assert_array_equal(white.y, des.y)
-    np.testing.assert_array_equal(white.X, des.X)
+    np.testing.assert_array_equal(white.X.toarray(), des.X.toarray())
 
 
 def test_whiten_rescales_each_series_start():
@@ -197,7 +198,7 @@ def test_whiten_rescales_each_series_start():
     scale = math.sqrt(1.0 - rho * rho)
     np.testing.assert_allclose(white.y, [2.0 * scale, 2.0 - rho * 2.0,
                                          3.0 * scale, 3.0 - rho * 3.0])
-    np.testing.assert_allclose(white.X[:, 0],
+    np.testing.assert_allclose(white.X.toarray()[:, 0],
                                [scale, 1.0 - rho, scale, 1.0 - rho])
 
 
@@ -226,15 +227,17 @@ def test_whiten_matches_the_copy_and_subtract_formula_bit_for_bit():
         SmoothTermSpec("x", "cr", k=6),)), tab)
     starts = np.ones(n, dtype=bool)
     starts[1:] = des.series_codes[1:] != des.series_codes[:-1]
+    raw = des.X.toarray()
     for rho in (0.3, 0.77, 0.999):
         scale = math.sqrt(1.0 - rho * rho)
-        y, X = des.y.copy(), des.X.copy()
+        y, X = des.y.copy(), raw.copy()
         y[1:] -= rho * des.y[:-1]
-        X[1:] -= rho * des.X[:-1]
+        X[1:] -= rho * raw[:-1]
         y[starts] = scale * des.y[starts]
-        X[starts] = scale * des.X[starts]
+        X[starts] = scale * raw[starts]
         white = ar1_whiten(des, rho)
-        assert np.array_equal(white.y, y) and np.array_equal(white.X, X)
+        assert np.array_equal(white.y, y) and \
+            np.array_equal(white.X.toarray(), X)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +249,7 @@ def test_pls_lambda_zero_matches_ols():
                              smooth_terms=(SmoothTermSpec("x", "cr", k=8),)),
                    _table(60, seed=1))
     sol = pls_solve(des, [0.0])
-    ols, *_ = np.linalg.lstsq(des.X, des.y, rcond=None)
+    ols, *_ = np.linalg.lstsq(des.X.toarray(), des.y, rcond=None)
     np.testing.assert_allclose(sol.beta, ols, atol=1e-9)
     np.testing.assert_allclose(sol.edf_per_coef, 1.0, atol=1e-8)
     assert not sol.ridged
@@ -300,7 +303,7 @@ def test_pls_edf_monotone_and_bounded(kind):
 def _exact_pls(des, lambdas):
     """beta solving (X'X + sum_j lambda_j R_j'R_j) beta = X'y in exact
     rational arithmetic on the stored floats: no rounding anywhere."""
-    cols = [[Fraction(v) for v in des.X[:, j]] for j in range(des.p)]
+    cols = [[Fraction(v) for v in des.X.toarray()[:, j]] for j in range(des.p)]
     y = [Fraction(v) for v in des.y]
     A = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
     rhs = [sum(a * b for a, b in zip(ci, y)) for ci in cols]
@@ -323,7 +326,7 @@ def _exact_pls(des, lambdas):
 
 def _augmented_lstsq(des, lambdas, ridge=0.0):
     """Dense least squares on the full (n + rank) x p augmented system."""
-    rows = [des.X]
+    rows = [des.X.toarray()]
     for entry, lam in zip(des.penalties, lambdas):
         block = np.zeros((entry.rank, des.p))
         block[:, entry.offset:entry.offset + entry.p_block] = \
@@ -419,7 +422,8 @@ def test_pls_reads_only_the_cached_products():
     lambdas = [0.5, 2.0]
     des.ensure_products()
     sol = pls_solve(des, lambdas)
-    hollow = pls_solve(replace(des, X=np.empty((0, des.p)), y=np.empty(0)),
+    hollow = pls_solve(replace(des, X_dense=des.X_dense[:0],
+                               X_sparse=des.X_sparse[:0], y=des.y[:0]),
                        lambdas)
     for a, b in zip(sol, hollow):
         np.testing.assert_array_equal(a, b)
@@ -825,6 +829,28 @@ def test_optimizer_converges_on_a_search_stuck_at_the_bound(monkeypatch):
     assert search.n_eval == calls < 200
 
 
+@pytest.mark.parametrize("case", ["stuck-pilot", "full-4x150-seed5",
+                                  "fs-search-20x100"])
+def test_search_scores_each_point_once(monkeypatch, case):
+    """An accepted trial brings its own gradient and Hessian: no two
+    consecutive reml_score calls score the same point, and n_eval counts
+    every call. Seed 5 of the 4 x 150 model accepts halved steps."""
+    des = {"stuck-pilot": _pilot_design,
+           "full-4x150-seed5": lambda: _full_design(4, 150, 5),
+           "fs-search-20x100": lambda: _full_design(20, 100, 88)}[case]()
+    real_score = fitting.reml_score
+    points = []
+
+    def recording_score(design, x, derivatives=False):
+        points.append(np.array(x, dtype=np.float64))
+        return real_score(design, x, derivatives)
+
+    monkeypatch.setattr(fitting, "reml_score", recording_score)
+    search = optimize_lambdas(des)
+    assert search.converged and search.n_eval == len(points)
+    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+
+
 def test_search_skips_a_start_that_cannot_be_scored(monkeypatch):
     """A start whose score raises is skipped and still counted; when no
     start can be scored the search raises."""
@@ -943,7 +969,8 @@ def test_fit_lambda_zero_pins_to_ols_with_nan_reml():
     model = fit(ModelSpec(response="y",
                           smooth_terms=(SmoothTermSpec("x", "cr", k=7),)), tab,
                 lambdas=[0.0])
-    ols, *_ = np.linalg.lstsq(model.design.X, model.design.y, rcond=None)
+    ols, *_ = np.linalg.lstsq(model.design.X.toarray(), model.design.y,
+                              rcond=None)
     np.testing.assert_allclose(model.beta, ols, atol=1e-9)
     assert math.isnan(model.reml)
 
