@@ -6,9 +6,12 @@ ordinary smooths) as one dense array and the per-level columns of random
 effects, factor smooths and by-factor smooths as one sparse matrix, which
 stores only each row's own level; no dense n x p array is formed. Past
 whitening the n rows enter only through X'X, X'y and y'y, formed once per
-design, so each REML score and the final solve (pls_solve) cost O(p^3). The
-REML criterion is the negative log of the Gaussian restricted marginal
-likelihood with the scale profiled out:
+design. The final solve (pls_solve) costs O(p^3). Each REML score factors
+X'X + S_lambda in block-arrow form: one per-level term's L level blocks of
+k columns, which neither X'X nor the penalties couple, and a border of the
+other nb columns, so it costs O(L k (k + nb)^2 + nb^3), linear in the number
+of levels. The REML criterion is the negative log of the Gaussian
+restricted marginal likelihood with the scale profiled out:
 
     score = (n - M)/2 * (log(2*pi*phi) + 1)
             - log|S_lambda|_+ / 2 + log|X'X + S_lambda| / 2,
@@ -33,8 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import (block_diag, cho_factor, cho_solve, lapack, qr,
-                          solve_triangular)
+from scipy.linalg import block_diag, lapack, qr, solve_triangular
 
 from . import basis as basis_mod
 from .basis import BasisBlock, SmoothTermSpec, rank_psd
@@ -52,6 +54,7 @@ GRAD_TOL = 1e-6                # stop at this largest |projected gradient|
 _SCORE_RTOL = 1e-12            # relative rounding of a REML score
 _EIG_FLOOR = 1e-7
 _NEWTON_MAX_ITER = 100
+_TAIL_RTOL = 0.1              # a Newton step this close to 1 is a tail
 
 DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
 
@@ -121,13 +124,6 @@ class PenaltyEntry:
     def p_block(self) -> int:
         return self.S.shape[0]
 
-    @cached_property
-    def diagonal(self) -> np.ndarray | None:
-        """S's diagonal when S is diagonal (random effects and
-        natural-parameterized smooths), else None."""
-        d = np.diagonal(self.S)
-        return d if np.array_equal(self.S, np.diag(d)) else None
-
 
 @dataclass
 class AssembledDesign:
@@ -161,6 +157,8 @@ class AssembledDesign:
     _xtx: np.ndarray | None = field(default=None, repr=False)
     _xty: np.ndarray | None = field(default=None, repr=False)
     _yty: float | None = field(default=None, repr=False)
+    _tt: sparse.csr_array | None = field(default=None, repr=False)
+    _arrow: _ArrowLayout | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -197,21 +195,30 @@ class AssembledDesign:
     def ensure_products(self):
         """X'X, X'y and y'y, formed once. With H = X_dense and T = X_sparse,
         H'H goes through BLAS and T'H, T'T through sparse products; a design
-        without per-level columns has no T to multiply."""
+        without per-level columns has no T to multiply. The sparse T'T is
+        kept: its pattern shows which columns couple (arrow)."""
         if self._xtx is None:
             H, T, y = self.X_dense, self.X_sparse, self.y
             xtx, xty = H.T @ H, H.T @ y
+            Tt = T.T.tocsr()
+            self._tt = Tt @ T
             if self.sparse_cols.size:
-                Tt = T.T.tocsr()
                 th = Tt @ H
                 # the parts' order [dense | sparse] back to X's columns
                 order = np.argsort(np.concatenate([self.dense_cols,
                                                    self.sparse_cols]))
-                xtx = np.block([[xtx, th.T], [th, (Tt @ T).toarray()]])
+                xtx = np.block([[xtx, th.T], [th, self._tt.toarray()]])
                 xtx = xtx[np.ix_(order, order)]
                 xty = np.concatenate([xty, Tt @ y])[order]
             self._xtx, self._xty, self._yty = xtx, xty, float(y @ y)
         return self._xtx, self._xty, self._yty
+
+    def arrow(self) -> _ArrowLayout:
+        """X'X, X'y, y'y and the penalties in block-arrow form, built once
+        per design and penalty list (_arrow_layout)."""
+        if self._arrow is None or self._arrow.penalties is not self.penalties:
+            self._arrow = _arrow_layout(self)
+        return self._arrow
 
     def column_range(self, term: str) -> tuple[int, int]:
         try:
@@ -619,7 +626,7 @@ def ar1_whiten(design: AssembledDesign, rho: float,
     D = sparse.csr_array((data, indices, indptr), shape=(design.n, design.n))
     return replace(design, y=D @ design.y, X_dense=D @ design.X_dense,
                    X_sparse=D @ design.X_sparse, whitened=True, rho=rho,
-                   _xtx=None, _xty=None, _yty=None)
+                   _xtx=None, _xty=None, _yty=None, _tt=None, _arrow=None)
 
 
 # ---------------------------------------------------------------------------
@@ -723,17 +730,132 @@ def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
         float(np.sum(np.log(design.logpdet_weights @ lambdas)))
 
 
+@dataclass(frozen=True)
+class _ArrowLayout:
+    """X'X + S_lambda split into level blocks and a border, lambda aside.
+
+    The block part is one per-level term's columns, L levels of k, whose
+    Gram and penalties have no entry between two levels. Each level's
+    columns are rotated by an orthogonal Q_l that makes all the term's
+    penalties diagonal there, so D_l = Q_l' X'X_l Q_l + diag(sum_j lambda_j
+    d_jl). The border is every other column, in X's order. X'y rides along
+    as one more border column and y'y as its diagonal entry, so the Schur
+    complement of the blocks carries the right-hand side too.
+    """
+
+    penalties: list            # the penalty list this layout was built for
+    g_tt: np.ndarray           # L x k x k: Q_l' X'X_l Q_l
+    g_tb: np.ndarray           # L x k x (nb + 1): Q_l' [X'X_TB | X'y_T]
+    g_bb: np.ndarray           # [[X'X_BB, X'y_B], [X'y_B', y'y]]
+    d_t: np.ndarray            # m_T x L x k: the block-part penalties
+    t_pen: np.ndarray          # their indices in the penalty list
+    b_pen: tuple               # (index, slice of the border, S) for the rest
+
+
+def _level_rotation(blocks: np.ndarray):
+    """Q (L x k x k) and the diagonals d (m x L x k) of Q_l' B_jl Q_l for
+    level blocks B (m x L x k x k), from one eigh per level of a generic
+    combination of them; None if that leaves an off-diagonal entry above
+    _SPECTRUM_RTOL of a penalty's largest entry (penalties that do not
+    commute)."""
+    m, L, k, _ = blocks.shape
+    if m == 0:
+        return np.broadcast_to(np.eye(k), (L, k, k)), np.zeros((0, L, k))
+    scale = np.abs(blocks).reshape(m, -1).max(axis=1)
+    mix = 0.5 ** np.arange(m) * math.pi / (3.0 * scale)
+    try:
+        _, Q = np.linalg.eigh(np.tensordot(mix, blocks, axes=1))
+    except np.linalg.LinAlgError:
+        return None
+    R = Q.swapaxes(1, 2) @ blocks @ Q
+    d = np.diagonal(R, axis1=2, axis2=3)
+    off = np.abs(R - d[..., None] * np.eye(k)).reshape(m, -1).max(axis=1)
+    if np.any(off > _SPECTRUM_RTOL * scale):
+        return None
+    return Q, d.copy()
+
+
+def _level_blocks(design: AssembledDesign):
+    """The block part: of the terms held in X_sparse, the one with the most
+    columns that split into two or more runs of k with every entry of its
+    T'T and of its penalties inside one run (k the smallest such), and
+    whose penalties one rotation per run makes diagonal. Returns its label,
+    its columns (one row per run) and _level_rotation's Q and d;
+    (None, 0 x 0 columns, ...) if there is none."""
+    best = None, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0, 0)), \
+        np.zeros((0, 0, 0))
+    sparse_cols = design.sparse_cols
+    for label, (a, b) in design.col_ranges.items():
+        w = b - a
+        lo = int(np.searchsorted(sparse_cols, a))
+        if w <= best[1].size or lo == sparse_cols.size or sparse_cols[lo] != a:
+            continue
+        S = [e.S for e in design.penalties if e.term_label == label]
+        gram = design._tt[lo:lo + w, lo:lo + w].tocoo()
+        rows, cols = zip(*[(gram.row, gram.col)] + [np.nonzero(s) for s in S])
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        k = next(k for k in range(1, w + 1)
+                 if w % k == 0 and np.array_equal(rows // k, cols // k))
+        if k == w:
+            continue
+        loc = np.arange(w).reshape(w // k, k)
+        rot = _level_rotation(np.reshape(
+            [s[loc[:, :, None], loc[:, None, :]] for s in S],
+            (len(S), w // k, k, k)))
+        if rot is not None:
+            best = (label, a + loc) + rot
+    return best
+
+
+def _arrow_layout(design: AssembledDesign) -> _ArrowLayout:
+    """Gather and rotate the level blocks, the border and the penalties."""
+    xtx, xty, yty = design.ensure_products()
+    label, idx, Q, d_t = _level_blocks(design)
+    in_blocks = np.zeros(design.p, dtype=bool)
+    in_blocks[idx.ravel()] = True
+    border = np.flatnonzero(~in_blocks)
+    nb = border.size
+    g_bb = np.empty((nb + 1, nb + 1))
+    g_bb[:nb, :nb] = xtx[np.ix_(border, border)]
+    g_bb[:nb, nb] = g_bb[nb, :nb] = xty[border]
+    g_bb[nb, nb] = yty
+    g_tb = np.concatenate([xtx[idx[:, :, None], border],
+                           xty[idx][:, :, None]], axis=2)
+    Qt = Q.swapaxes(1, 2)
+    t_pen, b_pen = [], []
+    for j, e in enumerate(design.penalties):
+        if e.term_label == label:
+            t_pen.append(j)
+        else:
+            pos = int(np.searchsorted(border, e.offset))
+            b_pen.append((j, slice(pos, pos + e.p_block), e.S))
+    return _ArrowLayout(
+        penalties=design.penalties,
+        g_tt=Qt @ xtx[idx[:, :, None], idx[:, None, :]] @ Q,
+        g_tb=Qt @ g_tb, g_bb=g_bb, d_t=d_t,
+        t_pen=np.array(t_pen, dtype=np.int64), b_pen=tuple(b_pen))
+
+
 def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     """Negative log restricted marginal likelihood at the given log-lambdas.
 
-    One Cholesky of A = X'X + S_lambda gives the score. With
-    derivatives=True it returns (score, grad, hess) in log lambda, exact
-    (Wood 2011, JRSSB 73(1)), from that same factor and A^-1 (LAPACK
-    potri). derivatives=b, a number, returns (score, grad, hess) when the
-    score is below b and (score, None, None) otherwise: a line search needs
-    them only at the point it accepts. A that is not numerically positive
-    definite raises NumericError: the score of a ridged system would be
-    another model's.
+    A = X'X + S_lambda is factored in block-arrow form (design.arrow()):
+    the L level blocks D_l of the block part by one batched Cholesky, then
+    the border's Schur complement Sigma = A_BB - sum_l C_l' D_l^-1 C_l, C_l
+    the level's rows of A_TB. Each D_l and Sigma is first scaled to a unit
+    diagonal, which with the level blocks' diagonal penalties keeps a lambda
+    of 1e12 from swamping the unpenalized directions. log|A| = sum_l
+    log|D_l| + log|Sigma|, and the penalized RSS comes from the same
+    elimination of X'y. A design without a per-level term has no blocks,
+    and Sigma = A. The cost is linear in L.
+
+    With derivatives=True it returns (score, grad, hess) in log lambda,
+    exact (Wood 2011, JRSSB 73(1)), from the same factors
+    (_reml_derivatives). derivatives=b, a number, returns (score, grad,
+    hess) when the score is below b and (score, None, None) otherwise: a
+    line search needs them only at the point it accepts. A level block or
+    Sigma that is not numerically positive definite raises NumericError:
+    the score of a ridged system would be another model's.
     """
     log_lambdas = np.atleast_1d(np.asarray(log_lambdas, dtype=np.float64))
     if log_lambdas.shape != (len(design.penalties),):
@@ -741,19 +863,43 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     lambdas = np.exp(log_lambdas)
     if not np.all(np.isfinite(lambdas)):
         raise NumericError(f"non-finite lambdas {lambdas}")
-    xtx, xty, yty = design.ensure_products()
-    A = xtx.copy()
-    for entry, lam in zip(design.penalties, lambdas):
-        sl = slice(entry.offset, entry.offset + entry.p_block)
-        A[sl, sl] += lam * entry.S
-    try:
-        factor, _ = cho_factor(A, lower=True, overwrite_a=True)
-    except np.linalg.LinAlgError:
+    ar = design.arrow()
+    L, k, _ = ar.g_tt.shape
+    nb = ar.g_bb.shape[0] - 1
+    D = ar.g_tt.copy()
+    pen = lambdas[ar.t_pen] @ ar.d_t.reshape(ar.t_pen.size, L * k)
+    D.reshape(L, k * k)[:, ::k + 1] += pen.reshape(L, k)
+    Z = ar.g_bb.copy()
+    for j, sl, S in ar.b_pen:
+        Z[sl, sl] += lambdas[j] * S
+    info = 1
+    scale = np.diagonal(D, axis1=1, axis2=2)
+    if np.all(scale > 0):
+        scale = np.sqrt(scale)
+        try:
+            chol = np.linalg.cholesky(
+                D / scale[:, :, None] / scale[:, None, :])
+            R = np.linalg.inv(chol) / scale[:, None, :]  # D_l^-1 = R_l' R_l
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            W = R @ ar.g_tb      # R_l [C_l | X'y_l]
+            Wf = W.reshape(L * k, nb + 1)
+            Z -= Wf.T @ Wf       # Sigma, bordered by the eliminated X'y
+            s_scale = np.diag(Z)[:nb]
+            if np.all(s_scale > 0):
+                s_scale = np.sqrt(s_scale)
+                s_fac, info = lapack.dpotrf(
+                    Z[:nb, :nb] / np.outer(s_scale, s_scale), lower=1, clean=1)
+    if info != 0:
         raise NumericError(f"X'X + S_lambda not positive definite "
-                           f"at lambdas {lambdas}") from None
-    beta = cho_solve((factor, True), xty)
-    rss_pen = max(yty - float(beta @ xty), 1e-300)
-    logdet_a = 2.0 * float(np.sum(np.log(np.diag(factor))))
+                           f"at lambdas {lambdas}")
+    beta_b = lapack.dpotrs(s_fac, Z[:nb, nb] / s_scale, lower=1)[0] / s_scale
+    rss_pen = max(Z[nb, nb] - float(beta_b @ Z[:nb, nb]), 1e-300)
+    logdet_a = 2.0 * float(
+        np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)))
+        + np.sum(np.log(scale)) + np.sum(np.log(s_fac.diagonal()))
+        + np.sum(np.log(s_scale)))
     logpdet_s = _log_pdet_slambda(design, lambdas)
     n_eff = design.n - design.m_null_total
     if n_eff <= 0:
@@ -767,11 +913,12 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
         return float(score)
     if derivatives is not True and not score < derivatives:
         return float(score), None, None
-    return (float(score),) + _reml_derivatives(design, factor, beta, lambdas,
-                                               rss_pen, n_eff)
+    return (float(score),) + _reml_derivatives(
+        ar, lambdas, R, W, (s_fac, s_scale, beta_b), rss_pen, n_eff,
+        design.logpdet_weights)
 
 
-def _reml_derivatives(design, factor, beta, lambdas, rss_pen, n_eff):
+def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
     """Gradient and Hessian of the REML score in log lambda.
 
     With r_j = lambda_j b'S_j b, t_j = lambda_j tr(A^-1 S_j) and
@@ -783,39 +930,72 @@ def _reml_derivatives(design, factor, beta, lambdas, rss_pen, n_eff):
                   + [d_ij t_j - lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)] / 2
                   - [d_ij sum_k P_kj - sum_k P_ki P_kj] / 2.
 
-    Every product touches only the penalties' column blocks of A^-1.
+    A^-1 is never formed. With F = D^-1 C and Sigma^-1 = (A^-1)_BB, its
+    level-block part is D^-1 + F Sigma^-1 F' and its off-diagonal part
+    -F Sigma^-1. So a block-part penalty, diagonal in the rotated levels,
+    has lambda_j tr(A^-1 S_j) = tr(D^-1 S_j) + tr(Sigma^-1 K_j) with
+    K_j = lambda_j F' S_j F, and each trace of a pair is a sum over the
+    level blocks plus products of border size. b'S_j A^-1 S_i b applies
+    A^-1 to the vectors lambda_i S_i b by the same elimination.
     """
-    a_inv, info = lapack.dpotri(factor, lower=1)
+    s_fac, s_scale, beta_b = border
+    L, k, nb1 = W.shape
+    nb = nb1 - 1
+    m, m_t, t_pen = len(lambdas), ar.t_pen.size, ar.t_pen
+    P, info = lapack.dpotri(s_fac, lower=1)
     if info != 0:
         raise NumericError(f"inverse of X'X + S_lambda failed at lambdas "
                            f"{lambdas}")
-    a_inv = np.tril(a_inv) + np.tril(a_inv, -1).T
-    m = len(lambdas)
-    blocks = [slice(e.offset, e.offset + e.p_block) for e in design.penalties]
-    # M_j = lambda_j S_j A^-1[block_j, :]; a diagonal S_j scales rows
-    M = [lam * (e.S @ a_inv[sl] if e.diagonal is None
-                else e.diagonal[:, None] * a_inv[sl])
-         for e, lam, sl in zip(design.penalties, lambdas, blocks)]
-    s_beta = [lam * (e.S @ beta[sl])
-              for e, lam, sl in zip(design.penalties, lambdas, blocks)]
-    r = np.array([beta[sl] @ sb for sl, sb in zip(blocks, s_beta)])
-    t = np.array([np.trace(Mj[:, sl]) for Mj, sl in zip(M, blocks)])
-    a_inv_sb = [Mj.T @ beta[sl] for Mj, sl in zip(M, blocks)]
-    cross = np.empty((m, m))       # lambda_i lambda_j b'S_j A^-1 S_i b
+    P += np.tril(P, -1).T          # s_fac's upper triangle is 0
+    P /= np.outer(s_scale, s_scale)                  # Sigma^-1
+    Rt = R.swapaxes(1, 2)
+    d_inv = Rt @ R                                   # D_l^-1
+    FX = Rt @ W                                      # [F | D^-1 X'y_T]
+    F = FX[..., :nb]
+    Ff = F.reshape(L * k, nb)
+    beta_t = FX[..., nb] - F @ beta_b
+    # the block-part penalties, all at once
+    S = lambdas[t_pen, None, None] * ar.d_t          # m_T x L x k
+    Sf = S.reshape(m_t, L * k)
+    E = S[..., None] * F                             # lambda_j S_j F
+    PK = P @ (Ff.T @ E.reshape(m_t, L * k, nb))      # Sigma^-1 K_j
+    G = (d_inv @ E) @ P
+    t = np.empty(m)
     trace2 = np.empty((m, m))      # lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)
-    for i in range(m):
-        for j in range(i, m):
-            cross[i, j] = cross[j, i] = s_beta[j] @ a_inv_sb[i][blocks[j]]
-            trace2[i, j] = trace2[j, i] = np.sum(M[i][:, blocks[j]]
-                                                 * M[j][:, blocks[i]].T)
-    W = design.logpdet_weights
-    P = W * lambdas / (W @ lambdas)[:, None]
-    p_sum = P.sum(axis=0)
-    grad = 0.5 * (n_eff * r / rss_pen + t - p_sum)
-    hess = 0.5 * n_eff * ((np.diag(r) - 2.0 * cross) / rss_pen
-                          - np.outer(r, r) / rss_pen ** 2) \
-        + 0.5 * (np.diag(t) - trace2) - 0.5 * (np.diag(p_sum) - P.T @ P)
-    return grad, hess
+    t[t_pen] = Sf @ np.diagonal(d_inv, axis1=1, axis2=2).ravel() \
+        + np.einsum("jaa->j", PK)
+    n2 = L * k * nb
+    trace2[t_pen[:, None], t_pen] = (
+        Sf @ ((d_inv * d_inv) @ S[..., None]).reshape(m_t, L * k).T
+        + 2.0 * E.reshape(m_t, n2) @ G.reshape(m_t, n2).T
+        + PK.reshape(m_t, nb * nb)
+        @ PK.swapaxes(1, 2).reshape(m_t, nb * nb).T)
+    # u_j = lambda_j S_j b in its block-part and border rows
+    UT, UB = np.zeros((m, L * k)), np.zeros((m, nb))
+    UT[t_pen] = Sf * beta_t.ravel()
+    done = []                      # (j, slice, lambda_j S_j Sigma^-1[sl, :])
+    for j, sl, Sj in ar.b_pen:
+        Sj = lambdas[j] * Sj
+        UB[j, sl] = Sj @ beta_b[sl]
+        U = Sj @ P[sl]
+        t[j] = np.trace(U[:, sl])
+        trace2[t_pen, j] = trace2[j, t_pen] = np.einsum("iab,ab->i",
+                                                        PK[:, sl], U)
+        for i, sl_i, U_i in done + [(j, sl, U)]:
+            trace2[i, j] = trace2[j, i] = np.sum(U_i[:, sl] * U[:, sl_i].T)
+        done.append((j, sl, U))
+    # v_i = A^-1 u_i by block elimination; cross_ij = u_j' v_i
+    VB = (UB - UT @ Ff) @ P
+    VT = (d_inv @ UT.reshape(m, L, k, 1)).reshape(m, L * k) - VB @ Ff.T
+    cross = UT @ VT.T + UB @ VB.T
+    r = UT @ beta_t.ravel() + UB @ beta_b
+    P_w = weights * lambdas / (weights @ lambdas)[:, None]
+    grad = 0.5 * (n_eff * r / rss_pen + t - P_w.sum(axis=0))
+    # the d_ij terms of hess add up to grad on its diagonal
+    hess = -n_eff * (cross / rss_pen + 0.5 * np.outer(r, r) / rss_pen ** 2) \
+        - 0.5 * (trace2 - P_w.T @ P_w)
+    hess.flat[::m + 1] += grad
+    return grad, 0.5 * (hess + hess.T)
 
 
 @dataclass(frozen=True)
@@ -840,6 +1020,14 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
     the current score: the point accepted brings its gradient and Hessian,
     a rejected one costs only its factorization. A start that cannot be
     scored returns score inf.
+
+    Where the score tends to its limit like exp(-|log lambda_j|), the 1-D
+    Newton step -g_j / H_jj is 1 toward that bound at every point, and
+    Newton would climb the tail one unit per iteration. When two
+    consecutive accepted points both have that step within _TAIL_RTOL of
+    +-1, the point with lambda_j on that bound and the other free
+    coordinates at their model minimum there (_tail_jump) is scored once,
+    and taken if lower; each coordinate and bound is tried once per run.
     """
     lo, hi = LOG_LAMBDA_MIN, LOG_LAMBDA_MAX
     try:
@@ -847,11 +1035,31 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
     except NumericError:
         return LambdaSearch(np.exp(x), math.inf, False, 1, math.nan)
     n_eval, converged = 1, False
+    tail = np.zeros(x.size)        # tail direction at the last accepted point
+    tried = set()
     for _ in range(_NEWTON_MAX_ITER):
         free = _free_coordinates(x, g)
         if np.max(np.abs(g[free]), initial=0.0) <= GRAD_TOL:
             converged = True
             break
+        toward = _tail_direction(g, H)
+        bound = np.where(toward > 0, hi, lo)
+        jump = [j for j in np.flatnonzero((toward != 0) & (toward == tail))
+                if x[j] != bound[j] and (j, toward[j]) not in tried]
+        tail = toward
+        if jump:
+            j = jump[0]
+            tried.add((j, toward[j]))
+            probe = _tail_jump(x, g, H, free, j, toward[j], bound[j])
+            n_eval += 1
+            try:
+                f_p, g_p, H_p = reml_score(design, probe, derivatives=f)
+            except NumericError:
+                f_p = math.inf
+            if f_p < f:
+                x, f, g, H = probe, f_p, g_p, H_p
+                tail = np.zeros(x.size)
+                continue
         w, V = np.linalg.eigh(H[np.ix_(free, free)])
         c = V.T @ g[free]
         # no quadratic minimum along nonpositive curvature: take the cap
@@ -884,6 +1092,31 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
                         float(np.max(np.abs(g[free]), initial=0.0)))
 
 
+def _tail_jump(x, g, H, free, j, toward, bound) -> np.ndarray:
+    """x with x_j at its bound and the other free coordinates at the
+    minimum of the quadratic model there: along an exponential tail the
+    cross curvature H_oj decays at the tail's own rate, so the others'
+    gradient moves by H_oj * toward on the way to the bound."""
+    probe = x.copy()
+    probe[j] = bound
+    o = free & (np.arange(x.size) != j)
+    if np.any(o):
+        w, V = np.linalg.eigh(H[np.ix_(o, o)])
+        if w[0] > _EIG_FLOOR * max(np.abs(w).max(), 1.0):
+            shift = -V @ ((V.T @ (g[o] + H[o, j] * toward)) / w)
+            probe[o] = np.clip(x[o] + shift, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
+    return probe
+
+
+def _tail_direction(g: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """+1 (-1) where the 1-D Newton step -g_j / H_jj is within _TAIL_RTOL
+    of +1 (-1), the step on an exponential tail toward the upper (lower)
+    lambda bound; 0 elsewhere."""
+    h = np.diag(H)
+    s = np.divide(-g, h, out=np.zeros_like(g), where=h > 0)
+    return np.where(np.abs(np.abs(s) - 1.0) <= _TAIL_RTOL, np.sign(s), 0.0)
+
+
 def _score_or_inf(design: AssembledDesign, x: np.ndarray) -> float:
     try:
         return reml_score(design, x)
@@ -897,18 +1130,31 @@ def _free_coordinates(x: np.ndarray, g: np.ndarray) -> np.ndarray:
              | ((x >= LOG_LAMBDA_MAX) & (g < 0)))
 
 
+def _best_run(runs: list) -> LambdaSearch:
+    """The lowest-scoring run. A later run replaces an earlier one only when
+    it scores lower by more than the score's rounding: runs that end at one
+    optimum are not told apart by the last bits of their scores, which
+    change with the order of the levels and rows."""
+    best = runs[0]
+    for run in runs[1:]:
+        if best.score - run.score > _SCORE_RTOL * (1.0 + abs(run.score)):
+            best = run
+    return best
+
+
 def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     """Minimize the REML score over log-lambda by projected Newton descent.
 
     Runs from init (default log lambda = 0), then from +5 and -5 in log10
     space, each clipped to [LOG_LAMBDA_MIN, LOG_LAMBDA_MAX], on the exact
-    gradient and Hessian of reml_score; the lowest score wins. Then each
-    log lambda of the winner is set in turn to either bound, the others
-    held, and a fourth run starts from the lowest of these 2m probes if it
-    scores below the winner. A run converges when its largest projected
-    gradient is at most GRAD_TOL, or when no descent is possible: the step
-    has been halved until its predicted decrease is below the score's
-    rounding. A run out of iterations keeps its point with
+    gradient and Hessian of reml_score; the lowest score wins, the earlier
+    run on a tie within the score's rounding (_best_run). Then each log
+    lambda of the winner is set in turn to either bound it is not already
+    at, the others held, and a fourth run starts from the lowest of these
+    probes if it scores below the winner. A run converges when its largest
+    projected gradient is at most GRAD_TOL, or when no descent is possible:
+    the step has been halved until its predicted decrease is below the
+    score's rounding. A run out of iterations keeps its point with
     converged=False, and a warning follows if it wins. A start that cannot
     be scored is skipped. n_eval counts every point scored, each once,
     probes included; grad_max is the largest absolute projected gradient
@@ -924,7 +1170,7 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
               np.full(m, -5.0 * math.log(10.0))]
     runs = [_newton_search(design, np.clip(x0, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX))
             for x0 in starts]
-    best = min(runs, key=lambda run: run.score)
+    best = _best_run(runs)
     if not math.isfinite(best.score):
         raise NumericError("REML score non-finite at every candidate lambda")
     # The score tends to a limit as a lambda goes to 0 or inf, and a basin
@@ -932,12 +1178,13 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     # bounds of each coordinate from the best point.
     x = np.log(best.lambdas)
     probes = [np.where(np.arange(m) == j, bound, x)
-              for j in range(m) for bound in (LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)]
+              for j in range(m) for bound in (LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
+              if x[j] != bound]
     scores = [_score_or_inf(design, probe) for probe in probes]
     k = int(np.argmin(scores))
     if scores[k] < best.score:
         runs.append(_newton_search(design, probes[k]))
-        best = min(runs, key=lambda run: run.score)
+        best = _best_run(runs)
     if not best.converged:
         warnings.warn("lambda search hit its iteration budget before "
                       "converging; returning best point found", stacklevel=2)

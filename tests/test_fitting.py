@@ -1,12 +1,14 @@
 """Design assembly, AR(1) whitening, the penalized solver, and REML."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from gammkit import fitting
@@ -827,6 +829,20 @@ def test_optimizer_converges_on_a_search_stuck_at_the_bound(monkeypatch):
     oracle = _nelder_mead_oracle(des)
     assert search.score <= oracle + 1e-6 * abs(oracle)
     assert search.n_eval == calls < 200
+    # the tail is jumped, not climbed: lambda_1 sits on the bound itself and
+    # the other coordinate is stationary there
+    assert math.log(search.lambdas[0]) == LOG_LAMBDA_MAX
+    assert search.grad_max <= GRAD_TOL
+
+
+def test_tail_jump_cuts_the_stuck_pilot_search():
+    """Before the search jumped exponential tails, the stuck pilot took 62
+    scores and ended at 1004.5334513596856; now it needs fewer, and its
+    score is no higher."""
+    search = optimize_lambdas(_pilot_design())
+    assert search.converged
+    assert search.n_eval < 62
+    assert search.score <= 1004.5334513596856
 
 
 @pytest.mark.parametrize("case", ["stuck-pilot", "full-4x150-seed5",
@@ -834,21 +850,30 @@ def test_optimizer_converges_on_a_search_stuck_at_the_bound(monkeypatch):
 def test_search_scores_each_point_once(monkeypatch, case):
     """An accepted trial brings its own gradient and Hessian: no two
     consecutive reml_score calls score the same point, and n_eval counts
-    every call. Seed 5 of the 4 x 150 model accepts halved steps."""
+    every call. Seed 5 of the 4 x 150 model accepts halved steps. On the
+    stuck pilot and fs-search the search jumps a lambda from more than 5
+    below its upper bound onto it, and that point too is scored once,
+    with derivatives asked for below the current score."""
     des = {"stuck-pilot": _pilot_design,
            "full-4x150-seed5": lambda: _full_design(4, 150, 5),
            "fs-search-20x100": lambda: _full_design(20, 100, 88)}[case]()
     real_score = fitting.reml_score
-    points = []
+    points, asked = [], []
 
     def recording_score(design, x, derivatives=False):
         points.append(np.array(x, dtype=np.float64))
+        asked.append(derivatives)
         return real_score(design, x, derivatives)
 
     monkeypatch.setattr(fitting, "reml_score", recording_score)
     search = optimize_lambdas(des)
     assert search.converged and search.n_eval == len(points)
     assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+    jumps = [i for i in range(1, len(points))
+             if np.any((points[i] == LOG_LAMBDA_MAX)
+                       & (points[i - 1] < LOG_LAMBDA_MAX - 5.0))
+             and asked[i] is not True and asked[i] is not False]
+    assert bool(jumps) == (case != "full-4x150-seed5")
 
 
 def test_search_skips_a_start_that_cannot_be_scored(monkeypatch):
@@ -877,6 +902,181 @@ def test_search_skips_a_start_that_cannot_be_scored(monkeypatch):
     monkeypatch.setattr(fitting, "reml_score", failing)
     with pytest.raises(NumericError, match="every candidate"):
         optimize_lambdas(des)
+
+
+# ---------------------------------------------------------------------------
+# block-arrow factorization
+
+
+def _dense_reml(des, x):
+    """Score, gradient and Hessian from one dense Cholesky of X'X + S_lambda
+    and its dense inverse: the formulas reml_score used before it factored
+    the level blocks and the border apart."""
+    lam = np.exp(np.asarray(x, dtype=np.float64))
+    xtx, xty, yty = des.ensure_products()
+    S = []
+    for e in des.penalties:
+        sl = slice(e.offset, e.offset + e.p_block)
+        full = np.zeros((des.p, des.p))
+        full[sl, sl] = e.S
+        S.append(full)
+    A = xtx + sum(lj * s for lj, s in zip(lam, S))
+    factor = cho_factor(A, lower=True)
+    beta = cho_solve(factor, xty)
+    rss = yty - beta @ xty
+    n_eff = des.n - des.m_null_total
+    W = des.logpdet_weights
+    score = (0.5 * n_eff * (math.log(2.0 * math.pi * rss / n_eff) + 1.0)
+             - 0.5 * (des.logpdet_const + np.sum(np.log(W @ lam)))
+             + np.sum(np.log(np.diag(factor[0]))))
+    a_inv = cho_solve(factor, np.eye(des.p))
+    M = [lj * a_inv @ s for lj, s in zip(lam, S)]
+    s_beta = [lj * s @ beta for lj, s in zip(lam, S)]
+    r = np.array([beta @ v for v in s_beta])
+    t = np.array([np.trace(Mj) for Mj in M])
+    cross = np.array([[u @ a_inv @ v for v in s_beta] for u in s_beta])
+    trace2 = np.array([[np.sum(Mi * Mj.T) for Mj in M] for Mi in M])
+    P = W * lam / (W @ lam)[:, None]
+    p_sum = P.sum(axis=0)
+    grad = 0.5 * (n_eff * r / rss + t - p_sum)
+    hess = 0.5 * n_eff * ((np.diag(r) - 2.0 * cross) / rss
+                          - np.outer(r, r) / rss ** 2) \
+        + 0.5 * (np.diag(t) - trace2) - 0.5 * (np.diag(p_sum) - P.T @ P)
+    return score, grad, hess
+
+
+def _large_n_shaped(n_subjects=60, n_trials=50, seed=3):
+    """The large-n bench model, cond + cr(trial) + re(subject) at rho 0.3,
+    on fewer subjects."""
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
+                                   SmoothTermSpec(("subject",),
+                                                  is_random_effect=True)),
+                     rho=0.3)
+    return ar1_whiten(assemble(spec, _scenario(n_subjects, n_trials, seed)),
+                      0.3)
+
+
+def _crossed_design(seed=2):
+    """re(item) + fs(trial, subject) at rho 0.3 on 8 x 60. The item changes
+    from trial to trial within each subject, so whitening couples item
+    levels and re(item) belongs in the border."""
+    table = _scenario(8, 60, seed)
+    items = FactorColumn.from_strings(
+        [f"i{int(t) % 9}" for t in table.numeric("trial")])
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec(("item",),
+                                                  is_random_effect=True),
+                                   SmoothTermSpec(("trial",), "cr", k=5,
+                                                  fs_group="subject")),
+                     rho=0.3)
+    return ar1_whiten(assemble(spec, table.with_column("item", items)), 0.3)
+
+
+def _assert_matches_dense(des, points):
+    """Score, gradient and Hessian within 1e-10 of the dense oracle,
+    relative to each one's largest entry or to 1, whichever is larger: a
+    gradient entry is a difference of terms of order 1, and at log lambda
+    = 3 on te and by the dense oracle itself is 5e-10 of its largest entry
+    away from a 40-digit evaluation of the same formulas."""
+    for x in points:
+        got = reml_score(des, x, derivatives=True)
+        want = _dense_reml(des, x)
+        for g, w in zip(got, want):
+            scale = max(np.max(np.abs(w)), 1.0)
+            assert np.max(np.abs(g - w)) <= 1e-10 * scale, x
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVATIVE_CASES))
+def test_arrow_matches_dense_oracle_on_derivative_designs(name):
+    terms, extra = _DERIVATIVE_CASES[name]
+    des = assemble(ModelSpec(response="y", smooth_terms=terms),
+                   _derivative_table())
+    m = len(des.penalties)
+    _assert_matches_dense(des, [np.zeros(m), np.full(m, 3.0)]
+                          + [np.array(p) for p in extra])
+
+
+@pytest.mark.parametrize("case", ["full-4x150", "full-20x100",
+                                  "large-n-shaped", "crossed"])
+def test_arrow_matches_dense_oracle_on_search_designs(case):
+    """At log lambda = 0, 10 and the optimum. On the crossed design the fs
+    term takes the level blocks and re(item) the border."""
+    des = {"full-4x150": lambda: _full_design(4, 150, 3),
+           "full-20x100": lambda: _full_design(20, 100, 88),
+           "large-n-shaped": _large_n_shaped,
+           "crossed": _crossed_design}[case]()
+    blocks = {des.penalties[j].term_label for j in des.arrow().t_pen}
+    assert blocks == {"re(subject)" if case == "large-n-shaped"
+                      else "fs(trial,subject)"}
+    m = len(des.penalties)
+    _assert_matches_dense(des, [np.zeros(m), np.full(m, 10.0),
+                                np.log(optimize_lambdas(des).lambdas)])
+
+
+def _relabel_and_shuffle(table, seed=4):
+    """The same rows, in a random order, with the subject levels named so
+    that they sort in reverse."""
+    subject = table.factor("subject")
+    L = subject.n_levels
+    names = [f"r{L - 1 - c:03d}" for c in subject.codes]
+    relabelled = table.with_column("subject", FactorColumn.from_strings(names))
+    rows = np.random.default_rng(seed).permutation(table.n_rows)
+    return relabelled.take(rows)
+
+
+@pytest.mark.parametrize("model", ["fs", "re"])
+def test_fit_does_not_depend_on_level_labels_or_row_order(model):
+    """REML and lambda agree to 1e-10 when the subject levels are relabelled
+    in reverse and the rows shuffled before fit: the level blocks come in
+    another order, and so do the border's sums over them."""
+    table = _scenario(12, 80, 6)
+    smooth = (SmoothTermSpec(("trial",), "cr", k=5, fs_group="subject")
+              if model == "fs" else
+              SmoothTermSpec(("subject",), is_random_effect=True))
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
+                                   smooth),
+                     rho=0.3)
+    ref = fit(spec, table)
+    other = fit(spec, _relabel_and_shuffle(table))
+    assert other.reml == pytest.approx(ref.reml, rel=1e-10)
+    np.testing.assert_allclose(other.lambdas, ref.lambdas, rtol=1e-10)
+
+
+@pytest.mark.parametrize("log_lambdas", [(-5.0, -5.0), (2.0, 2.0)])
+def test_reml_score_refuses_a_level_block_that_is_not_positive_definite(
+        log_lambdas):
+    """One level's block of X'X with its sign flipped: at log lambda = -5
+    its diagonal turns negative, at 2 the penalties keep the diagonal
+    positive and the level's Cholesky fails. Either way the score raises
+    NumericError naming the lambdas, with or without derivatives."""
+    terms, _ = _DERIVATIVE_CASES["fs"]
+    des = assemble(ModelSpec(response="y", smooth_terms=terms),
+                   _derivative_table())
+    xtx, _, _ = des.ensure_products()
+    a, b = des.col_ranges["fs(x,g)"]
+    level = np.arange(a, b)[:(b - a) // 4]
+    xtx[np.ix_(level, level)] *= -1.0
+    for derivatives in (False, True):
+        with pytest.raises(NumericError, match="not positive definite at "
+                                               "lambdas"):
+            reml_score(des, log_lambdas, derivatives=derivatives)
+
+
+def test_reml_score_memory_stays_below_one_dense_matrix():
+    """On cond + cr + fs with 100 subjects (p = 511), one score with
+    derivatives allocates less than one dense p x p array: nothing of
+    size p^2 is formed."""
+    des = _full_design(100, 40, 1)
+    assert des.p == 511
+    x = np.zeros(len(des.penalties))
+    reml_score(des, x, derivatives=True)
+    tracemalloc.start()
+    reml_score(des, x, derivatives=True)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 8 * des.p ** 2
 
 
 # ---------------------------------------------------------------------------
