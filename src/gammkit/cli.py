@@ -25,7 +25,6 @@ first loads; numeric modules are imported inside the command functions.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -206,8 +205,8 @@ def build_model_spec(parsed: dict, rho_override: float | None = None):
                      smooth_terms=tuple(smooths), rho=rho)
 
 
-def _infer_schema(parsed: dict, data_path: str) -> dict:
-    """Column role map for load_csv, sniffing parametric column types."""
+def _infer_schema(parsed: dict) -> dict:
+    """Column role map for load_csv; parametric-only columns are "auto"."""
     schema: dict[str, str] = {parsed["response"]: "numeric"}
 
     def put(name, role):
@@ -233,32 +232,10 @@ def _infer_schema(parsed: dict, data_path: str) -> dict:
                 put(c, "numeric")
         if t.get("by"):
             put(t["by"], "factor")
-    undecided = []
     for names, _ in parsed["parametric"]:
-        undecided += [n for n in names if n not in schema]
-    for name in dict.fromkeys(undecided):
-        put(name, _sniff_role(data_path, name))
+        for name in names:
+            schema.setdefault(name, "auto")
     return schema
-
-
-def _sniff_role(data_path: str, column: str) -> str:
-    with open(data_path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or column not in header:
-            raise SpecFileError(f"{data_path}: column {column!r} not found")
-        pos = header.index(column)
-        for row in reader:
-            if pos >= len(row):
-                continue
-            cell = row[pos].strip()
-            if cell in ("", "NA"):
-                continue
-            try:
-                float(cell)
-            except ValueError:
-                return "factor"
-    return "numeric"
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +293,41 @@ def _write_table(fh, headers, rows, delimited: bool):
                  + "\n")
 
 
-def _write_csv(path: str, headers, rows):
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
+
+
+def _csv_cell(text: str) -> str:
+    """text as one cell of csv.writer's default dialect (RFC 4180 quoting)."""
+    return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
+
+
+def _float_cells(values) -> list[str]:
+    """Shortest round-trip repr of each value."""
+    import numpy as np
+    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
+
+
+def _factor_cells(levels, codes) -> list[str]:
+    """Each code's level name, quoted once per level."""
+    import numpy as np
+    quoted = [_csv_cell(name) for name in levels]
+    return list(map(quoted.__getitem__, np.asarray(codes).tolist()))
+
+
+def _se_cells(vb) -> list[str]:
+    """sqrt(max(v, 0)) of vb's diagonal, with Python's max (NaN stays NaN)."""
+    import numpy as np
+    d = np.diag(vb)
+    return _float_cells(np.sqrt(np.where(0.0 > d, 0.0, d)))
+
+
+def _write_columns(path: str, headers, columns):
+    """Write headers plus equal-length columns of CSV cell text (quoted
+    already), in CRLF lines as csv.writer writes them."""
+    lines = [",".join(map(_csv_cell, headers))]
+    lines += map(",".join, zip(*columns))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(headers)
-        writer.writerows(rows)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +336,21 @@ def _write_csv(path: str, headers, rows):
 
 def _load_table(parsed: dict, data_path: str):
     from .data import load_csv
-    schema = _infer_schema(parsed, data_path)
+    schema = _infer_schema(parsed)
     return load_csv(data_path, schema, series_key=parsed["series_key"],
                     order_key=parsed["order_key"])
+
+
+def _fit_from_args(args, tracker: OutputTracker):
+    """Parse --spec, load --data and fit, advancing tracker.stage."""
+    tracker.stage = "parse-spec"
+    parsed = parse_spec_file(args.spec)
+    spec = build_model_spec(parsed, rho_override=args.rho)
+    tracker.stage = "load-data"
+    table = _load_table(parsed, args.data)
+    tracker.stage = "fit"
+    from .fitting import fit
+    return fit(spec, table)
 
 
 def _summary_sections(model):
@@ -395,30 +414,26 @@ def _write_summary(path: str, model, delimited: bool):
 
 
 def _write_coefficients(path: str, model):
-    rows = []
-    for j, name in enumerate(model.coef_names):
-        se = math.sqrt(max(model.vb[j, j], 0.0))
-        rows.append([name, repr(float(model.beta[j])), repr(se)])
-    _write_csv(path, ["name", "estimate", "se"], rows)
+    _write_columns(path, ["name", "estimate", "se"],
+                   [list(map(_csv_cell, model.coef_names)),
+                    _float_cells(model.beta), _se_cells(model.vb)])
+
+
+def _row_keys(model):
+    """Leading (headers, columns) of a per-row output: series and order, or row."""
+    design = model.design_raw
+    if design.series_codes is None:
+        return ["row"], [list(map(str, range(model.n)))]
+    levels = design.table.factor(design.table.series_key).levels
+    return ["series", "order"], [_factor_cells(levels, design.series_codes),
+                                 _float_cells(design.order_values)]
 
 
 def _write_residuals(path: str, model):
-    design = model.design_raw
-    rows = []
-    if design.series_codes is not None:
-        levels = design.table.factor(design.table.series_key).levels
-        for i in range(model.n):
-            rows.append([levels[design.series_codes[i]],
-                         repr(float(design.order_values[i])),
-                         repr(float(model.residuals_raw[i])),
-                         repr(float(model.residuals_whitened[i]))])
-        headers = ["series", "order", "raw", "whitened"]
-    else:
-        for i in range(model.n):
-            rows.append([str(i), repr(float(model.residuals_raw[i])),
-                         repr(float(model.residuals_whitened[i]))])
-        headers = ["row", "raw", "whitened"]
-    _write_csv(path, headers, rows)
+    headers, columns = _row_keys(model)
+    _write_columns(path, headers + ["raw", "whitened"],
+                   columns + [_float_cells(model.residuals_raw),
+                              _float_cells(model.residuals_whitened)])
 
 
 def _safe_name(label: str) -> str:
@@ -428,71 +443,53 @@ def _safe_name(label: str) -> str:
 def _write_partials(tracker: OutputTracker, model):
     import numpy as np
 
-    from .data import DataTable
+    from .data import DataTable, FactorColumn
     from .fitting import partial_effect
 
     design = model.design_raw
+
+    def grid(name, m):
+        x = design.table.numeric(name)
+        return np.linspace(float(x.min()), float(x.max()), m)
+
     for label, block in design.blocks.items():
-        fname = f"partial_{_safe_name(label)}.csv"
+        path = tracker.path(f"partial_{_safe_name(label)}.csv")
         covs = design.term_covariates[label]
-        a, b = design.col_ranges[label]
+        a = design.col_ranges[label][0]
         if block.kind == "random":
-            fac = design.table.factor(covs[0])
-            rows = [[lev, repr(float(model.beta[a + j])),
-                     repr(math.sqrt(max(model.vb[a + j, a + j], 0.0)))]
-                    for j, lev in enumerate(fac.levels)]
-            _write_csv(tracker.path(fname), ["level", "effect", "se"], rows)
+            levels = design.table.factor(covs[0]).levels
+            _write_columns(path, ["level", "effect", "se"],
+                           [list(map(_csv_cell, levels)),
+                            _float_cells(model.beta[a:a + len(levels)]),
+                            _se_cells(model.vb)[a:a + len(levels)]])
             continue
         spec_term = next(t for t in model.spec.smooth_terms
                          if t.label == label)
         if spec_term.by is not None or spec_term.fs_group is not None:
-            group_name = covs[-1]
-            x = design.table.numeric(covs[0])
-            grid_x = np.linspace(float(x.min()), float(x.max()), 100)
-            fac = design.table.factor(group_name)
-            rows = []
-            for lev in fac.levels:
-                gtab = _grid_table({covs[0]: grid_x}, {group_name: lev}, fac)
-                eff, se, _ = partial_effect(model, label, gtab)
-                rows += [[lev, repr(float(gx)), repr(float(e)), repr(float(s))]
-                         for gx, e, s in zip(grid_x, eff, se)]
-            _write_csv(tracker.path(fname), ["level", covs[0], "effect", "se"],
-                       rows)
-        elif block.n_cov == 2:
-            xs = [design.table.numeric(c) for c in covs]
-            g1 = np.linspace(float(xs[0].min()), float(xs[0].max()), 40)
-            g2 = np.linspace(float(xs[1].min()), float(xs[1].max()), 40)
-            xx, zz = np.meshgrid(g1, g2, indexing="ij")
-            gtab = DataTable(columns={covs[0]: xx.ravel(), covs[1]: zz.ravel()},
-                             n_rows=xx.size)
-            eff, se, _ = partial_effect(model, label, gtab)
-            rows = [[repr(float(x1)), repr(float(x2)), repr(float(e)),
-                     repr(float(s))]
-                    for x1, x2, e, s in zip(xx.ravel(), zz.ravel(), eff, se)]
-            _write_csv(tracker.path(fname), [covs[0], covs[1], "effect", "se"],
-                       rows)
+            # one 100-point curve per level of the grouping factor
+            fac, grid_x = design.table.factor(covs[-1]), grid(covs[0], 100)
+            effects = [partial_effect(model, label, DataTable(columns={
+                covs[0]: grid_x,
+                covs[-1]: FactorColumn(np.full(grid_x.size, code), fac.levels)},
+                n_rows=grid_x.size))[:2] for code in range(fac.n_levels)]
+            codes = np.repeat(np.arange(fac.n_levels), grid_x.size)
+            _write_columns(path, ["level", covs[0], "effect", "se"],
+                           [_factor_cells(fac.levels, codes),
+                            _float_cells(np.tile(grid_x, fac.n_levels)),
+                            _float_cells(np.concatenate([e for e, _ in effects])),
+                            _float_cells(np.concatenate([s for _, s in effects]))])
+            continue
+        if block.n_cov == 2:
+            xx, zz = np.meshgrid(grid(covs[0], 40), grid(covs[1], 40),
+                                 indexing="ij")
+            cols = {covs[0]: xx.ravel(), covs[1]: zz.ravel()}
         else:
-            x = design.table.numeric(covs[0])
-            grid_x = np.linspace(float(x.min()), float(x.max()), 100)
-            gtab = DataTable(columns={covs[0]: grid_x}, n_rows=100)
-            eff, se, _ = partial_effect(model, label, gtab)
-            rows = [[repr(float(gx)), repr(float(e)), repr(float(s))]
-                    for gx, e, s in zip(grid_x, eff, se)]
-            _write_csv(tracker.path(fname), [covs[0], "effect", "se"], rows)
-
-
-def _grid_table(numeric_cols: dict, factor_consts: dict, fac):
-    import numpy as np
-
-    from .data import DataTable, FactorColumn
-    n = len(next(iter(numeric_cols.values())))
-    columns: dict[str, object] = {k: np.asarray(v) for k, v in
-                                  numeric_cols.items()}
-    for name, lev in factor_consts.items():
-        code = fac.levels.index(lev)
-        columns[name] = FactorColumn(codes=np.full(n, code, dtype=np.int64),
-                                     levels=fac.levels)
-    return DataTable(columns=columns, n_rows=n)
+            cols = {covs[0]: grid(covs[0], 100)}
+        eff, se, _ = partial_effect(model, label, DataTable(
+            columns=dict(cols), n_rows=len(cols[covs[0]])))
+        _write_columns(path, [*cols, "effect", "se"],
+                       [*map(_float_cells, cols.values()), _float_cells(eff),
+                        _float_cells(se)])
 
 
 def _write_fit_json(path: str, model, args, extra=None):
@@ -528,14 +525,7 @@ def _write_fit_json(path: str, model, args, extra=None):
 def cmd_fit(args) -> int:
     tracker = OutputTracker(args.out)
     try:
-        tracker.stage = "parse-spec"
-        parsed = parse_spec_file(args.spec)
-        spec = build_model_spec(parsed, rho_override=args.rho)
-        tracker.stage = "load-data"
-        table = _load_table(parsed, args.data)
-        tracker.stage = "fit"
-        from .fitting import fit
-        model = fit(spec, table)
+        model = _fit_from_args(args, tracker)
         tracker.stage = "write-output"
         _write_summary(tracker.path("summary.txt"), model,
                        args.format == "delimited")
@@ -551,34 +541,16 @@ def cmd_fit(args) -> int:
 def cmd_predict(args) -> int:
     tracker = OutputTracker(args.out)
     try:
-        tracker.stage = "parse-spec"
-        parsed = parse_spec_file(args.spec)
-        spec = build_model_spec(parsed, rho_override=args.rho)
-        tracker.stage = "load-data"
-        table = _load_table(parsed, args.data)
-        tracker.stage = "fit"
-        from .fitting import fit, predict
-        model = fit(spec, table)
+        model = _fit_from_args(args, tracker)
         tracker.stage = "predict"
+        from .fitting import predict
         mean, se = predict(model, model.table)
         tracker.stage = "write-output"
-        design = model.design_raw
-        rows = []
-        y = design.y
-        if design.series_codes is not None:
-            levels = design.table.factor(design.table.series_key).levels
-            headers = ["series", "order", "observed", "fit", "se"]
-            for i in range(model.n):
-                rows.append([levels[design.series_codes[i]],
-                             repr(float(design.order_values[i])),
-                             repr(float(y[i])), repr(float(mean[i])),
-                             repr(float(se[i]))])
-        else:
-            headers = ["row", "observed", "fit", "se"]
-            for i in range(model.n):
-                rows.append([str(i), repr(float(y[i])), repr(float(mean[i])),
-                             repr(float(se[i]))])
-        _write_csv(tracker.path("predictions.csv"), headers, rows)
+        headers, columns = _row_keys(model)
+        _write_columns(tracker.path("predictions.csv"),
+                       headers + ["observed", "fit", "se"],
+                       columns + [_float_cells(model.design_raw.y),
+                                  _float_cells(mean), _float_cells(se)])
         return 0
     except _CAUGHT as exc:
         return _fail(tracker, exc)
@@ -636,26 +608,13 @@ def cmd_compare(args) -> int:
 def cmd_acf(args) -> int:
     tracker = OutputTracker(args.out)
     try:
-        tracker.stage = "parse-spec"
-        parsed = parse_spec_file(args.spec)
-        spec = build_model_spec(parsed, rho_override=args.rho)
-        tracker.stage = "load-data"
-        table = _load_table(parsed, args.data)
-        tracker.stage = "fit"
-        from .diagnostics import residual_acf_by_group
-        from .fitting import fit
-        model = fit(spec, table)
+        model = _fit_from_args(args, tracker)
         tracker.stage = "acf"
+        from .diagnostics import residual_acf_by_group
         for which in ("raw", "whitened"):
             results = residual_acf_by_group(model, which,
                                             max_lag=args.max_lag)
-            rows = []
-            for r in results:
-                for lag, val in zip(r.lags, r.acf):
-                    rows.append([r.group, str(int(lag)), repr(float(val)),
-                                 repr(float(r.band)), str(r.n)])
-            _write_csv(tracker.path(f"acf_{which}.csv"),
-                       ["group", "lag", "acf", "band", "n"], rows)
+            _write_acf(tracker.path(f"acf_{which}.csv"), results)
         return 0
     except _CAUGHT as exc:
         return _fail(tracker, exc)
@@ -675,9 +634,9 @@ def cmd_suggest_rho(args) -> int:
         tracker.stage = "write-output"
         with open(tracker.path("rho.txt"), "w") as fh:
             fh.write(f"{suggestion.rho_hat:.6f}\n")
-        rows = [[g, repr(float(v))]
-                for g, v in zip(suggestion.groups, suggestion.per_group)]
-        _write_csv(tracker.path("rho_by_group.csv"), ["group", "lag1"], rows)
+        _write_columns(tracker.path("rho_by_group.csv"), ["group", "lag1"],
+                       [list(map(_csv_cell, suggestion.groups)),
+                        _float_cells(suggestion.per_group)])
         return 0
     except _CAUGHT as exc:
         return _fail(tracker, exc)
@@ -696,9 +655,7 @@ def cmd_permtest(args) -> int:
                                      n_perm=args.n_perm,
                                      seed=0 if args.seed is None else args.seed)
         tracker.stage = "write-output"
-        rows = [[str(i), "" if math.isnan(p) else repr(float(p))]
-                for i, p in enumerate(result.p_values)]
-        _write_csv(tracker.path("permtest_pvalues.csv"), ["perm", "p"], rows)
+        _write_pvalues(tracker.path("permtest_pvalues.csv"), result.p_values)
         with open(tracker.path("permtest_counts.txt"), "w") as fh:
             n = args.n_perm
             fh.write(f"alpha=0.05 rejections={result.rejections_at(0.05)} "
@@ -711,6 +668,34 @@ def cmd_permtest(args) -> int:
         return 0
     except _CAUGHT as exc:
         return _fail(tracker, exc)
+
+
+def _write_acf(path: str, results):
+    rows = [(_csv_cell(r.group), str(lag), acf, repr(float(r.band)), str(r.n))
+            for r in results
+            for lag, acf in zip(r.lags.tolist(), _float_cells(r.acf))]
+    _write_columns(path, ["group", "lag", "acf", "band", "n"], list(zip(*rows)))
+
+
+def _write_pvalues(path: str, p_values):
+    """One row per permutation; a NaN p-value (failed fit) is an empty cell."""
+    cells = _float_cells(p_values)
+    _write_columns(path, ["perm", "p"], [list(map(str, range(len(cells)))),
+                                         ["" if c == "nan" else c for c in cells]])
+
+
+def _write_simulated(path: str, table):
+    from .data import FactorColumn
+    columns = []
+    for name in table.column_names():
+        col = table.columns[name]
+        if isinstance(col, FactorColumn):
+            columns.append(_factor_cells(col.levels, col.codes))
+        elif name == "trial":
+            columns.append(list(map("{:g}".format, col.tolist())))
+        else:
+            columns.append(_float_cells(col))
+    _write_columns(path, table.column_names(), columns)
 
 
 def parse_scenario_file(path: str):
@@ -765,24 +750,10 @@ def cmd_simulate(args) -> int:
             from dataclasses import replace
             scenario = replace(scenario, seed=args.seed)
         tracker.stage = "simulate"
-        from .data import FactorColumn
         from .simulate import gen_experiment
         table, truth = gen_experiment(scenario)
         tracker.stage = "write-output"
-        names = table.column_names()
-        rows = []
-        for i in range(table.n_rows):
-            row = []
-            for name in names:
-                col = table.columns[name]
-                if isinstance(col, FactorColumn):
-                    row.append(col.levels[col.codes[i]])
-                elif name == "trial":
-                    row.append(f"{col[i]:g}")
-                else:
-                    row.append(repr(float(col[i])))
-            rows.append(row)
-        _write_csv(tracker.path("simulated.csv"), names, rows)
+        _write_simulated(tracker.path("simulated.csv"), table)
         record = {
             "scenario": {"n_subjects": scenario.n_subjects,
                          "n_trials": scenario.n_trials,
@@ -792,14 +763,12 @@ def cmd_simulate(args) -> int:
                          "subject_intercept_sd": scenario.subject_intercept_sd,
                          "mean": scenario.mean, "seed": scenario.seed},
             "effects": truth.effects,
-            "subject_intercepts": [float(v) for v in
-                                   truth.subject_intercepts],
+            "subject_intercepts": [float(v) for v in truth.subject_intercepts],
             "trends": [[float(v) for v in row] for row in truth.trends],
             "errors": [[float(v) for v in row] for row in truth.errors],
         }
         with open(tracker.path("truth.json"), "w") as fh:
-            json.dump(record, fh, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(record, sort_keys=True) + "\n")
         return 0
     except _CAUGHT as exc:
         return _fail(tracker, exc)

@@ -10,12 +10,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
+from itertools import compress
+from operator import itemgetter
 
 import numpy as np
 
 from .errors import DomainError, GammkitError, ParseError, SchemaError, ShapeError
 
 MISSING_TOKENS = ("", "NA")
+_MISSING = frozenset(MISSING_TOKENS)
 
 
 @dataclass(frozen=True)
@@ -46,7 +49,8 @@ class FactorColumn:
         # Sorted levels: deterministic under row reordering.
         levels = tuple(sorted(set(values)))
         index = {name: i for i, name in enumerate(levels)}
-        codes = np.array([index[v] for v in values], dtype=np.int64)
+        codes = np.fromiter(map(index.__getitem__, values), dtype=np.int64,
+                            count=len(values))
         return cls(codes, levels)
 
 
@@ -82,8 +86,10 @@ class DataTable:
                 raise SchemaError("series_key requires order_key")
             series = self.factor(self.series_key)
             order = self.numeric(self.order_key)
-            pairs = set(zip(series.codes.tolist(), order.tolist()))
-            if len(pairs) != self.n_rows:
+            # equal pairs are adjacent once sorted; == takes -0.0 for 0.0
+            idx = np.lexsort((order, series.codes))
+            codes, order = series.codes[idx], order[idx]
+            if np.any((codes[1:] == codes[:-1]) & (order[1:] == order[:-1])):
                 raise SchemaError("(series, order) pairs are not unique")
 
     def numeric(self, name: str) -> np.ndarray:
@@ -125,12 +131,15 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
              order_key: str | None = None) -> DataTable:
     """Read an RFC-4180-style CSV into a validated DataTable.
 
-    schema maps column name -> role ("numeric" | "factor"); only schema
-    columns are loaded. Rows with a missing value ("" or "NA") in any schema
-    column are dropped; the count is recorded in meta["dropped_rows"].
+    schema maps column name -> role ("numeric" | "factor" | "auto"); only
+    schema columns are loaded, and each must appear once in the header. Cells
+    are stripped; rows with a missing value ("" or "NA") in any schema column,
+    or too short to reach one, are dropped and counted in meta["dropped_rows"].
+    An "auto" column is numeric when every non-missing cell parses as a
+    number, dropped rows included, and a factor otherwise.
     """
     for role in schema.values():
-        if role not in ("numeric", "factor"):
+        if role not in ("numeric", "factor", "auto"):
             raise SchemaError(f"unknown column role {role!r}")
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -139,50 +148,69 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
         except StopIteration:
             raise ParseError(f"{path}: empty file, header required") from None
         rows = list(reader)
-    positions = {}
     for name in schema:
-        if name not in header:
-            raise SchemaError(f"{path}: declared column {name!r} not in header")
-        positions[name] = header.index(name)
-
-    kept: dict[str, list] = {name: [] for name in schema}
-    dropped = 0
-    for i, row in enumerate(rows):
-        cells = {}
-        missing = False
-        for name, pos in positions.items():
-            if pos >= len(row) or row[pos].strip() in MISSING_TOKENS:
-                missing = True
-                break
-            cells[name] = row[pos].strip()
-        if missing:
-            dropped += 1
-            continue
-        for name, raw in cells.items():
-            if schema[name] == "numeric":
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise ParseError(
-                        f"{path}: row {i + 2}: cannot parse {raw!r} as numeric "
-                        f"for column {name!r}") from None
-                if not math.isfinite(value):
-                    raise ParseError(f"{path}: row {i + 2}: non-finite value in {name!r}")
-                kept[name].append(value)
-            else:
-                kept[name].append(raw)
-    n = len(next(iter(kept.values()))) if kept else 0
+        if header.count(name) != 1:
+            where = "repeated in" if name in header else "not in"
+            raise SchemaError(f"{path}: declared column {name!r} {where} header")
+    positions = {name: header.index(name) for name in schema}
+    width = max(positions.values(), default=-1) + 1
+    if any(len(row) < width for row in rows):
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    # One list of stripped cells per schema column, one shared row mask.
+    cells = {name: list(map(str.strip, map(itemgetter(pos), rows)))
+             for name, pos in positions.items()}
+    missing = {name: np.fromiter(map(_MISSING.__contains__, col), dtype=bool,
+                                 count=len(rows))
+               for name, col in cells.items()}
+    keep = np.full(len(rows), bool(schema))
+    for mask in missing.values():
+        keep &= ~mask
+    n = int(keep.sum())
     if n == 0:
         raise GammkitError(f"{path}: zero usable rows after missing-value removal")
+    dropped = len(rows) - n
+    keep_list = keep.tolist()
 
     columns: dict[str, object] = {}
-    for name, role in schema.items():
-        if role == "numeric":
-            columns[name] = np.array(kept[name], dtype=np.float64)
-        else:
-            columns[name] = FactorColumn.from_strings(kept[name])
+    bad = []
+    for j, (name, role) in enumerate(schema.items()):
+        if role == "auto":
+            present = compress(cells[name], (~missing[name]).tolist())
+            role = "numeric" if _floats(list(present)) is not None else "factor"
+        kept = list(compress(cells[name], keep_list)) if dropped else cells[name]
+        if role == "factor":
+            columns[name] = FactorColumn.from_strings(kept)
+            continue
+        columns[name] = values = _floats(kept)
+        if values is None or not np.isfinite(values).all():
+            i, message = _first_bad_cell(kept, name)
+            bad.append((i, j, message))
+    if bad:
+        # The first bad cell in file order, as a row-by-row read meets it.
+        i, _, message = min(bad)
+        raise ParseError(f"{path}: row {np.flatnonzero(keep)[i] + 2}: {message}")
     return DataTable(columns=columns, n_rows=n, series_key=series_key,
                      order_key=order_key, meta={"dropped_rows": dropped})
+
+
+def _floats(cells: list[str]) -> np.ndarray | None:
+    """float() of every cell, or None when one does not parse."""
+    try:
+        return np.fromiter(map(float, cells), dtype=np.float64, count=len(cells))
+    except ValueError:
+        return None
+
+
+def _first_bad_cell(cells: list[str], name: str) -> tuple[int, str]:
+    """(index, message) of the first cell that is not a finite number."""
+    for i, raw in enumerate(cells):
+        try:
+            value = float(raw)
+        except ValueError:
+            return i, f"cannot parse {raw!r} as numeric for column {name!r}"
+        if not math.isfinite(value):
+            return i, f"non-finite value in {name!r}"
+    raise AssertionError(f"column {name!r} has no bad cell")
 
 
 def rescale_unit(table: DataTable, column: str) -> DataTable:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from gammkit.cli import main
+import gammkit
+from gammkit.cli import _load_table, main, parse_spec_file
 from gammkit.fitting import GRAD_TOL
 
 
@@ -190,6 +192,39 @@ def test_fit_bad_cell_reports_load_stage(tmp_path, capsys):
     assert "row" in err
 
 
+def test_fit_repeated_header_column_is_an_error(tmp_path, capsys):
+    with open(tmp_path / "d.csv", "w", newline="") as fh:
+        fh.write("y,x,y\n1,0.1,3\n2,0.2,4\n3,0.3,5\n")
+    spec = _write(tmp_path / "m.spec", "response: y\nparametric: x\n")
+    assert main(["fit", "--data", str(tmp_path / "d.csv"), "--spec", spec,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'load-data'" in err
+    assert "'y' repeated in header" in err
+
+
+def test_parametric_roles_come_from_the_one_read(tmp_path, monkeypatch):
+    # "lo" sits in a row dropped for its missing response; c is still a
+    # factor, as a scan of every row decides
+    path = tmp_path / "d.csv"
+    path.write_text("y,c,d\n1,2,5\nNA,lo,6\n3,4,7\n4,2,8\n5,4,9\n")
+    parsed = parse_spec_file(_write(tmp_path / "m.spec",
+                                    "response: y\nparametric: c + d\n"))
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    table = _load_table(parsed, str(path))
+    assert opened.count(str(path)) == 1
+    assert table.factor("c").levels == ("2", "4")
+    assert table.numeric("d").tolist() == [5.0, 7.0, 8.0, 9.0]
+    assert table.meta["dropped_rows"] == 1
+
+
 def test_fit_unknown_smooth_function_rejected(tmp_path, capsys):
     data = _basic_data(tmp_path / "d.csv")
     spec = _write(tmp_path / "m.spec", "response: y\nsmooth: wiggle(x)\n")
@@ -358,8 +393,12 @@ def test_console_script_runs_a_fit(tmp_path):
 
 
 def test_module_help_lists_all_commands():
+    # the child imports gammkit from where this process found it
+    src = os.path.dirname(os.path.dirname(gammkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "gammkit.cli", "--help"],
-                          capture_output=True, text=True, timeout=60)
+                          capture_output=True, text=True, timeout=60, env=env)
     assert proc.returncode == 0
     for cmd in ("fit", "predict", "compare", "acf", "suggest-rho",
                 "permtest", "simulate"):

@@ -1,5 +1,9 @@
 """Tables, factors, CSV loading, and response transforms."""
 
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 
@@ -140,6 +144,228 @@ def test_load_csv_unknown_role(tmp_path):
     p = _write(tmp_path / "d.csv", "x\n1\n")
     with pytest.raises(SchemaError):
         load_csv(p, {"x": "date"})
+
+
+def test_load_csv_repeated_declared_header_is_an_error(tmp_path):
+    p = _write(tmp_path / "d.csv", "y,x,y\n1,2,3\n4,5,6\n")
+    with pytest.raises(SchemaError, match="'y'"):
+        load_csv(p, {"y": "numeric"})
+    # a repeated column outside the schema is never read
+    tab = load_csv(p, {"x": "numeric"})
+    assert tab.numeric("x").tolist() == [2.0, 5.0]
+
+
+def test_load_csv_reports_file_row_after_dropped_rows(tmp_path):
+    p = _write(tmp_path / "d.csv", "x,g\nNA,a\n1,\n\n2,b\noops,c\n")
+    with pytest.raises(ParseError, match=r"row 6: cannot parse 'oops'"):
+        load_csv(p, {"x": "numeric", "g": "factor"})
+    p = _write(tmp_path / "e.csv", "x,g\n,a\n1,NA\n2,b\n1e999,c\n")
+    with pytest.raises(ParseError, match=r"row 5: non-finite value in 'x'"):
+        load_csv(p, {"x": "numeric", "g": "factor"})
+
+
+def test_load_csv_first_bad_cell_in_file_order(tmp_path):
+    # z's bad cell comes first in the file although x is the first column
+    p = _write(tmp_path / "d.csv", "x,z\n1,2\n3,inf\nbad,4\n")
+    with pytest.raises(ParseError, match=r"row 3: non-finite value in 'z'"):
+        load_csv(p, {"x": "numeric", "z": "numeric"})
+    # in one row, the first schema column wins
+    p = _write(tmp_path / "e.csv", "x,z\n1,2\nnan,bad\n")
+    with pytest.raises(ParseError, match=r"row 3: non-finite value in 'x'"):
+        load_csv(p, {"x": "numeric", "z": "numeric"})
+
+
+def test_load_csv_auto_role_reads_dropped_rows(tmp_path):
+    # "lo" sits in a row dropped for its missing y and still makes c a factor
+    p = _write(tmp_path / "d.csv", "y,c,d\n1,2,5\n,lo,6\n3,4,NA\n4, 5 ,7\n")
+    tab = load_csv(p, {"y": "numeric", "c": "auto", "d": "auto"})
+    assert tab.meta["dropped_rows"] == 2
+    assert tab.factor("c").levels == ("2", "5")
+    assert tab.numeric("d").tolist() == [5.0, 7.0]
+
+
+def test_duplicate_zero_and_negative_zero_order_rejected():
+    cols = {"g": FactorColumn.from_strings(["a", "b", "a"]),
+            "t": np.array([0.0, 0.0, -0.0])}
+    with pytest.raises(SchemaError, match="not unique"):
+        DataTable(columns=cols, n_rows=3, series_key="g", order_key="t")
+
+
+def test_with_column_duplicate_pair_rejected():
+    tab = DataTable(columns={"g": FactorColumn.from_strings(list("aabb")),
+                             "t": np.array([1.0, 2.0, 1.0, 2.0])},
+                    n_rows=4, series_key="g", order_key="t")
+    with pytest.raises(SchemaError, match="not unique"):
+        tab.with_column("t", np.array([1.0, 2.0, 3.0, 3.0]))
+    with pytest.raises(SchemaError, match="not unique"):
+        tab.with_column("g", FactorColumn.from_strings(list("aaab")))
+    assert tab.take(np.array([3, 0, 2])).n_rows == 3
+
+
+# ---------------------------------------------------------------------------
+# the loader against a per-cell oracle
+
+
+def _oracle_load_csv(path, schema, series_key=None, order_key=None):
+    """The per-cell loader: one pass per row, float() per cell."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ParseError(f"{path}: empty file, header required") from None
+        rows = list(reader)
+    positions = {}
+    for name in schema:
+        if name not in header:
+            raise SchemaError(f"{path}: declared column {name!r} not in header")
+        positions[name] = header.index(name)
+
+    kept = {name: [] for name in schema}
+    dropped = 0
+    for i, row in enumerate(rows):
+        cells = {}
+        missing = False
+        for name, pos in positions.items():
+            if pos >= len(row) or row[pos].strip() in ("", "NA"):
+                missing = True
+                break
+            cells[name] = row[pos].strip()
+        if missing:
+            dropped += 1
+            continue
+        for name, raw in cells.items():
+            if schema[name] == "numeric":
+                try:
+                    value = float(raw)
+                except ValueError:
+                    raise ParseError(
+                        f"{path}: row {i + 2}: cannot parse {raw!r} as numeric "
+                        f"for column {name!r}") from None
+                if not math.isfinite(value):
+                    raise ParseError(f"{path}: row {i + 2}: non-finite value in {name!r}")
+                kept[name].append(value)
+            else:
+                kept[name].append(raw)
+    n = len(next(iter(kept.values()))) if kept else 0
+    if n == 0:
+        raise GammkitError(f"{path}: zero usable rows after missing-value removal")
+    columns = {}
+    for name, role in schema.items():
+        if role == "numeric":
+            columns[name] = np.array(kept[name], dtype=np.float64)
+        else:
+            columns[name] = FactorColumn.from_strings(kept[name])
+    return DataTable(columns=columns, n_rows=n, series_key=series_key,
+                     order_key=order_key, meta={"dropped_rows": dropped})
+
+
+def _oracle_sniff_role(path, column):
+    """numeric unless a non-missing cell of column fails float(), any row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        pos = next(reader).index(column)
+        for row in reader:
+            if pos >= len(row):
+                continue
+            cell = row[pos].strip()
+            if cell in ("", "NA"):
+                continue
+            try:
+                float(cell)
+            except ValueError:
+                return "factor"
+    return "numeric"
+
+
+NUMERIC_CELLS = ("1.5", " 2.25 ", "-0.0", "0", "+3", "1e-3", "7", "1_000",
+                 " -4.5e2", "0.1", "", "NA", " NA ", "NA ", "  ")
+FACTOR_CELLS = ("a", "b", "a,b", 'q"r', " c ", "d e", "é", "10", "", "NA",
+                " NA ", "Na")
+BAD_CELLS = ("oops", "inf", "1e999", "nan", "-Infinity", "1.2.3")
+
+
+def _random_csv(path, rng, bad):
+    header = ["x", "g", "junk", "y", "h"]
+    rng.shuffle(header)
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        u = rng.random()
+        if u < 0.06:
+            lines.append("\r\n" if rng.random() < 0.5 else "\n")
+            continue
+        row = []
+        for name in header:
+            if name in ("x", "y"):
+                cell = str(rng.choice(NUMERIC_CELLS))
+                if bad and rng.random() < 0.04:
+                    cell = str(rng.choice(BAD_CELLS))
+                elif rng.random() < 0.3:
+                    cell = repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6)))
+            elif name == "junk":
+                cell = str(rng.choice(("5", "", "NA", "-1.5", "z,x")
+                                      if rng.random() < 0.97 else ("z",)))
+            else:
+                cell = str(rng.choice(FACTOR_CELLS))
+            row.append(cell)
+        if u < 0.12:
+            row = row[:int(rng.integers(0, len(row)))]
+        buf = io.StringIO()
+        quoting = csv.QUOTE_ALL if rng.random() < 0.2 else csv.QUOTE_MINIMAL
+        csv.writer(buf, quoting=quoting).writerow(row)
+        lines.append(buf.getvalue())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + "".join(lines))
+    return str(path)
+
+
+def _load_or_error(loader, *args):
+    try:
+        return loader(*args)
+    except GammkitError as exc:
+        return exc
+
+
+def _assert_same_load(new, old):
+    if isinstance(old, Exception):
+        assert type(new) is type(old) and str(new) == str(old)
+        return
+    assert not isinstance(new, Exception), new
+    assert new.n_rows == old.n_rows
+    assert new.meta == old.meta
+    assert new.column_names() == old.column_names()
+    for name in old.column_names():
+        a, b = new.columns[name], old.columns[name]
+        if isinstance(b, FactorColumn):
+            assert a.levels == b.levels
+            assert np.array_equal(a.codes, b.codes)
+        else:
+            assert np.array_equal(a, b)
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_load_csv_matches_per_cell_oracle(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    p = _random_csv(tmp_path / "d.csv", rng, bad=seed % 3 == 2)
+    schema = {"x": "numeric", "g": "factor", "y": "numeric", "h": "factor"}
+    names = list(schema)
+    rng.shuffle(names)
+    schema = {name: schema[name] for name in names[:int(rng.integers(1, 5))]}
+    _assert_same_load(_load_or_error(load_csv, p, schema),
+                      _load_or_error(_oracle_load_csv, p, schema))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_load_csv_auto_roles_match_sniffing_oracle(tmp_path, seed):
+    rng = np.random.default_rng(100 + seed)
+    p = _random_csv(tmp_path / "d.csv", rng, bad=seed % 2 == 1)
+    schema = {"y": "numeric", "x": "auto", "g": "auto", "junk": "auto"}
+    oracle_schema = {name: role if role != "auto"
+                     else _oracle_sniff_role(p, name)
+                     for name, role in schema.items()}
+    _assert_same_load(_load_or_error(load_csv, p, schema),
+                      _load_or_error(_oracle_load_csv, p, oracle_schema))
 
 
 # ---------------------------------------------------------------------------
