@@ -25,6 +25,7 @@ first loads; numeric modules are imported inside the command functions.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -789,7 +790,10 @@ def _fail(tracker: OutputTracker, exc: Exception) -> int:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="gammkit",
         description="Penalized-spline additive mixed models with AR(1) "

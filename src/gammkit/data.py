@@ -188,9 +188,20 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
     if bad:
         # The first bad cell in file order, as a row-by-row read meets it.
         i, _, message = min(bad)
-        raise ParseError(f"{path}: row {np.flatnonzero(keep)[i] + 2}: {message}")
+        line = _record_line(path, int(np.flatnonzero(keep)[i]))
+        raise ParseError(f"{path}: row {line}: {message}")
     return DataTable(columns=columns, n_rows=n, series_key=series_key,
                      order_key=order_key, meta={"dropped_rows": dropped})
+
+
+def _record_line(path, record: int) -> int:
+    """File line on which data record `record` (0-based, after the header)
+    starts: record + 2 unless a quoted cell above it spans lines."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in range(record + 1):
+            next(reader)
+        return reader.line_num + 1
 
 
 def _floats(cells: list[str]) -> np.ndarray | None:

@@ -6,12 +6,13 @@ ordinary smooths) as one dense array and the per-level columns of random
 effects, factor smooths and by-factor smooths as one sparse matrix, which
 stores only each row's own level; no dense n x p array is formed. Past
 whitening the n rows enter only through X'X, X'y and y'y, formed once per
-design. The final solve (pls_solve) costs O(p^3). Each REML score factors
-X'X + S_lambda in block-arrow form: one per-level term's L level blocks of
-k columns, which neither X'X nor the penalties couple, and a border of the
-other nb columns, so it costs O(L k (k + nb)^2 + nb^3), linear in the number
-of levels. The REML criterion is the negative log of the Gaussian
-restricted marginal likelihood with the scale profiled out:
+design. Each REML score and the final solve (pls_solve) work on X'X +
+S_lambda in block-arrow form: one per-level term's L level blocks of k
+columns, which neither X'X nor the penalties couple, and a border of the
+other nb columns, so each costs O(L k (k + nb)^2 + nb^3), linear in the
+number of levels; the solve's p x p covariance takes O(p^2 nb) more. The
+REML criterion is the negative log of the Gaussian restricted marginal
+likelihood with the scale profiled out:
 
     score = (n - M)/2 * (log(2*pi*phi) + 1)
             - log|S_lambda|_+ / 2 + log|X'X + S_lambda| / 2,
@@ -36,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, lapack, qr, solve_triangular
+from scipy.linalg import block_diag, lapack, solve_triangular
 
 from . import basis as basis_mod
 from .basis import BasisBlock, SmoothTermSpec, rank_psd
@@ -428,7 +429,8 @@ def _term_penalties(term: str, offset: int, penalties: list):
     One or two penalties S_j, each divided by its max-abs entry s_j so that
     the threshold below does not depend on covariate units:
 
-    - eigh(sum_j S_j / s_j) = U diag(w) U', keeping the r directions with
+    - eigh(sum_j S_j / s_j) = U diag(w) U' (basis.spectrum: read off the
+      diagonal of a diagonal sum), keeping the r directions with
       w > 1e-9 * max(w);
     - whitened, C_j = G' S_j G / s_j with G = U_r diag(w_r)^(-1/2) sum to I,
       so they commute and share the eigenvectors V of C_1 (V = I for one
@@ -458,14 +460,15 @@ def _term_penalties(term: str, offset: int, penalties: list):
         return [], 0.0, np.zeros((0, 0))
     scales = np.array([np.abs(S).max() for S, _ in penalties])
     try:
-        w, U = np.linalg.eigh(sum(S / s for (S, _), s in zip(penalties, scales)))
+        w, U = basis_mod.spectrum(
+            sum(S / s for (S, _), s in zip(penalties, scales)), vectors=True)
         keep = w > _SPECTRUM_RTOL * w[-1]
         root = np.sqrt(w[keep])[:, None] * U[:, keep].T
         m = np.ones((root.shape[0], 1))        # one penalty: C_1 = I
         if len(penalties) == 2:
             G = U[:, keep] / np.sqrt(w[keep])
             C = [G.T @ S @ G / s for (S, _), s in zip(penalties, scales)]
-            _, V = np.linalg.eigh(C[0])
+            _, V = basis_mod.spectrum(C[0], vectors=True)
             root = V.T @ root
             m = np.column_stack([np.einsum("ij,ji->i", V.T @ Cj, V) for Cj in C])
     except np.linalg.LinAlgError:
@@ -640,29 +643,63 @@ class PlsSolution(NamedTuple):
     ridged: bool
 
 
-def _augmented_rows(design: AssembledDesign, lambdas: np.ndarray):
-    parts = []
-    for entry, lam in zip(design.penalties, lambdas):
-        if lam > 0 and entry.rank > 0:
-            rows = np.zeros((entry.rank, design.p))
-            rows[:, entry.offset:entry.offset + entry.p_block] = \
-                math.sqrt(lam) * entry.sqrt
-            parts.append(rows)
-    return parts
+def _gram_root(G: np.ndarray, scale: np.ndarray):
+    """Square roots of symmetric PSD matrices G (a stack, or one) in units
+    of D = diag(scale)^(1/2) (1 where scale is 0). With eigh(D^-1 G D^-1)
+    = U diag(w) U' and the rows where w > _GRAM_RTOL * max(max w, 1) kept
+    (the others zero), returns root = diag(w)^(1/2) U' D, so root' root = G,
+    and the map diag(w)^(-1/2) U' D^-1, which turns G's coupling columns H
+    into the rows c with root' c = H."""
+    d = np.sqrt(np.where(scale > 0, scale, 1.0))
+    w, U = np.linalg.eigh(G / d[..., :, None] / d[..., None, :])
+    keep = w > _GRAM_RTOL * np.maximum(w[..., -1:], 1.0)
+    s = np.sqrt(np.where(keep, w, 1.0))[..., None]
+    Ut = U.swapaxes(-1, -2) * keep[..., None]
+    return s * Ut * d[..., None, :], Ut / s / d[..., None, :]
+
+
+def _arrow_qr(level_rows: np.ndarray, border_rows: np.ndarray):
+    """R of the level stacks by one batched QR, then R of the border
+    stack: the levels' rows left over past their k columns, on top of
+    border_rows. Also |diag R| on the levels' k columns and the border's."""
+    nb1 = border_rows.shape[1]
+    k = level_rows.shape[2] - nb1
+    r_t = np.linalg.qr(level_rows, mode="r")
+    left = r_t[:, k:, k:].reshape(-1, nb1)
+    # geqrf leaves its reflectors below R
+    r_b = np.triu(lapack.dgeqrf(np.vstack([left, border_rows]))[0])
+    rdiag = np.abs(np.concatenate([
+        np.diagonal(r_t, axis1=1, axis2=2)[:, :k].ravel(),
+        np.diagonal(r_b)[:nb1 - 1]]))
+    return r_t, r_b, rdiag
 
 
 def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
-    """Penalized least squares on a p-row square root of X'X.
+    """Penalized least squares by QR on a square root of X'X in block-arrow
+    form (design.arrow(), the layout reml_score factors).
 
-    Reads only the cached X'X and X'y, never the n rows. With D =
-    diag(X'X)^(1/2) and eigh(D^-1 X'X D^-1) = U diag(w) U' kept where
-    w > 1e-13 max(w), R0 = diag(w)^(1/2) U' D and
-    f0 = diag(w)^(-1/2) U' D^-1 X'y give R0'R0 = X'X and R0'f0 = X'y, and
-    beta solves [R0; sqrt(lambda_j) R_j] beta = [f0; 0] by QR. The penalty rows stay in the QR, never squared: a
-    Cholesky of X'X + S_lambda misplaces a rank-deficient factor smooth's
-    group offsets at lambda = (1e10, 1e-6) by up to 2.09. D keeps the rank
-    threshold free of column units. A numerically singular system gets a
-    ridge of 1e-10 * mean(diag(X'X + S_lambda)) once, and is flagged.
+    Reads only the cached X'X and X'y, never the n rows. The root: per
+    level, eigh of the rotated block G_l = Q_l' X'X_l Q_l scaled to a unit
+    diagonal, D_l^-1 G_l D_l^-1 = U diag(w) U', gives the rows R_l =
+    diag(w)^(1/2) U' D_l and, coupling the level to the border and to X'y,
+    C_l = diag(w)^(-1/2) U' D_l^-1 Q_l' [X'X_lB | X'y_l]. The border's Schur
+    complement X'X_BB - sum_l C_l'C_l gets the same root, scaled by
+    diag(X'X_BB). Directions with w at most 1e-13 max(max w, 1) are
+    dropped, so a Schur complement of pure rounding (intercept + fs) drops
+    out whole.
+
+    The penalty rows stay in the QR, never squared (Wood 2011, JRSSB
+    73(1)): a Cholesky of X'X + S_lambda misplaces a rank-deficient factor
+    smooth's group offsets at lambda = (1e10, 1e-6) by up to 2.09. Each
+    level stacks [R_l | C_l] on diag(sum_j lambda_j d_jl)^(1/2), with its
+    penalties' entries at or below 1e-9 of their largest set to zero, for
+    one batched QR over its k columns; the rows left over, the border root
+    and the border penalties' sqrt rows take one QR more. No p x p matrix
+    is factored, so the cost is linear in the number of levels; vb =
+    R^-1 R^-T is assembled from the level blocks and the border's nb
+    columns in O(p^2 nb), and edf = diag(vb X'X). A numerically singular system gets a ridge of
+    1e-10 * trace(X'X + S_lambda) / p on every column once, and is flagged.
+    A LinAlgError becomes a NumericError naming the final solve.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.shape != (len(design.penalties),):
@@ -670,47 +707,93 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
                          f"got shape {lambdas.shape}")
     if np.any(lambdas < 0) or not np.all(np.isfinite(lambdas)):
         raise DomainError("lambdas must be finite and >= 0")
-    xtx, xty, _ = design.ensure_products()
-    p = design.p
-    d = np.sqrt(np.diag(xtx))
-    d = np.where(d > 0, d, 1.0)
+    ar = design.arrow()
     try:
-        w, U = np.linalg.eigh(xtx / np.outer(d, d))
-    except np.linalg.LinAlgError:
-        raise NumericError("final solve: eigendecomposition of X'X "
-                           "did not converge") from None
-    keep = w > _GRAM_RTOL * w[-1]
-    w, U = w[keep], U[:, keep]
-    B = np.vstack([np.sqrt(w)[:, None] * U.T * d]
-                  + _augmented_rows(design, lambdas))
-    rhs = np.zeros(B.shape[0])
-    rhs[:w.size] = (U.T @ (xty / d)) / np.sqrt(w)
+        return _arrow_solve(design, ar, lambdas)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"final solve: {exc}") from None
+
+
+def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
+                 lambdas: np.ndarray) -> PlsSolution:
+    L, k, _ = ar.g_tt.shape
+    nb = ar.border.size
+    p = design.p
+    g_bb = ar.g_bb[:nb, :nb]
+    # the square root of X'X, and X'y's rows
+    root_t, to_rows = _gram_root(ar.g_tt,
+                                 np.diagonal(ar.g_tt, axis1=1, axis2=2))
+    cf = to_rows @ ar.g_tb                           # [C_l | f_l]
+    cf_flat = cf.reshape(L * k, nb + 1)
+    schur = ar.g_bb - cf_flat.T @ cf_flat
+    root_b, to_rows = _gram_root(schur[:nb, :nb], np.diagonal(g_bb))
+    # the penalties: diagonal in the rotated levels, sqrt rows on the border
+    pen_t = ar.d_t.reshape(ar.t_pen.size, L * k)
+    top = pen_t.max(axis=1, initial=0.0)[:, None]
+    pen_t = lambdas[ar.t_pen] @ np.where(pen_t > _SPECTRUM_RTOL * top,
+                                         pen_t, 0.0)
+    c = k + nb + 1
+    level_rows = np.zeros((L, 2 * k, c))
+    level_rows[:, :k, :k] = root_t
+    level_rows[:, :k, k:] = cf
+    # the diagonal of rows k..2k-1: flat offsets k c + i (c + 1), i < k
+    level_rows.reshape(L, 2 * k * c)[:, k * c::c + 1] = \
+        np.sqrt(pen_t).reshape(L, k)
+    border_rows = [np.column_stack([root_b, to_rows @ schur[:nb, nb]])]
+    for j, sl, _ in ar.b_pen:
+        entry = design.penalties[j]
+        rows = np.zeros((entry.rank, nb + 1))
+        rows[:, sl] = math.sqrt(lambdas[j]) * entry.sqrt
+        border_rows.append(rows)
+    border_rows = np.vstack(border_rows)
+    r_t, r_b, rdiag = _arrow_qr(level_rows, border_rows)
     ridged = False
-    Q, R = qr(B, mode="economic")
-    rdiag = np.abs(np.diag(R))
-    if R.shape[0] < p or rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
-        # B'B = X'X + S_lambda, so its column sums of squares are that diagonal
-        delta = RIDGE_OF_LAST_RESORT * float(np.mean(np.sum(B * B, axis=0)))
+    if rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
+        trace = np.trace(ar.g_tt, axis1=1, axis2=2).sum() + np.trace(g_bb) \
+            + pen_t.sum() + sum(lambdas[j] * np.sum(design.penalties[j].sqrt ** 2)
+                                for j, _, _ in ar.b_pen)
+        delta = RIDGE_OF_LAST_RESORT * float(trace) / p
         if delta <= 0:
             raise RankError("design is identically zero")
-        B = np.vstack([B, math.sqrt(delta) * np.eye(p)])
-        rhs = np.concatenate([rhs, np.zeros(p)])
-        Q, R = qr(B, mode="economic")
-        rdiag = np.abs(np.diag(R))
+        root = math.sqrt(delta)
+        r_t, r_b, rdiag = _arrow_qr(
+            np.concatenate([level_rows, np.broadcast_to(
+                root * np.eye(k, c), (L, k, c))], axis=1),
+            np.vstack([border_rows, root * np.eye(nb, nb + 1)]))
         if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
-            worst = design.coef_names[int(np.argmin(rdiag))]
+            order = np.concatenate([ar.idx.ravel(), ar.border])
+            worst = design.coef_names[order[int(np.argmin(rdiag))]]
             raise RankError(f"penalized system singular even after ridge; "
                             f"offending column {worst!r}")
         ridged = True
-    beta = solve_triangular(R, Q.T @ rhs)
-    r_inv = solve_triangular(R, np.eye(p))
-    vb = r_inv @ r_inv.T
-    vb = 0.5 * (vb + vb.T)
-    edf = np.einsum("ij,ji->i", vb, xtx)
+    # R = [[diag R_l, C~], [0, R_B]] with R^-1 = [[T, -T C~ R_B^-1],
+    # [0, R_B^-1]]: vb = R^-1 R^-T = diag(T_l T_l') + Z Z', Z = [-E; R_B^-1]
+    rb_inv, info = lapack.dtrtri(r_b[:nb, :nb])
+    if info != 0:
+        raise np.linalg.LinAlgError("singular border factor")
+    beta_b = rb_inv @ r_b[:nb, nb]
+    t_inv = np.linalg.inv(r_t[:, :k, :k])
+    tc = t_inv @ r_t[:, :k, k:]                      # T_l [C~_l | f~_l]
+    gamma = tc[..., nb] - tc[..., :nb] @ beta_b
+    z_t = -tc[..., :nb] @ rb_inv                     # -E, rotated levels
+    beta = np.empty(p)
+    beta[ar.border] = beta_b
+    beta[ar.idx] = (ar.Q @ gamma[..., None])[..., 0]
+    z = np.empty((p, nb))
+    z[ar.border] = rb_inv
+    z[ar.idx] = ar.Q @ z_t
+    vb = z @ z.T
+    t_u = ar.Q @ t_inv
+    blocks = t_u @ t_u.swapaxes(1, 2)
+    vb[ar.idx[:, :, None], ar.idx[:, None, :]] += \
+        0.5 * (blocks + blocks.swapaxes(1, 2))
+    # edf = diag(vb X'X), X'X symmetric
+    edf = np.einsum("ij,ij->i", vb, design.ensure_products()[0])
     # Trim pure float noise at the [0, 1] boundaries; real excursions remain.
-    edf = np.where((edf > 1.0) & (edf < 1.0 + 1e-8), 1.0, edf)
-    edf = np.where((edf < 0.0) & (edf > -1e-8), 0.0, edf)
-    return PlsSolution(beta=beta, vb_unscaled=vb, edf_per_coef=edf, ridged=ridged)
+    inside = np.minimum(np.maximum(edf, 0.0), 1.0)
+    edf = np.where(np.abs(edf - inside) < 1e-8, inside, edf)
+    return PlsSolution(beta=beta, vb_unscaled=vb, edf_per_coef=edf,
+                       ridged=ridged)
 
 
 # ---------------------------------------------------------------------------
@@ -744,6 +827,9 @@ class _ArrowLayout:
     """
 
     penalties: list            # the penalty list this layout was built for
+    idx: np.ndarray            # L x k: the level blocks' columns of X
+    border: np.ndarray         # nb: the border's columns of X
+    Q: np.ndarray              # L x k x k: the level rotations Q_l
     g_tt: np.ndarray           # L x k x k: Q_l' X'X_l Q_l
     g_tb: np.ndarray           # L x k x (nb + 1): Q_l' [X'X_TB | X'y_T]
     g_bb: np.ndarray           # [[X'X_BB, X'y_B], [X'y_B', y'y]]
@@ -830,7 +916,7 @@ def _arrow_layout(design: AssembledDesign) -> _ArrowLayout:
             pos = int(np.searchsorted(border, e.offset))
             b_pen.append((j, slice(pos, pos + e.p_block), e.S))
     return _ArrowLayout(
-        penalties=design.penalties,
+        penalties=design.penalties, idx=idx, border=border, Q=Q,
         g_tt=Qt @ xtx[idx[:, :, None], idx[:, None, :]] @ Q,
         g_tb=Qt @ g_tb, g_bb=g_bb, d_t=d_t,
         t_pen=np.array(t_pen, dtype=np.int64), b_pen=tuple(b_pen))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import gammkit
+from gammkit import cli
 from gammkit.cli import _load_table, main, parse_spec_file
 from gammkit.fitting import GRAD_TOL
 
@@ -329,6 +330,36 @@ def test_permtest_counts_file_has_exactly_two_lines(tmp_path):
     assert pvals[0] == ["perm", "p"]
     assert len(pvals) == 9
     assert all(0.0 <= float(r[1]) <= 1.0 for r in pvals[1:] if r[1])
+
+
+def test_one_parser_serves_every_command_of_a_process(tmp_path):
+    """main builds its parser once per process. A simulate and then a fit
+    through that one parser, with a failed parse between them, write the
+    same files as the two commands each given a freshly built parser."""
+    scen = _write(tmp_path / "s.scn", SCENARIO)
+    spec = _write(tmp_path / "m.spec", SERIES_SPEC + "smooth: cr(trial) k=6\n")
+
+    def run(tag, fresh):
+        sim, out = tmp_path / f"sim-{tag}", tmp_path / f"fit-{tag}"
+        for argv in (["simulate", "--spec", scen, "--out", str(sim)],
+                     ["fit", "--data", str(sim / "simulated.csv"),
+                      "--spec", spec, "--out", str(out)]):
+            if fresh:
+                cli._build_parser.cache_clear()
+            else:
+                with pytest.raises(SystemExit):
+                    main(["fit"])
+            assert main(argv) == 0
+        files = {f"{d.name[:3]}/{f.name}": f.read_bytes()
+                 for d in (sim, out) for f in sorted(d.iterdir())}
+        record = json.loads(files.pop("fit/fit.json"))
+        record.pop("timestamp")
+        assert record.pop("data") == str(sim / "simulated.csv")
+        return files, record
+
+    fresh = run("fresh", True)
+    assert cli._build_parser() is cli._build_parser()
+    assert run("cached", False) == fresh
 
 
 # ---------------------------------------------------------------------------

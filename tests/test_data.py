@@ -164,6 +164,17 @@ def test_load_csv_reports_file_row_after_dropped_rows(tmp_path):
         load_csv(p, {"x": "numeric", "g": "factor"})
 
 
+def test_load_csv_reports_the_line_a_record_starts_on(tmp_path):
+    """A quoted cell that spans lines shifts the rows below it: the bad
+    cell of the third record sits on line 4, not 3."""
+    p = _write(tmp_path / "d.csv", 'x,g\n1,"a\nb"\noops,c\n')
+    with pytest.raises(ParseError, match=r"row 4: cannot parse 'oops'"):
+        load_csv(p, {"x": "numeric", "g": "factor"})
+    p = _write(tmp_path / "e.csv", 'x,g\n1,"a\n\nb"\n2,"c\nd"\n\ninf,e\n')
+    with pytest.raises(ParseError, match=r"row 8: non-finite value in 'x'"):
+        load_csv(p, {"x": "numeric", "g": "factor"})
+
+
 def test_load_csv_first_bad_cell_in_file_order(tmp_path):
     # z's bad cell comes first in the file although x is the first column
     p = _write(tmp_path / "d.csv", "x,z\n1,2\n3,inf\nbad,4\n")

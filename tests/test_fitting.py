@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 from scipy.optimize import minimize
 
 from gammkit import fitting
@@ -374,15 +374,22 @@ _COND_RE = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
 
 
 @pytest.mark.parametrize("case", [
-    "fs-huge-wiggle", "re-tiny", "re-huge", "tp-huge", "cr-zero"])
+    "fs-huge-wiggle", "fs-huge-wiggle-noisy", "re-tiny", "re-huge", "tp-huge",
+    "cr-zero"])
 def test_pls_matches_dense_augmented_least_squares(case):
     """Fitted values agree with lstsq of the stacked [X; roots], beta with
     the exact solution: at re-tiny the penalty alone splits the intercept
-    from the subject mean, and lstsq's beta is 1e-5 off there."""
-    if case == "fs-huge-wiggle":       # rank-deficient X: intercept + fs
+    from the subject mean, and lstsq's beta is 1e-5 off there. With noise
+    of sd 0.01 on the fs offsets, an eigh root of the whole X'X left beta
+    2.3e-8 off; the arrow solve is 8e-13 off."""
+    if case.startswith("fs-huge-wiggle"):  # rank-deficient X: intercept + fs
+        table = _fs_offsets_table()
+        if case.endswith("noisy"):
+            y = table.numeric("y") + 0.01 * np.random.default_rng(0) \
+                .standard_normal(table.n_rows)
+            table = table.with_column("y", y)
         des = assemble(ModelSpec(response="y", smooth_terms=(
-            SmoothTermSpec(("x",), "cr", k=5, fs_group="g"),)),
-            _fs_offsets_table())
+            SmoothTermSpec(("x",), "cr", k=5, fs_group="g"),)), table)
         lambdas = [1e10, 1e-6]
     elif case.startswith("re-"):       # rank-deficient X: intercept + re
         des = assemble(_COND_RE, _subject_table())
@@ -1077,6 +1084,136 @@ def test_reml_score_memory_stays_below_one_dense_matrix():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 8 * des.p ** 2
+
+
+def _dense_pls(des, lambdas):
+    """The final solve as it was before it read the block-arrow layout:
+    eigh of the whole equilibrated X'X for a p-row root, one QR of the root
+    stacked on the penalty roots, and a p x p triangular inverse for vb."""
+    xtx, xty, _ = des.ensure_products()
+    p = des.p
+    d = np.sqrt(np.diag(xtx))
+    d = np.where(d > 0, d, 1.0)
+    w, U = np.linalg.eigh(xtx / np.outer(d, d))
+    keep = w > 1e-13 * w[-1]
+    w, U = w[keep], U[:, keep]
+    rows = [np.sqrt(w)[:, None] * U.T * d]
+    for e, lam in zip(des.penalties, lambdas):
+        if lam > 0 and e.rank > 0:
+            block = np.zeros((e.rank, p))
+            block[:, e.offset:e.offset + e.p_block] = math.sqrt(lam) * e.sqrt
+            rows.append(block)
+    B = np.vstack(rows)
+    rhs = np.zeros(B.shape[0])
+    rhs[:w.size] = (U.T @ (xty / d)) / np.sqrt(w)
+    Q, R = qr(B, mode="economic")
+    rdiag = np.abs(np.diag(R))
+    if R.shape[0] < p or rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
+        delta = 1e-10 * float(np.mean(np.sum(B * B, axis=0)))
+        B = np.vstack([B, math.sqrt(delta) * np.eye(p)])
+        rhs = np.concatenate([rhs, np.zeros(p)])
+        Q, R = qr(B, mode="economic")
+    beta = solve_triangular(R, Q.T @ rhs)
+    r_inv = solve_triangular(R, np.eye(p))
+    vb = r_inv @ r_inv.T
+    vb = 0.5 * (vb + vb.T)
+    edf = np.einsum("ij,ji->i", vb, xtx)
+    edf = np.where((edf > 1.0) & (edf < 1.0 + 1e-8), 1.0, edf)
+    edf = np.where((edf < 0.0) & (edf > -1e-8), 0.0, edf)
+    return beta, vb, edf
+
+
+def _assert_solve_matches_dense(des, lambdas, edf_tol=1e-10):
+    """beta, fitted values, edf and vb within 1e-10 of the dense solve,
+    relative to each one's largest entry or to 1, whichever is larger."""
+    sol = pls_solve(des, lambdas)
+    beta, vb, edf = _dense_pls(des, lambdas)
+    for got, want, tol in [(sol.beta, beta, 1e-10),
+                           (des.dot(sol.beta), des.dot(beta), 1e-10),
+                           (sol.edf_per_coef, edf, edf_tol),
+                           (sol.vb_unscaled, vb, 1e-10)]:
+        scale = max(np.max(np.abs(want)), 1.0)
+        assert np.max(np.abs(got - want)) <= tol * scale
+    np.testing.assert_array_equal(sol.vb_unscaled, sol.vb_unscaled.T)
+    return sol
+
+
+@pytest.mark.parametrize("name", sorted(_DERIVATIVE_CASES))
+def test_arrow_solve_matches_dense_solve_on_derivative_designs(name):
+    terms, extra = _DERIVATIVE_CASES[name]
+    des = assemble(ModelSpec(response="y", smooth_terms=terms),
+                   _derivative_table())
+    m = len(des.penalties)
+    for x in [np.zeros(m), np.full(m, 3.0)] + [np.array(p) for p in extra]:
+        assert not _assert_solve_matches_dense(des, np.exp(x)).ridged
+
+
+@pytest.mark.parametrize("case", ["full-4x150", "full-20x100",
+                                  "large-n-shaped", "crossed"])
+def test_arrow_solve_matches_dense_solve_on_search_designs(case):
+    """At log lambda = 10 and at the optimum. (At log lambda = 0 the cr and
+    fs terms of the full designs nearly share a direction: on full-4x150
+    the dense solve's beta is 2.8e-10 of its largest entry from the exact
+    rational solution there, the arrow solve's 6.0e-11.)"""
+    des = {"full-4x150": lambda: _full_design(4, 150, 3),
+           "full-20x100": lambda: _full_design(20, 100, 88),
+           "large-n-shaped": _large_n_shaped,
+           "crossed": _crossed_design}[case]()
+    m = len(des.penalties)
+    for lambdas in (np.full(m, math.exp(10.0)), optimize_lambdas(des).lambdas):
+        assert not _assert_solve_matches_dense(des, lambdas).ridged
+
+
+def test_arrow_solve_matches_dense_solve_without_level_blocks():
+    """cond + cr: no per-level term, so every column is border."""
+    des = assemble(ModelSpec(response="y", parametric_terms=(
+        ParametricTerm("cond"),), smooth_terms=(
+        SmoothTermSpec("x", "cr", k=8),)), _subject_table())
+    assert des.arrow().idx.size == 0
+    for lam in (1e-3, 1.0, 1e6):
+        assert not _assert_solve_matches_dense(des, [lam]).ridged
+
+
+def test_arrow_solve_matches_dense_solve_when_ridged():
+    """intercept + cond + re at lambda = 0 is singular and both solves
+    ridge by 1e-10 * trace(X'X) / p. The ridged system's condition number
+    is about 1e10, so edf, diag(vb X'X), is compared to 1e-5: the arrow
+    solve sits 1.8e-7 and the dense solve 1.9e-6 from the exact rational
+    edf."""
+    des = assemble(_COND_RE, _subject_table())
+    assert _assert_solve_matches_dense(des, [0.0], edf_tol=1e-5).ridged
+
+
+@pytest.mark.parametrize("routine", ["eigh", "qr", "inv"])
+def test_level_factorization_failure_is_a_numeric_error(monkeypatch,
+                                                        routine):
+    """A LinAlgError from a batched per-level routine surfaces as a
+    NumericError naming the final solve."""
+    des = _large_n_shaped(12, 30)
+    real = getattr(np.linalg, routine)
+
+    def broken_on_a_stack(a, *args, **kwargs):
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("did not converge")
+        return real(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, routine, broken_on_a_stack)
+    with pytest.raises(NumericError, match="final solve"):
+        pls_solve(des, [1.0, 1.0])
+
+
+def test_pls_solve_memory_stays_below_three_dense_matrices():
+    """On cond + cr + fs with 100 subjects (p = 511) the solve's peak
+    allocation is below three p x p arrays, vb included. The dense solve
+    peaked at 9.0 of them (18.8 MB)."""
+    des = _full_design(100, 40, 1)
+    assert des.p == 511
+    lambdas = np.ones(len(des.penalties))
+    pls_solve(des, lambdas)
+    tracemalloc.start()
+    pls_solve(des, lambdas)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 3 * 8 * des.p ** 2
 
 
 # ---------------------------------------------------------------------------
