@@ -10,15 +10,18 @@ Per-level terms (random effects, factor smooths, by-factor smooths) give
 each factor level its own columns, zero off that level's rows. Their X is a
 scipy.sparse CSR matrix built in one step from the level codes and the base
 rows (per_level_rows): it stores n * p_base entries, not n * L * p_base.
-Every other block's X is a dense array. A LinAlgError inside a basis
-construction becomes a NumericError naming the stage.
+Their penalties stay on the base too, each a k x k Penalty and the level
+blocks it repeats on: no (L k)^2 array is built. Every other block's X is
+a dense array. A LinAlgError inside a basis construction becomes a
+NumericError naming the stage.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -60,8 +63,8 @@ def spectrum(S: np.ndarray, vectors: bool = False):
 
     A diagonal S is read off its diagonal with a stable argsort, in O(p^2):
     the eigenvalues eigh returns, bit for bit, and its eigenvectors too when
-    the diagonal does not decrease, as in re's I_L and a natural-
-    parameterized smooth's sorted weights. (Of an unsorted diagonal with
+    the diagonal does not decrease, as in a natural-parameterized smooth's
+    sorted weights. (Of an unsorted diagonal with
     ties, eigh orders the eigenvectors of a tied eigenvalue otherwise.)
     """
     d = np.diagonal(S)
@@ -69,6 +72,16 @@ def spectrum(S: np.ndarray, vectors: bool = False):
         return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
     order = np.argsort(d, kind="stable")
     return (d[order], np.eye(d.size)[:, order]) if vectors else d[order]
+
+
+class Penalty(NamedTuple):
+    """The k x k matrix S repeated on the level blocks levels, those of
+    columns [l k, (l + 1) k) for l in levels, and zero elsewhere. A term
+    without levels has one block of p_term columns, levels = range(1)."""
+
+    S: np.ndarray
+    label: str
+    levels: range = range(1)
 
 
 def _check_psd(S: np.ndarray, label: str) -> None:
@@ -140,22 +153,20 @@ class SmoothTermSpec:
 class BasisBlock:
     """Evaluated basis matrix for one term plus its penalties.
 
-    penalties is a list of (S, label) with S expressed in the block's own
-    column space. null_dim[i] = p_term - rank(penalties[i]), the count of
-    directions unpenalized by that penalty. X is dense, or CSR for per-level
-    terms; the finite check reads its stored values.
+    penalties is a list of Penalty, each a k x k base S and the level blocks
+    it repeats on; each distinct base is checked positive semidefinite
+    once. X is dense, or CSR for per-level terms; the finite check reads
+    its stored values.
     """
 
     term_label: str
     X: np.ndarray | sparse.csr_array
     penalties: list
-    null_dim: tuple[int, ...]
     evaluator: object
     kind: str
     n_cov: int = 1
     constraint: dict | None = None
     sub_terms: list | None = None
-    _total_null: int | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if sparse.issparse(self.X):
@@ -164,12 +175,13 @@ class BasisBlock:
             self.X = values = np.asarray(self.X, dtype=np.float64)
         if not np.all(np.isfinite(values)):
             raise NumericError(f"basis {self.term_label!r} produced non-finite entries")
-        for S, label in self.penalties:
-            if S.shape != (self.p_term, self.p_term):
-                raise ShapeError(f"penalty {label!r} shape {S.shape} != p_term {self.p_term}")
+        for S, label, levels in self.penalties:
+            k = S.shape[0]
+            if S.shape != (k, k) or k * levels.stop > self.p_term:
+                raise ShapeError(f"penalty {label!r} shape {S.shape} on levels "
+                                 f"{levels} does not tile p_term {self.p_term}")
+        for S, label, _ in {id(pen.S): pen for pen in self.penalties}.values():
             _check_psd(S, label)
-        if len(self.null_dim) != len(self.penalties):
-            raise ShapeError("null_dim must align with penalties")
 
     @property
     def p_term(self) -> int:
@@ -178,19 +190,6 @@ class BasisBlock:
     @property
     def n_rows(self) -> int:
         return self.X.shape[0]
-
-    @property
-    def total_null_dim(self) -> int:
-        """Dimension unpenalized by the *sum* of this block's penalties."""
-        if self._total_null is None:
-            if not self.penalties:
-                self._total_null = self.p_term
-            else:
-                total = np.zeros((self.p_term, self.p_term))
-                for S, _ in self.penalties:
-                    total += S
-                self._total_null = self.p_term - rank_psd(total)
-        return self._total_null
 
     def evaluate(self, cols: list, extrapolate: bool = False) -> np.ndarray:
         """Dense columns at new covariate values (prediction)."""
@@ -397,8 +396,8 @@ def poly_basis(x, degree: int) -> BasisBlock:
     ev = _PolyEval(center, halfwidth, coef_map, degree)
     X = ev.evaluate([x])
     S = np.zeros((degree, degree))
-    return BasisBlock(term_label="poly", X=X, penalties=[(S, "poly")],
-                      null_dim=(degree,), evaluator=ev, kind="smooth", n_cov=1)
+    return BasisBlock(term_label="poly", X=X, penalties=[Penalty(S, "poly")],
+                      evaluator=ev, kind="smooth", n_cov=1)
 
 
 def knots_quantile(x, k: int) -> KnotSet:
@@ -447,8 +446,8 @@ def cr_basis(x, knots: KnotSet) -> BasisBlock:
     d_right = (e[k - 1] - e[k - 2]) / h[-1] + (h[-1] / 6.0) * (fplus[k - 2] + 2.0 * fplus[k - 1])
     ev = _CrEval(loc, fplus, d_left, d_right)
     X = ev.evaluate([x])
-    return BasisBlock(term_label="cr", X=X, penalties=[(S, "cr")],
-                      null_dim=(2,), evaluator=ev, kind="smooth", n_cov=1)
+    return BasisBlock(term_label="cr", X=X, penalties=[Penalty(S, "cr")],
+                      evaluator=ev, kind="smooth", n_cov=1)
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +553,8 @@ def tp_basis(X_cov, k: int, m: int = 2) -> BasisBlock:
     p = k
     S = np.zeros((p, p))
     S[M:, M:] = np.diag(lam)
-    return BasisBlock(term_label="tp", X=X, penalties=[(S, "tp")],
-                      null_dim=(M,), evaluator=ev, kind="smooth", n_cov=1 if d == 1 else 2)
+    return BasisBlock(term_label="tp", X=X, penalties=[Penalty(S, "tp")],
+                      evaluator=ev, kind="smooth", n_cov=1 if d == 1 else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -583,20 +582,18 @@ def tensor_product(block_a: BasisBlock, block_b: BasisBlock,
         if block_b.constraint is None:
             block_b = absorb_constraints(block_b)
     pa, pb = block_a.p_term, block_b.p_term
-    Sa = block_a.penalties[0][0]
-    Sb = block_b.penalties[0][0]
+    Sa = block_a.penalties[0].S
+    Sb = block_b.penalties[0].S
     ev = _TensorEval(block_a.evaluator, block_b.evaluator, block_a.n_cov)
     X = row_kron(block_a.X, block_b.X)
     S1 = np.kron(Sa, np.eye(pb))
     S2 = np.kron(np.eye(pa), Sb)
-    p = pa * pb
-    null1 = p - rank_psd(S1)
-    null2 = p - rank_psd(S2)
     label = "ti" if interaction_only else "te"
     constraint = ({"type": "marginal_sum_to_zero"} if interaction_only else None)
     return BasisBlock(term_label=label, X=X,
-                      penalties=[(S1, f"{label}:margin1"), (S2, f"{label}:margin2")],
-                      null_dim=(null1, null2), evaluator=ev, kind="smooth",
+                      penalties=[Penalty(S1, f"{label}:margin1"),
+                                 Penalty(S2, f"{label}:margin2")],
+                      evaluator=ev, kind="smooth",
                       n_cov=block_a.n_cov + block_b.n_cov, constraint=constraint)
 
 
@@ -605,7 +602,7 @@ def _per_level_layout(block: BasisBlock, factor: FactorColumn, what: str):
         raise ShapeError("factor not aligned with block rows")
     L = factor.n_levels
     p = block.p_term
-    base_null = block.total_null_dim
+    base_null = p - rank_psd(block.penalties[0].S)     # a one-penalty base
     counts = np.bincount(factor.codes, minlength=L)
     for lev in range(L):
         if counts[lev] < max(base_null, 1):
@@ -621,25 +618,20 @@ def apply_by_factor(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
 
     Level blocks are zero off-level; each level gets its own smoothing
     parameter, so different wiggly curves can be fitted to each level.
+    Every level's penalty is the base penalty, one array, on its own block.
     """
     if len(block.penalties) != 1:
         raise DomainError("by-factor expansion needs a single-penalty block")
     L, p, ev = _per_level_layout(block, factor, "by-factor smooth")
-    S = block.penalties[0][0]
+    S = block.penalties[0].S
     # The evaluator builds the same matrix from the same base rows.
     X = per_level_rows(factor.codes, block.X, L)
-    penalties = []
-    null_dims = []
-    rank_s = rank_psd(S)
-    sub_terms = []
-    for lev in range(L):
-        S_lev = np.zeros((L * p, L * p))
-        S_lev[lev * p:(lev + 1) * p, lev * p:(lev + 1) * p] = S
-        penalties.append((S_lev, f"by:{factor.levels[lev]}"))
-        null_dims.append(L * p - rank_s)
-        sub_terms.append((str(factor.levels[lev]), lev * p, (lev + 1) * p))
+    penalties = [Penalty(S, f"by:{name}", range(lev, lev + 1))
+                 for lev, name in enumerate(factor.levels)]
+    sub_terms = [(str(name), lev * p, (lev + 1) * p)
+                 for lev, name in enumerate(factor.levels)]
     return BasisBlock(term_label=f"{block.term_label}:by", X=X, penalties=penalties,
-                      null_dim=tuple(null_dims), evaluator=ev, kind="smooth",
+                      evaluator=ev, kind="smooth",
                       n_cov=block.n_cov + 1, constraint=block.constraint,
                       sub_terms=sub_terms)
 
@@ -647,7 +639,7 @@ def apply_by_factor(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
 def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
     """Per-level smooths with two shared penalties, acting as random effects.
 
-    Penalty 1 replicates the base wiggliness penalty block-diagonally with a
+    Penalty 1 repeats the base wiggliness penalty on every level with a
     single shared smoothing parameter. Penalty 2 is a ridge on every
     null-space direction (per-level constants and linears), absorbing by-level
     intercepts. Their null spaces are complementary, so S1 + S2 is positive
@@ -658,23 +650,16 @@ def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
         raise DomainError("factor smooths need a single-penalty base block")
     if block.n_cov != 1:
         raise DomainError("factor smooths take a univariate base smooth")
-    L, p, ev = _per_level_layout(block, factor, "factor smooth")
-    S = block.penalties[0][0]
+    L, _, ev = _per_level_layout(block, factor, "factor smooth")
+    S = block.penalties[0].S
     with _stage("factor smooth null space eigendecomposition"):
         w, V = eigh(_symmetrize(S))
     null_cols = V[:, w <= 1e-9 * w[-1]]
     N = null_cols @ null_cols.T                      # projector onto null(S)
     X = per_level_rows(factor.codes, block.X, L)
-    S1 = np.zeros((L * p, L * p))
-    S2 = np.zeros((L * p, L * p))
-    for lev in range(L):
-        sl = slice(lev * p, (lev + 1) * p)
-        S1[sl, sl] = S
-        S2[sl, sl] = N
-    m_null = null_cols.shape[1]
     return BasisBlock(term_label="fs", X=X,
-                      penalties=[(S1, "fs:wiggle"), (S2, "fs:null")],
-                      null_dim=(L * m_null, L * (p - m_null)),
+                      penalties=[Penalty(S, "fs:wiggle", range(L)),
+                                 Penalty(N, "fs:null", range(L))],
                       evaluator=ev, kind="smooth", n_cov=block.n_cov + 1)
 
 
@@ -685,9 +670,9 @@ def random_effect(factor: FactorColumn, covariate=None) -> BasisBlock:
     ev = _RandomEffectEval(factor.levels, covariate is not None)
     cols = [factor] if covariate is None else [factor, np.asarray(covariate, float)]
     X = ev.evaluate(cols)
-    L = factor.n_levels
-    return BasisBlock(term_label="re", X=X, penalties=[(np.eye(L), "re")],
-                      null_dim=(0,), evaluator=ev, kind="random",
+    return BasisBlock(term_label="re", X=X,
+                      penalties=[Penalty(np.eye(1), "re", range(factor.n_levels))],
+                      evaluator=ev, kind="random",
                       n_cov=1 if covariate is None else 2)
 
 
@@ -711,13 +696,9 @@ def absorb_constraints(block: BasisBlock) -> BasisBlock:
     Z = Qc[:, 1:]
     ev = _ConstrainedEval(block.evaluator, Z)
     Xc = block.X @ Z
-    penalties = []
-    null_dims = []
-    for S, label in block.penalties:
-        Sc = _symmetrize(Z.T @ S @ Z)
-        penalties.append((Sc, label))
-        null_dims.append(Xc.shape[1] - rank_psd(Sc))
+    penalties = [Penalty(_symmetrize(Z.T @ S @ Z), label)
+                 for S, label, _ in block.penalties]
     return BasisBlock(term_label=block.term_label, X=Xc, penalties=penalties,
-                      null_dim=tuple(null_dims), evaluator=ev, kind=block.kind,
+                      evaluator=ev, kind=block.kind,
                       n_cov=block.n_cov,
                       constraint={"type": "sum_to_zero"}, sub_terms=None)

@@ -6,12 +6,15 @@ ordinary smooths) as one dense array and the per-level columns of random
 effects, factor smooths and by-factor smooths as one sparse matrix, which
 stores only each row's own level; no dense n x p array is formed. Past
 whitening the n rows enter only through X'X, X'y and y'y, formed once per
-design. Each REML score and the final solve (pls_solve) work on X'X +
-S_lambda in block-arrow form: one per-level term's L level blocks of k
-columns, which neither X'X nor the penalties couple, and a border of the
-other nb columns, so each costs O(L k (k + nb)^2 + nb^3), linear in the
-number of levels; the solve's p x p covariance takes O(p^2 nb) more. The
-REML criterion is the negative log of the Gaussian restricted marginal
+design. Penalties keep the per-level form: a PenaltyEntry is a k x k base
+and the level blocks it repeats on, reduced once per term on the base
+(_term_penalties), so assembly too is linear in the number of levels.
+Each REML score and the final solve (pls_solve) work on X'X + S_lambda in
+block-arrow form: one per-level term's L level blocks of k columns, which
+neither X'X nor the penalties couple, and a border of the other nb
+columns, so each costs O(L k (k + nb)^2 + nb^3), linear in the number of
+levels; the solve's p x p covariance takes O(p^2 nb) more. The REML
+criterion is the negative log of the Gaussian restricted marginal
 likelihood with the scale profiled out:
 
     score = (n - M)/2 * (log(2*pi*phi) + 1)
@@ -107,23 +110,41 @@ class ModelSpec:
 
 @dataclass
 class PenaltyEntry:
-    """One penalty embedded in the full design at a column offset.
-
-    rank and sqrt come from the term's penalty spectrum (_term_penalties),
-    the same eigendecomposition and threshold that give the design's
-    closed-form log|S_lambda|_+, so sqrt always has rank rows.
+    """One penalty of a term: its k x k base repeated on the level blocks
+    levels of the term's p_block columns, which start at offset. root, r x
+    k with root' root = base, comes from the term's penalty spectrum
+    (_term_penalties), whose threshold also gives log|S_lambda|_+. The fit
+    path reads base and root; S and sqrt build the dense forms on demand.
     """
 
     label: str
     term_label: str
-    S: np.ndarray              # block-local, p_block x p_block
+    base: np.ndarray           # k x k
+    root: np.ndarray           # r x k
     offset: int
-    rank: int
-    sqrt: np.ndarray           # rank x p_block factor with sqrt' sqrt = S
+    levels: range
+    p_block: int
 
     @property
-    def p_block(self) -> int:
-        return self.S.shape[0]
+    def rank(self) -> int:
+        return len(self.levels) * self.root.shape[0]
+
+    @property
+    def cols(self) -> slice:           # its level blocks' columns in p_block
+        k = self.base.shape[0]
+        return slice(self.levels.start * k, self.levels.stop * k)
+
+    @property
+    def S(self) -> np.ndarray:         # p_block x p_block
+        S = np.zeros((self.p_block, self.p_block))
+        S[self.cols, self.cols] = np.kron(np.eye(len(self.levels)), self.base)
+        return S
+
+    @property
+    def sqrt(self) -> np.ndarray:      # rank x p_block, sqrt' sqrt = S
+        out = np.zeros((self.rank, self.p_block))
+        out[:, self.cols] = np.kron(np.eye(len(self.levels)), self.root)
+        return out
 
 
 @dataclass
@@ -391,7 +412,7 @@ def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
     extreme lambdas. Skipped (unchanged block) if X'X is not numerically
     positive definite.
     """
-    S, label = block.penalties[0]
+    S, label, _ = block.penalties[0]
     if rank_psd(S) == 0:
         return block
     A = block.X.T @ block.X
@@ -414,10 +435,9 @@ def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
     # training covariates: both compute (evaluated X) @ T, dense result.
     ev = basis_mod._ConstrainedEval(block.evaluator, T)
     Xn = block.X @ T
-    p = Xn.shape[1]
     return BasisBlock(term_label=block.term_label, X=Xn,
-                      penalties=[(np.diag(w), label)],
-                      null_dim=(p - int(np.sum(w > 0)),), evaluator=ev,
+                      penalties=[basis_mod.Penalty(np.diag(w), label)],
+                      evaluator=ev,
                       kind=block.kind, n_cov=block.n_cov,
                       constraint=block.constraint,
                       sub_terms=block.sub_terms)
@@ -426,48 +446,61 @@ def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
 def _term_penalties(term: str, offset: int, penalties: list):
     """Entries and closed-form log pseudo-determinant of one term's penalties.
 
-    One or two penalties S_j, each divided by its max-abs entry s_j so that
-    the threshold below does not depend on covariate units:
+    The penalties (basis.Penalty) on the same levels, one or two, form a
+    group: one per by-factor level, one for any other term. A group's k x k
+    bases S_j, each divided by its max-abs entry s_j so that the threshold
+    below does not depend on covariate units, give one spectrum, shared by
+    groups on the same bases (the by-factor levels):
 
-    - eigh(sum_j S_j / s_j) = U diag(w) U' (basis.spectrum: read off the
-      diagonal of a diagonal sum), keeping the r directions with
-      w > 1e-9 * max(w);
+    - eigh(sum_j S_j / s_j) = U diag(w) U' (basis.spectrum), keeping the r
+      directions with w > 1e-9 * max(w);
     - whitened, C_j = G' S_j G / s_j with G = U_r diag(w_r)^(-1/2) sum to I,
       so they commute and share the eigenvectors V of C_1 (V = I for one
       penalty); m_ij = (V' C_j V)_ii, zeroed at or below 1e-9 * max_i m_ij.
 
-    Then, exactly, with W_ij = s_j m_ij,
+    Then, exactly, with W_ij = s_j m_ij repeated on each of a group's levels,
 
         log|sum_j lambda_j S_j|_+ = sum log w_r + sum_i log(sum_j W_ij lambda_j),
 
     rank(S_j) counts the nonzero W_ij, and their rows of
-    sqrt(W_ij) V' diag(w_r)^(1/2) U_r' form sqrt_j. More than two penalties
-    (by-factor levels) must sit on disjoint columns, where each stands
-    alone. Returns (entries, sum log w_r, W); all-zero penalties get no
-    entry.
+    sqrt(W_ij) V' diag(w_r)^(1/2) U_r' form the root of base j. Returns
+    (entries, sum log w_r, W); all-zero penalties get no entry.
     """
-    penalties = [(S, lbl) for S, lbl in penalties if np.any(S)]
-    if len(penalties) > 2:
-        supports = np.array([np.abs(S).sum(axis=0) > 0 for S, _ in penalties])
-        if np.any(supports.sum(axis=0) > 1):
-            raise DomainError(f"term {term!r}: more than two penalties "
-                              "share columns")
-        parts = [_term_penalties(term, offset, [pen]) for pen in penalties]
-        return ([e for part in parts for e in part[0]],
-                sum(part[1] for part in parts),
-                block_diag(*[part[2] for part in parts]))
+    penalties = [pen for pen in penalties if np.any(pen.S)]
     if not penalties:
         return [], 0.0, np.zeros((0, 0))
-    scales = np.array([np.abs(S).max() for S, _ in penalties])
+    p_block = penalties[0].S.shape[0] * max(pen.levels.stop for pen in penalties)
+    groups, spectra, entries, const, weights = {}, {}, {}, 0.0, []
+    for j, pen in enumerate(penalties):
+        groups.setdefault(pen.levels, []).append(j)
+    for levels, group in groups.items():
+        key = tuple(id(penalties[j].S) for j in group)
+        if key not in spectra:
+            spectra[key] = _base_spectrum(term, [penalties[j].S for j in group])
+        roots, logw, W = spectra[key]
+        for j, root in zip(group, roots):
+            S, lbl, _ = penalties[j]
+            entries[j] = PenaltyEntry(f"{term}/{lbl}", term, S, root, offset,
+                                      levels, p_block)
+        rows = np.zeros((len(levels) * W.shape[0], len(penalties)))
+        rows[:, group] = np.tile(W, (len(levels), 1))
+        weights.append(rows)
+        const += len(levels) * logw
+    return [entries[j] for j in sorted(entries)], const, np.vstack(weights)
+
+
+def _base_spectrum(term: str, bases: list):
+    """Roots, sum log w_r and W of one group's bases (_term_penalties)."""
+    scales = np.array([np.abs(S).max() for S in bases])
     try:
         w, U = basis_mod.spectrum(
-            sum(S / s for (S, _), s in zip(penalties, scales)), vectors=True)
+            sum(S / s for S, s in zip(bases, scales)), vectors=True)
         keep = w > _SPECTRUM_RTOL * w[-1]
         root = np.sqrt(w[keep])[:, None] * U[:, keep].T
         m = np.ones((root.shape[0], 1))        # one penalty: C_1 = I
-        if len(penalties) == 2:
+        if len(bases) == 2:
             G = U[:, keep] / np.sqrt(w[keep])
-            C = [G.T @ S @ G / s for (S, _), s in zip(penalties, scales)]
+            C = [G.T @ S @ G / s for S, s in zip(bases, scales)]
             _, V = basis_mod.spectrum(C[0], vectors=True)
             root = V.T @ root
             m = np.column_stack([np.einsum("ij,ji->i", V.T @ Cj, V) for Cj in C])
@@ -475,14 +508,9 @@ def _term_penalties(term: str, offset: int, penalties: list):
         raise NumericError(f"term {term!r}: penalty eigendecomposition "
                            "did not converge") from None
     m = np.where(m > _SPECTRUM_RTOL * m.max(axis=0), m, 0.0)
-    entries = []
-    for j, (S, lbl) in enumerate(penalties):
-        kept = m[:, j] > 0
-        entries.append(PenaltyEntry(
-            label=f"{term}/{lbl}", term_label=term, S=S, offset=offset,
-            rank=int(kept.sum()),
-            sqrt=np.sqrt(scales[j] * m[kept, j])[:, None] * root[kept]))
-    return entries, float(np.sum(np.log(w[keep]))), m * scales
+    roots = [np.sqrt(scales[j] * m[m[:, j] > 0, j])[:, None] * root[m[:, j] > 0]
+             for j in range(len(bases))]
+    return roots, float(np.sum(np.log(w[keep]))), m * scales
 
 
 def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
@@ -740,18 +768,17 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     level_rows.reshape(L, 2 * k * c)[:, k * c::c + 1] = \
         np.sqrt(pen_t).reshape(L, k)
     border_rows = [np.column_stack([root_b, to_rows @ schur[:nb, nb]])]
-    for j, sl, _ in ar.b_pen:
-        entry = design.penalties[j]
-        rows = np.zeros((entry.rank, nb + 1))
-        rows[:, sl] = math.sqrt(lambdas[j]) * entry.sqrt
+    for j, sl, _, root in ar.b_pen:
+        rows = np.zeros((root.shape[0], nb + 1))
+        rows[:, sl] = math.sqrt(lambdas[j]) * root
         border_rows.append(rows)
     border_rows = np.vstack(border_rows)
     r_t, r_b, rdiag = _arrow_qr(level_rows, border_rows)
     ridged = False
     if rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
         trace = np.trace(ar.g_tt, axis1=1, axis2=2).sum() + np.trace(g_bb) \
-            + pen_t.sum() + sum(lambdas[j] * np.sum(design.penalties[j].sqrt ** 2)
-                                for j, _, _ in ar.b_pen)
+            + pen_t.sum() + sum(lambdas[j] * np.sum(root ** 2)
+                                for j, _, _, root in ar.b_pen)
         delta = RIDGE_OF_LAST_RESORT * float(trace) / p
         if delta <= 0:
             raise RankError("design is identically zero")
@@ -817,58 +844,61 @@ def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
 class _ArrowLayout:
     """X'X + S_lambda split into level blocks and a border, lambda aside.
 
-    The block part is one per-level term's columns, L levels of k, whose
-    Gram and penalties have no entry between two levels. Each level's
-    columns are rotated by an orthogonal Q_l that makes all the term's
-    penalties diagonal there, so D_l = Q_l' X'X_l Q_l + diag(sum_j lambda_j
-    d_jl). The border is every other column, in X's order. X'y rides along
-    as one more border column and y'y as its diagonal entry, so the Schur
+    The block part is one per-level term's columns, L levels of k (its
+    penalties' base size) that its Gram does not couple. One orthogonal Q
+    makes its k x k bases diagonal: D_l = Q' X'X_l Q + diag(sum_j lambda_j
+    d_jl), d_jl penalty j's rotated base on its levels, 0 elsewhere. The
+    border is every other column, in X's order, each of its penalties
+    placed once as kron(I, base) over its levels. X'y rides along as one
+    more border column and y'y as its diagonal entry, so the Schur
     complement of the blocks carries the right-hand side too.
     """
 
     penalties: list            # the penalty list this layout was built for
     idx: np.ndarray            # L x k: the level blocks' columns of X
     border: np.ndarray         # nb: the border's columns of X
-    Q: np.ndarray              # L x k x k: the level rotations Q_l
-    g_tt: np.ndarray           # L x k x k: Q_l' X'X_l Q_l
-    g_tb: np.ndarray           # L x k x (nb + 1): Q_l' [X'X_TB | X'y_T]
+    Q: np.ndarray              # k x k: the level rotation, on every level
+    g_tt: np.ndarray           # L x k x k: Q' X'X_l Q
+    g_tb: np.ndarray           # L x k x (nb + 1): Q' [X'X_TB | X'y_T]
     g_bb: np.ndarray           # [[X'X_BB, X'y_B], [X'y_B', y'y]]
     d_t: np.ndarray            # m_T x L x k: the block-part penalties
     t_pen: np.ndarray          # their indices in the penalty list
-    b_pen: tuple               # (index, slice of the border, S) for the rest
+    b_pen: tuple               # (index, border slice, S, sqrt) for the rest
 
 
-def _level_rotation(blocks: np.ndarray):
-    """Q (L x k x k) and the diagonals d (m x L x k) of Q_l' B_jl Q_l for
-    level blocks B (m x L x k x k), from one eigh per level of a generic
-    combination of them; None if that leaves an off-diagonal entry above
-    _SPECTRUM_RTOL of a penalty's largest entry (penalties that do not
-    commute)."""
-    m, L, k, _ = blocks.shape
-    if m == 0:
-        return np.broadcast_to(np.eye(k), (L, k, k)), np.zeros((0, L, k))
-    scale = np.abs(blocks).reshape(m, -1).max(axis=1)
-    mix = 0.5 ** np.arange(m) * math.pi / (3.0 * scale)
+def _level_rotation(entries: list, L: int, k: int):
+    """Q (k x k) and the diagonals d (m x L x k) of Q' S_j Q on the levels
+    each penalty covers, from one eigh of a generic combination of the
+    bases; None if an off-diagonal entry exceeds _SPECTRUM_RTOL of a
+    base's largest one (bases that do not commute)."""
+    if not entries:
+        return np.eye(k), np.zeros((0, L, k))
+    bases = np.array([e.base for e in entries])
+    scale = np.abs(bases).reshape(len(entries), -1).max(axis=1)
+    mix = 0.5 ** np.arange(len(entries)) * math.pi / (3.0 * scale)
     try:
-        _, Q = np.linalg.eigh(np.tensordot(mix, blocks, axes=1))
+        _, Q = np.linalg.eigh(np.tensordot(mix, bases, axes=1))
     except np.linalg.LinAlgError:
         return None
-    R = Q.swapaxes(1, 2) @ blocks @ Q
-    d = np.diagonal(R, axis1=2, axis2=3)
-    off = np.abs(R - d[..., None] * np.eye(k)).reshape(m, -1).max(axis=1)
-    if np.any(off > _SPECTRUM_RTOL * scale):
+    R = Q.T @ bases @ Q
+    d = np.diagonal(R, axis1=1, axis2=2)
+    off = np.abs(R - d[..., None] * np.eye(k)).reshape(len(entries), -1)
+    if np.any(off.max(axis=1) > _SPECTRUM_RTOL * scale):
         return None
-    return Q, d.copy()
+    d_t = np.zeros((len(entries), L, k))
+    for j, e in enumerate(entries):
+        d_t[j, e.levels] = d[j]
+    return Q, d_t
 
 
 def _level_blocks(design: AssembledDesign):
     """The block part: of the terms held in X_sparse, the one with the most
-    columns that split into two or more runs of k with every entry of its
-    T'T and of its penalties inside one run (k the smallest such), and
-    whose penalties one rotation per run makes diagonal. Returns its label,
-    its columns (one row per run) and _level_rotation's Q and d;
-    (None, 0 x 0 columns, ...) if there is none."""
-    best = None, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0, 0)), \
+    columns that split into two or more level blocks of its penalties' base
+    size k, with every entry of its whitened T'T inside one, and whose
+    bases one rotation makes diagonal. Returns its label, its columns (one
+    row per level) and _level_rotation's Q and d; (None, 0 x 0, ...) if
+    there is none."""
+    best = None, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0)), \
         np.zeros((0, 0, 0))
     sparse_cols = design.sparse_cols
     for label, (a, b) in design.col_ranges.items():
@@ -876,20 +906,14 @@ def _level_blocks(design: AssembledDesign):
         lo = int(np.searchsorted(sparse_cols, a))
         if w <= best[1].size or lo == sparse_cols.size or sparse_cols[lo] != a:
             continue
-        S = [e.S for e in design.penalties if e.term_label == label]
+        k = design.blocks[label].penalties[0].S.shape[0]
         gram = design._tt[lo:lo + w, lo:lo + w].tocoo()
-        rows, cols = zip(*[(gram.row, gram.col)] + [np.nonzero(s) for s in S])
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
-        k = next(k for k in range(1, w + 1)
-                 if w % k == 0 and np.array_equal(rows // k, cols // k))
-        if k == w:
+        if k == w or not np.array_equal(gram.row // k, gram.col // k):
             continue
-        loc = np.arange(w).reshape(w // k, k)
-        rot = _level_rotation(np.reshape(
-            [s[loc[:, :, None], loc[:, None, :]] for s in S],
-            (len(S), w // k, k, k)))
+        rot = _level_rotation([e for e in design.penalties
+                               if e.term_label == label], w // k, k)
         if rot is not None:
-            best = (label, a + loc) + rot
+            best = (label, a + np.arange(w).reshape(w // k, k)) + rot
     return best
 
 
@@ -907,18 +931,19 @@ def _arrow_layout(design: AssembledDesign) -> _ArrowLayout:
     g_bb[nb, nb] = yty
     g_tb = np.concatenate([xtx[idx[:, :, None], border],
                            xty[idx][:, :, None]], axis=2)
-    Qt = Q.swapaxes(1, 2)
     t_pen, b_pen = [], []
     for j, e in enumerate(design.penalties):
         if e.term_label == label:
             t_pen.append(j)
         else:
-            pos = int(np.searchsorted(border, e.offset))
-            b_pen.append((j, slice(pos, pos + e.p_block), e.S))
+            pos = int(np.searchsorted(border, e.offset + e.cols.start))
+            eye = np.eye(len(e.levels))
+            b_pen.append((j, slice(pos, pos + e.cols.stop - e.cols.start),
+                          np.kron(eye, e.base), np.kron(eye, e.root)))
     return _ArrowLayout(
         penalties=design.penalties, idx=idx, border=border, Q=Q,
-        g_tt=Qt @ xtx[idx[:, :, None], idx[:, None, :]] @ Q,
-        g_tb=Qt @ g_tb, g_bb=g_bb, d_t=d_t,
+        g_tt=Q.T @ xtx[idx[:, :, None], idx[:, None, :]] @ Q,
+        g_tb=Q.T @ g_tb, g_bb=g_bb, d_t=d_t,
         t_pen=np.array(t_pen, dtype=np.int64), b_pen=tuple(b_pen))
 
 
@@ -956,7 +981,7 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     pen = lambdas[ar.t_pen] @ ar.d_t.reshape(ar.t_pen.size, L * k)
     D.reshape(L, k * k)[:, ::k + 1] += pen.reshape(L, k)
     Z = ar.g_bb.copy()
-    for j, sl, S in ar.b_pen:
+    for j, sl, S, _ in ar.b_pen:
         Z[sl, sl] += lambdas[j] * S
     info = 1
     scale = np.diagonal(D, axis1=1, axis2=2)
@@ -1060,7 +1085,7 @@ def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
     UT, UB = np.zeros((m, L * k)), np.zeros((m, nb))
     UT[t_pen] = Sf * beta_t.ravel()
     done = []                      # (j, slice, lambda_j S_j Sigma^-1[sl, :])
-    for j, sl, Sj in ar.b_pen:
+    for j, sl, Sj, _ in ar.b_pen:
         Sj = lambdas[j] * Sj
         UB[j, sl] = Sj @ beta_b[sl]
         U = Sj @ P[sl]

@@ -16,6 +16,8 @@ from scipy.stats import f as f_dist
 
 from .errors import GammkitError, NestingError, SchemaError
 
+_TIE_RTOL = 1e-6               # eigenvalues of V this close form a cluster
+
 
 @dataclass(frozen=True)
 class TermSummary:
@@ -140,30 +142,34 @@ def wald_columns(model, a: int, b: int, label: str, kind: str = "smooth",
 
     F = beta' pinv(V) beta / edf with the pseudo-inverse truncated at rank
     round(edf), so heavily shrunk directions do not inflate the statistic;
-    df1 = edf, df2 = n - total edf.
+    df1 = edf, df2 = n - total edf. A cluster of eigenvalues of V within
+    _TIE_RTOL (an fs term repeats each once per level) that the cut splits
+    enters whole, weighted by its slots below the cut over its size, so F
+    does not depend on which basis of the cluster eigh returns.
     """
     edf = float(np.sum(model.edf_per_coef[a:b]))
     if ref_df is None:
         ref_df = float(b - a)
     rank = int(round(edf))
     df2 = model.n - model.total_edf
+    null = TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=0.0,
+                       p=1.0, kind=kind)
     if rank <= 0 or df2 <= 0 or not math.isfinite(model.sigma2) \
             or model.sigma2 <= 0:
-        return TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=0.0,
-                           p=1.0, kind=kind)
-    beta_t = model.beta[a:b]
+        return null
     vt = model.vb[a:b, a:b]
     w, V = np.linalg.eigh(0.5 * (vt + vt.T))
-    order = np.argsort(w)[::-1]
-    w, V = w[order], V[:, order]
-    keep = w[:rank]
-    pos = keep > 0
-    keep, V = keep[pos], V[:, :rank][:, pos]
-    if keep.size == 0:
-        return TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=0.0,
-                           p=1.0, kind=kind)
-    z = V.T @ beta_t
-    stat = float(np.sum(z * z / keep)) / max(edf, 1e-8)
+    w, V = w[::-1], V[:, ::-1]
+    cluster = np.cumsum(np.concatenate(
+        [[True], w[1:] < w[:-1] - _TIE_RTOL * np.abs(w[:-1])]))
+    at_cut = cluster == cluster[rank - 1]
+    weight = np.where(cluster < cluster[rank - 1], 1.0, at_cut * (
+        rank - np.argmax(at_cut)) / at_cut.sum()) * (w > 0)
+    if not np.any(weight > 0):
+        return null
+    z = V.T @ model.beta[a:b]
+    stat = float(np.sum(weight * z * z / np.where(w > 0, w, 1.0))) \
+        / max(edf, 1e-8)
     p = float(f_dist.sf(stat, max(edf, 1e-8), df2))
     return TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=stat,
                        p=p, kind=kind)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 from scipy import sparse
 
-from gammkit.basis import (absorb_constraints, apply_by_factor, cr_basis,
-                           factor_smooth, knots_quantile, poly_basis,
-                           random_effect, rank_psd, row_kron, tensor_product,
-                           tp_basis)
+from gammkit.basis import (Penalty, absorb_constraints, apply_by_factor,
+                           cr_basis, factor_smooth, knots_quantile,
+                           poly_basis, random_effect, rank_psd, row_kron,
+                           tensor_product, tp_basis)
 from gammkit.data import FactorColumn
 from gammkit.errors import DomainError, RankError, ShapeError
 
@@ -44,9 +44,9 @@ def test_poly_columns_orthonormal():
 
 def test_poly_unpenalized():
     blk = poly_basis(np.linspace(0, 1, 20), degree=3)
-    S, _ = blk.penalties[0]
+    S = blk.penalties[0].S
     assert not S.any()
-    assert blk.null_dim == (3,)
+    assert blk.p_term - rank_psd(S) == 3
 
 
 def test_poly_degree_too_high():
@@ -169,7 +169,7 @@ def test_cr_penalty_is_curvature_integral(k):
     ks = knots_quantile(np.repeat(knots, 2), k)
     np.testing.assert_allclose(ks.locations, knots)
     blk = cr_basis(knots, ks)
-    S, _ = blk.penalties[0]
+    S = blk.penalties[0].S
     for _ in range(3):
         beta = rng.normal(0.0, 1.0, k)
         quad = float(beta @ S @ beta)
@@ -180,8 +180,8 @@ def test_cr_penalty_is_curvature_integral(k):
 def test_cr_null_space_is_affine():
     ks = knots_quantile(np.linspace(0, 1, 30), 8)
     blk = cr_basis(np.linspace(0, 1, 30), ks)
-    S, _ = blk.penalties[0]
-    assert blk.null_dim == (2,)
+    S = blk.penalties[0].S
+    assert blk.p_term - rank_psd(S) == 2
     assert rank_psd(S) == 6
     # constant and linear coefficient vectors (cardinal basis: values at knots)
     np.testing.assert_allclose(S @ np.ones(8), 0.0, atol=1e-10)
@@ -216,8 +216,8 @@ def test_tp_affine_directions_unpenalized():
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 1.0, 50))
     blk = tp_basis(x, k=10, m=2)
-    assert blk.null_dim == (2,)
-    S, _ = blk.penalties[0]
+    S = blk.penalties[0].S
+    assert blk.p_term - rank_psd(S) == 2
     # represent an affine function in the basis and check S annihilates it
     target = 3.0 - 2.0 * x
     beta, res, *_ = np.linalg.lstsq(blk.X, target, rcond=None)
@@ -229,7 +229,7 @@ def test_tp_penalty_eigenvalues_increase():
     rng = np.random.default_rng(5)
     x = np.sort(rng.uniform(0.0, 1.0, 50))
     blk = tp_basis(x, k=10, m=2)
-    S, _ = blk.penalties[0]
+    S = blk.penalties[0].S
     diag = np.diag(S)[2:]
     assert np.all(diag > 0)
     assert np.all(np.diff(diag) > 0)
@@ -241,10 +241,10 @@ def test_tp_bivariate_null_dim():
     rng = np.random.default_rng(6)
     X = rng.uniform(0.0, 1.0, (80, 2))
     blk = tp_basis(X, k=12, m=2)
-    assert blk.null_dim == (3,)
+    S = blk.penalties[0].S
+    assert blk.p_term - rank_psd(S) == 3
     assert blk.p_term == 12
     # 1, x, z all unpenalized
-    S, _ = blk.penalties[0]
     for target in (np.ones(80), X[:, 0], X[:, 1]):
         beta, *_ = np.linalg.lstsq(blk.X, target, rcond=None)
         np.testing.assert_allclose(S @ beta, 0.0, atol=1e-8)
@@ -278,8 +278,8 @@ def test_tensor_dimensions_and_penalties():
     blk = tensor_product(ba, bb)
     assert blk.p_term == 64
     assert len(blk.penalties) == 2
-    Sa, _ = blk.penalties[0]
-    Sb, _ = blk.penalties[1]
+    Sa = blk.penalties[0].S
+    Sb = blk.penalties[1].S
     # both penalties annihilate the constant function's coefficients: for
     # cardinal marginals the constant is the all-ones coefficient vector
     ones = np.ones(64)
@@ -296,7 +296,7 @@ def test_tensor_rowwise_kronecker():
 def test_tensor_with_constant_margin_degenerates():
     a, _, ba, _ = _two_marginals(ka=6)
     const = type(ba)(term_label="c", X=np.full((60, 1), 2.0),
-                     penalties=[(np.zeros((1, 1)), "c")], null_dim=(1,),
+                     penalties=[Penalty(np.zeros((1, 1)), "c")],
                      evaluator=None, kind="smooth")
     blk = tensor_product(ba, const)
     np.testing.assert_allclose(blk.X, 2.0 * ba.X)
@@ -352,7 +352,10 @@ def test_by_factor_four_levels_four_penalties():
     by = apply_by_factor(blk, f)
     assert len(by.penalties) == 4
     assert by.p_term == 24
-    assert [lbl for _, lbl in by.penalties] == [f"by:c{i}" for i in range(4)]
+    assert [pen.label for pen in by.penalties] == [f"by:c{i}" for i in range(4)]
+    assert [pen.levels for pen in by.penalties] == [range(i, i + 1)
+                                                    for i in range(4)]
+    assert all(pen.S is blk.penalties[0].S for pen in by.penalties)
 
 
 def test_factor_smooth_two_penalties_positive_definite():
@@ -361,15 +364,15 @@ def test_factor_smooth_two_penalties_positive_definite():
     fs = factor_smooth(blk, f)
     assert fs.p_term == 20
     assert len(fs.penalties) == 2
-    S1, _ = fs.penalties[0]
-    S2, _ = fs.penalties[1]
+    S1, _, levels1 = fs.penalties[0]
+    S2, _, levels2 = fs.penalties[1]
     w = np.linalg.eigvalsh(S1 + S2)
     assert w.min() > 1e-10 * w.max()
-    assert fs.total_null_dim == 0
-    # wiggliness penalty repeats the same diagonal block per level
-    np.testing.assert_array_equal(S1[:5, :5], S1[5:10, 5:10])
-    np.testing.assert_array_equal(S1[:5, :5], S1[15:20, 15:20])
-    assert not S1[:5, 5:10].any()
+    # both penalties are one 5 x 5 base repeated on every level, the
+    # wiggliness penalty the base smooth's own
+    assert S1.shape == S2.shape == (5, 5)
+    assert levels1 == levels2 == range(4)
+    np.testing.assert_array_equal(S1, blk.penalties[0].S)
 
 
 def test_factor_smooth_huge_wiggle_lambda_gives_group_offsets():
@@ -400,9 +403,10 @@ def test_random_effect_indicator_matrix():
     blk = random_effect(f)
     expect = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 0]], float)
     np.testing.assert_array_equal(blk.X.toarray(), expect)
-    S, _ = blk.penalties[0]
-    np.testing.assert_array_equal(S, np.eye(3))
-    assert blk.null_dim == (0,)
+    S, _, levels = blk.penalties[0]
+    np.testing.assert_array_equal(S, np.eye(1))
+    assert levels == range(3)
+    assert blk.p_term - 3 * rank_psd(S) == 0
     assert blk.kind == "random"
 
 

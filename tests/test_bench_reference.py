@@ -1,13 +1,16 @@
 """The benchmark's output check as a test: fits of some of the datasets that
 bench/run.py fits must converge, write their files and score no worse than
-the REML references in bench/reference.json.
+the REML references in bench/reference.json, and its one-permutation
+permtests must each write one non-empty, finite p-value.
 
-SCENARIO, SPEC_HEAD and the two models are copied from bench/run.py (its
-SCENARIO, SPEC_HEAD and the large-n and fs-search workloads); keep them in
-step with it.
+SCENARIO, SPEC_HEAD, the two models and the permtest command are copied
+from bench/run.py (its SCENARIO, SPEC_HEAD and the large-n, fs-search and
+permtest workloads); keep them in step with it.
 """
 
+import csv
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -62,3 +65,30 @@ def test_fit_meets_the_benchmark_reference(tmp_path, workload, seed):
     record = json.loads((out / "fit.json").read_text())
     assert record["converged"]
     assert record["reml"] <= ref + REML_RTOL * abs(ref)
+
+
+PERMTEST_DATASETS = 16          # bench/run.py: permtest's datasets per run
+
+
+@pytest.mark.parametrize("bench_seed", [0, 3])
+def test_permtest_writes_one_finite_p_value(tmp_path, bench_seed):
+    """The first commands of a permtest run: command k permutes dataset
+    k mod 16, simulated with seed 16 * bench_seed + (k mod 16), under
+    permutation seed k."""
+    scen, spec = tmp_path / "s.scn", tmp_path / "m.spec"
+    scen.write_text(SCENARIO.format(subjects=4, trials=150))
+    spec.write_text(SPEC_HEAD)
+    for k in range(PERMTEST_DATASETS + 2):
+        data_seed = PERMTEST_DATASETS * bench_seed + k % PERMTEST_DATASETS
+        sim, out = tmp_path / f"sim{data_seed}", tmp_path / f"perm{k}"
+        if not sim.is_dir():
+            assert main(["simulate", "--spec", str(scen), "--out", str(sim),
+                         "--seed", str(data_seed)]) == 0
+        assert main(["permtest", "--n-perm", "1",
+                     "--data", str(sim / "simulated.csv"), "--spec",
+                     str(spec), "--out", str(out), "--seed", str(k)]) == 0
+        assert (out / "permtest_counts.txt").is_file()
+        with open(out / "permtest_pvalues.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert len(rows) == 1 and len(rows[0]) >= 2 and rows[0][1], (k, rows)
+        assert math.isfinite(float(rows[0][1])), (k, rows)

@@ -12,7 +12,7 @@ from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 from scipy.optimize import minimize
 
 from gammkit import fitting
-from gammkit.basis import SmoothTermSpec
+from gammkit.basis import Penalty, SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
 from gammkit.diagnostics import pilot_spec
 from gammkit.errors import DomainError, NumericError, SchemaError, ShapeError
@@ -561,7 +561,7 @@ def test_reml_split_penalty_matches_merged():
                    _table(55, seed=7))
     e = des.penalties[0]
     entries, const, weights = _term_penalties(
-        e.term_label, e.offset, [(e.S, "a"), (e.S, "b")])
+        e.term_label, e.offset, [Penalty(e.S, "a"), Penalty(e.S, "b")])
     des2 = replace(des, penalties=entries, logpdet_const=const,
                    logpdet_weights=weights)
     for lam_a, lam_b in [(0.5, 0.5), (3.0, 0.01), (40.0, 2.0)]:
@@ -980,6 +980,26 @@ def _crossed_design(seed=2):
     return ar1_whiten(assemble(spec, table.with_column("item", items)), 0.3)
 
 
+def _fs_by_design(seed=2):
+    """fs(trial, subject) + cr(trial):cond at rho 0.3 on 8 x 60, with a
+    trend in trial added to each cond level so that no by-factor lambda
+    ends at its bound. The fs term takes the level blocks; each cond
+    level's curve is one penalty placed on its own columns of the
+    border."""
+    table = _scenario(8, 60, seed)
+    trial = np.asarray(table.numeric("trial"))
+    trend = np.where(table.factor("cond").codes == 0, np.sin(trial / 10.0),
+                     np.cos(trial / 7.0))
+    table = table.with_column("y", np.asarray(table.numeric("y")) + trend)
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec(("trial",), "cr", k=5,
+                                                  fs_group="subject"),
+                                   SmoothTermSpec("trial", "cr", k=6,
+                                                  by="cond")),
+                     rho=0.3)
+    return ar1_whiten(assemble(spec, table), 0.3)
+
+
 def _assert_matches_dense(des, points):
     """Score, gradient and Hessian within 1e-10 of the dense oracle,
     relative to each one's largest entry or to 1, whichever is larger: a
@@ -1005,17 +1025,22 @@ def test_arrow_matches_dense_oracle_on_derivative_designs(name):
 
 
 @pytest.mark.parametrize("case", ["full-4x150", "full-20x100",
-                                  "large-n-shaped", "crossed"])
+                                  "large-n-shaped", "crossed", "fs+by"])
 def test_arrow_matches_dense_oracle_on_search_designs(case):
     """At log lambda = 0, 10 and the optimum. On the crossed design the fs
-    term takes the level blocks and re(item) the border."""
+    term takes the level blocks and re(item) the border, expanded over its
+    levels; on fs+by each by-factor level is a single block of the
+    border."""
     des = {"full-4x150": lambda: _full_design(4, 150, 3),
            "full-20x100": lambda: _full_design(20, 100, 88),
            "large-n-shaped": _large_n_shaped,
-           "crossed": _crossed_design}[case]()
+           "crossed": _crossed_design,
+           "fs+by": _fs_by_design}[case]()
     blocks = {des.penalties[j].term_label for j in des.arrow().t_pen}
     assert blocks == {"re(subject)" if case == "large-n-shaped"
                       else "fs(trial,subject)"}
+    if case == "fs+by":
+        assert [S.shape for _, _, S, _ in des.arrow().b_pen] == [(5, 5)] * 2
     m = len(des.penalties)
     _assert_matches_dense(des, [np.zeros(m), np.full(m, 10.0),
                                 np.log(optimize_lambdas(des).lambdas)])
@@ -1086,6 +1111,48 @@ def test_reml_score_memory_stays_below_one_dense_matrix():
     assert peak < 8 * des.p ** 2
 
 
+def _assemble_peak(spec, table):
+    """tracemalloc peak of assemble, in bytes, and the design."""
+    assemble(spec, table)
+    tracemalloc.start()
+    des = assemble(spec, table)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    return peak, des
+
+
+def test_assemble_memory_of_a_by_factor_term_stays_below_its_design():
+    """cond + cr(trial):subject on 40 x 100 (p = 362): the 40 level
+    penalties stay 9 x 9 bases, so assembly allocates less than half of a
+    dense n x p design. With one dense p x p array per level it peaked at
+    43 MB."""
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10,
+                                                  by="subject"),),
+                     rho=0.3)
+    peak, des = _assemble_peak(spec, _scenario(40, 100, 1))
+    assert des.p == 362
+    assert peak < 0.5 * 8 * des.n * des.p
+
+
+def test_assemble_memory_of_a_factor_smooth_is_linear_in_the_subjects():
+    """cond + cr(trial) + fs(trial, subject) on 200 x 100 (p = 1011): the
+    design holds n * p_base entries, p_base = 16 columns of dense blocks
+    and per-level bases, and assembly's temporaries stay within four
+    copies of that. Two dense 1000 x 1000 fs penalties and the eigh of
+    their sum made it peak at 76 MB."""
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
+                                   SmoothTermSpec(("trial",), "cr", k=5,
+                                                  fs_group="subject")),
+                     rho=0.3)
+    peak, des = _assemble_peak(spec, _scenario(200, 100, 1))
+    assert des.p == 1011
+    p_base = des.X_dense.shape[1] + 5
+    assert p_base == 16
+    assert peak < 4 * 8 * des.n * p_base
+
+
 def _dense_pls(des, lambdas):
     """The final solve as it was before it read the block-arrow layout:
     eigh of the whole equilibrated X'X for a p-row root, one QR of the root
@@ -1149,7 +1216,7 @@ def test_arrow_solve_matches_dense_solve_on_derivative_designs(name):
 
 
 @pytest.mark.parametrize("case", ["full-4x150", "full-20x100",
-                                  "large-n-shaped", "crossed"])
+                                  "large-n-shaped", "crossed", "fs+by"])
 def test_arrow_solve_matches_dense_solve_on_search_designs(case):
     """At log lambda = 10 and at the optimum. (At log lambda = 0 the cr and
     fs terms of the full designs nearly share a direction: on full-4x150
@@ -1158,7 +1225,8 @@ def test_arrow_solve_matches_dense_solve_on_search_designs(case):
     des = {"full-4x150": lambda: _full_design(4, 150, 3),
            "full-20x100": lambda: _full_design(20, 100, 88),
            "large-n-shaped": _large_n_shaped,
-           "crossed": _crossed_design}[case]()
+           "crossed": _crossed_design,
+           "fs+by": _fs_by_design}[case]()
     m = len(des.penalties)
     for lambdas in (np.full(m, math.exp(10.0)), optimize_lambdas(des).lambdas):
         assert not _assert_solve_matches_dense(des, lambdas).ridged

@@ -9,10 +9,14 @@ from scipy.stats import chi2, f as f_dist
 
 from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
+from gammkit.diagnostics import pilot_spec
 from gammkit.errors import GammkitError, NestingError, SchemaError
 from gammkit.fitting import ModelSpec, ParametricTerm, fit
 from gammkit.inference import (ModelScore, aic, compare_reml, nested_f_test,
-                               summarize_terms, term_edf, wald_term_test)
+                               summarize_terms, term_edf, wald_columns,
+                               wald_term_test)
+from gammkit.simulate import ScenarioSpec, gen_experiment
+from test_fitting import _relabel_and_shuffle, _scenario
 
 
 def _wiggly_table(n=400, seed=0, noise=0.1):
@@ -268,3 +272,88 @@ def test_term_edf_partitions_total():
     parts = [term_edf(model, label) for label in model.term_labels()]
     assert sum(parts) == pytest.approx(model.total_edf, abs=1e-10)
     assert term_edf(model, "(Intercept)") == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# Wald p-values do not depend on the basis eigh picks in a tied cluster
+
+
+def test_wald_tied_cluster_enters_whole_with_fractional_weight():
+    """V = diag(4, 1, 1, 1) in a rotated basis with edf 2.4: the cut at
+    round(edf) = 2 splits the cluster at 1, which enters whole with weight
+    1/3, whatever rotation inside the cluster eigh returns."""
+    rng = np.random.default_rng(3)
+    U, _ = np.linalg.qr(rng.standard_normal((4, 4)))
+    beta = rng.standard_normal(4)
+    z = U.T @ beta
+    want = (z[0] ** 2 / 4.0 + (z[1:] ** 2).sum() / 3.0) / 2.4
+    for turn in (np.eye(3), np.linalg.qr(rng.standard_normal((3, 3)))[0]):
+        R = U.copy()
+        R[:, 1:] = U[:, 1:] @ turn
+        model = SimpleNamespace(
+            beta=beta, vb=R @ np.diag([4.0, 1.0, 1.0, 1.0]) @ R.T, n=100,
+            edf_per_coef=np.full(4, 0.6), total_edf=2.4, sigma2=1.0)
+        row = wald_columns(model, 0, 4, "t")
+        assert row.statistic == pytest.approx(want, rel=1e-12)
+        assert row.p == pytest.approx(
+            float(f_dist.sf(want, 2.4, 100 - 2.4)), rel=1e-10)
+
+
+def _pilot_p_values(seed):
+    """The pilot fs(trial, subject) k=5 on 4 x 150 flat data with the trial
+    order shuffled within subject: its p-value, then that of the same rows
+    with the subjects relabelled in reverse."""
+    table = gen_experiment(ScenarioSpec(n_subjects=4, n_trials=150,
+                                        seed=seed))[0]
+    codes = table.factor("subject").codes
+    order = np.asarray(table.numeric("trial"))
+    rng = np.random.default_rng(seed)
+    shuffled = order.copy()
+    for j in range(4):
+        rows = np.flatnonzero(codes == j)
+        shuffled[rows] = order[rows][rng.permutation(rows.size)]
+    table = table.with_column("trial", shuffled)
+    spec = pilot_spec(table, "y")
+    label = spec.smooth_terms[0].label
+    relabelled = table.with_column("subject", FactorColumn.from_strings(
+        [f"r{3 - c:03d}" for c in codes]))
+    return [wald_term_test(fit(spec, t), label).p
+            for t in (table, relabelled)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4, 11])
+def test_pilot_wald_p_does_not_depend_on_level_labels(seed):
+    """Truncating inside a tied cluster moved p by 0.015, 0.156, 0.060 and
+    0.071 at these seeds (e.g. seed 1: 0.308 -> 0.465)."""
+    p, p_relabelled = _pilot_p_values(seed)
+    assert abs(p - p_relabelled) <= 1e-6
+
+
+@pytest.mark.parametrize("model", ["fs", "re", "by"])
+def test_wald_p_does_not_depend_on_level_labels_or_row_order(model):
+    table = _scenario(6, 80, 6)
+    smooth = {"fs": SmoothTermSpec(("trial",), "cr", k=5, fs_group="subject"),
+              "re": SmoothTermSpec(("subject",), is_random_effect=True),
+              "by": SmoothTermSpec("trial", "cr", k=5, by="subject")}[model]
+    # a by-factor smooth of trial spans the main effect cr(trial)
+    main = () if model == "by" else (SmoothTermSpec("trial", "cr", k=10),)
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=main + (smooth,), rho=0.3)
+    label = smooth.label
+    p = wald_term_test(fit(spec, table), label).p
+    other = wald_term_test(fit(spec, _relabel_and_shuffle(table)), label).p
+    assert abs(p - other) <= 1e-6
+
+
+def test_te_wald_p_does_not_depend_on_row_order():
+    rng = np.random.default_rng(5)
+    n = 300
+    x, z = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    y = np.sin(3.0 * x) * np.cos(2.0 * z) + 0.5 * rng.standard_normal(n)
+    table = DataTable(columns={"y": y, "x": x, "z": z}, n_rows=n)
+    spec = ModelSpec(response="y", smooth_terms=(
+        SmoothTermSpec(("x", "z"), "tensor", k=5),))
+    label = spec.smooth_terms[0].label
+    p = wald_term_test(fit(spec, table), label).p
+    shuffled = table.take(rng.permutation(n))
+    assert abs(wald_term_test(fit(spec, shuffled), label).p - p) <= 1e-6

@@ -10,7 +10,7 @@ from gammkit import basis
 from gammkit.basis import (SmoothTermSpec, absorb_constraints, cr_basis,
                            knots_quantile, tp_basis)
 from gammkit.data import DataTable, FactorColumn
-from gammkit.errors import DomainError, NumericError
+from gammkit.errors import NumericError
 from gammkit.fitting import (LOG_LAMBDA_MAX, LOG_LAMBDA_MIN, ModelSpec,
                              ParametricTerm, _log_pdet_slambda,
                              _term_penalties, assemble, fit, reml_score)
@@ -127,20 +127,13 @@ def test_log_pdet_ti_matches_kronecker_eigenvalues_at_search_bounds():
         assert abs(got - want) <= 1e-12 * abs(want), (l1, l2, got, want)
 
 
-def test_more_than_two_overlapping_penalties_are_rejected():
-    S1 = np.diag([1.0, 1.0, 0.0])
-    S2 = np.diag([0.0, 1.0, 1.0])
-    with pytest.raises(DomainError, match=r"s\(x\)"):
-        _term_penalties("s(x)", 1, [(S1, "a"), (S2, "b"), (S1 + S2, "c")])
-
-
 def test_spectrum_failure_names_the_term(monkeypatch):
     def broken(_):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigh", broken)
     D = np.diff(np.eye(5), n=2, axis=0)      # a diagonal penalty skips eigh
     with pytest.raises(NumericError, match=r"cr\(x\)"):
-        _term_penalties("cr(x)", 1, [(D.T @ D, "cr")])
+        _term_penalties("cr(x)", 1, [basis.Penalty(D.T @ D, "cr")])
 
 
 def test_check_psd_rejects_a_diagonal_penalty_with_a_negative_entry():
