@@ -7,13 +7,16 @@ effects, factor smooths and by-factor smooths as one sparse matrix, which
 stores only each row's own level; no dense n x p array is formed. Past
 whitening the n rows enter only through X'X, X'y and y'y, formed once per
 design. Penalties keep the per-level form: a PenaltyEntry is a k x k base
-and the level blocks it repeats on, reduced once per term on the base
-(_term_penalties), so assembly too is linear in the number of levels.
-Each REML score and the final solve (pls_solve) work on X'X + S_lambda in
-block-arrow form: one per-level term's L level blocks of k columns, which
-neither X'X nor the penalties couple, and a border of the other nb
-columns, so each costs O(L k (k + nb)^2 + nb^3), linear in the number of
-levels; the solve's p x p covariance takes O(p^2 nb) more. The REML
+and the level blocks it repeats on. Once per term, on the base,
+_term_penalties computes one congruence T per penalty group that makes
+every penalty of the group diagonal (Wood 2011, JRSSB 73(1), section 3.1),
+so assembly too is linear in the number of levels. Each REML score, its
+derivatives and the final solve (pls_solve) work on X'X + S_lambda in
+those coordinates and in block-arrow form: one per-level term's L level
+blocks of k columns, which neither X'X nor the penalties couple, and a
+border of the other nb columns, with every penalty a diagonal on both. So
+each costs O(L k (k + nb)^2 + nb^3), linear in the number of levels; the
+solve's p x p covariance takes O(p^2 nb) more. The REML
 criterion is the negative log of the Gaussian restricted marginal
 likelihood with the scale profiled out:
 
@@ -111,23 +114,26 @@ class ModelSpec:
 @dataclass
 class PenaltyEntry:
     """One penalty of a term: its k x k base repeated on the level blocks
-    levels of the term's p_block columns, which start at offset. root, r x
-    k with root' root = base, comes from the term's penalty spectrum
-    (_term_penalties), whose threshold also gives log|S_lambda|_+. The fit
-    path reads base and root; S and sqrt build the dense forms on demand.
+    levels of the term's p_block columns, which start at offset. T, the
+    congruence of the term's penalty group (_term_penalties), makes the
+    base diagonal, T' base T = diag(d) with d >= 0 thresholded once; every
+    penalty of the group shares T. The fit path reads only T and d; S and
+    sqrt build the dense forms on demand, sqrt' sqrt = S with d as
+    thresholded.
     """
 
     label: str
     term_label: str
     base: np.ndarray           # k x k
-    root: np.ndarray           # r x k
+    T: np.ndarray              # k x k, shared by the group
+    d: np.ndarray              # k: diag(T' base T)
     offset: int
     levels: range
     p_block: int
 
     @property
     def rank(self) -> int:
-        return len(self.levels) * self.root.shape[0]
+        return len(self.levels) * int(np.count_nonzero(self.d))
 
     @property
     def cols(self) -> slice:           # its level blocks' columns in p_block
@@ -141,9 +147,11 @@ class PenaltyEntry:
         return S
 
     @property
-    def sqrt(self) -> np.ndarray:      # rank x p_block, sqrt' sqrt = S
+    def sqrt(self) -> np.ndarray:      # rank x p_block
+        pos = self.d > 0
+        root = np.sqrt(self.d[pos])[:, None] * np.linalg.inv(self.T)[pos]
         out = np.zeros((self.rank, self.p_block))
-        out[:, self.cols] = np.kron(np.eye(len(self.levels)), self.root)
+        out[:, self.cols] = np.kron(np.eye(len(self.levels)), root)
         return out
 
 
@@ -449,22 +457,24 @@ def _term_penalties(term: str, offset: int, penalties: list):
     The penalties (basis.Penalty) on the same levels, one or two, form a
     group: one per by-factor level, one for any other term. A group's k x k
     bases S_j, each divided by its max-abs entry s_j so that the threshold
-    below does not depend on covariate units, give one spectrum, shared by
-    groups on the same bases (the by-factor levels):
+    below does not depend on covariate units, give one congruence T, shared
+    by groups on the same bases (the by-factor levels), in which every base
+    of the group is diagonal (Wood 2011, JRSSB 73(1), section 3.1):
 
     - eigh(sum_j S_j / s_j) = U diag(w) U' (basis.spectrum), keeping the r
-      directions with w > 1e-9 * max(w);
+      directions with w > 1e-9 * max(w) as the range U_r, the rest U_0;
     - whitened, C_j = G' S_j G / s_j with G = U_r diag(w_r)^(-1/2) sum to I,
       so they commute and share the eigenvectors V of C_1 (V = I for one
-      penalty); m_ij = (V' C_j V)_ii, zeroed at or below 1e-9 * max_i m_ij.
+      penalty); m_ij = (V' C_j V)_ii, zeroed at or below 1e-9 * max_i m_ij;
+    - T = [G V | U_0], so T' S_j T = diag(d_j) with d_j = s_j m_.j on the
+      range and 0 on U_0, and 2 log|det T| = -sum log w_r.
 
     Then, exactly, with W_ij = s_j m_ij repeated on each of a group's levels,
 
         log|sum_j lambda_j S_j|_+ = sum log w_r + sum_i log(sum_j W_ij lambda_j),
 
-    rank(S_j) counts the nonzero W_ij, and their rows of
-    sqrt(W_ij) V' diag(w_r)^(1/2) U_r' form the root of base j. Returns
-    (entries, sum log w_r, W); all-zero penalties get no entry.
+    and rank(S_j) counts the nonzero W_ij. Returns (entries, sum log w_r,
+    W); all-zero penalties get no entry.
     """
     penalties = [pen for pen in penalties if np.any(pen.S)]
     if not penalties:
@@ -477,11 +487,13 @@ def _term_penalties(term: str, offset: int, penalties: list):
         key = tuple(id(penalties[j].S) for j in group)
         if key not in spectra:
             spectra[key] = _base_spectrum(term, [penalties[j].S for j in group])
-        roots, logw, W = spectra[key]
-        for j, root in zip(group, roots):
+        T, logw, W = spectra[key]
+        d = np.zeros((T.shape[0], len(group)))
+        d[:W.shape[0]] = W
+        for j, d_j in zip(group, d.T):
             S, lbl, _ = penalties[j]
-            entries[j] = PenaltyEntry(f"{term}/{lbl}", term, S, root, offset,
-                                      levels, p_block)
+            entries[j] = PenaltyEntry(f"{term}/{lbl}", term, S, T, d_j,
+                                      offset, levels, p_block)
         rows = np.zeros((len(levels) * W.shape[0], len(penalties)))
         rows[:, group] = np.tile(W, (len(levels), 1))
         weights.append(rows)
@@ -490,27 +502,26 @@ def _term_penalties(term: str, offset: int, penalties: list):
 
 
 def _base_spectrum(term: str, bases: list):
-    """Roots, sum log w_r and W of one group's bases (_term_penalties)."""
+    """T = [G V | U_0], sum log w_r and W of one group's bases
+    (_term_penalties)."""
     scales = np.array([np.abs(S).max() for S in bases])
     try:
         w, U = basis_mod.spectrum(
             sum(S / s for S, s in zip(bases, scales)), vectors=True)
         keep = w > _SPECTRUM_RTOL * w[-1]
-        root = np.sqrt(w[keep])[:, None] * U[:, keep].T
-        m = np.ones((root.shape[0], 1))        # one penalty: C_1 = I
+        G = U[:, keep] / np.sqrt(w[keep])
+        m = np.ones((G.shape[1], 1))           # one penalty: C_1 = I
         if len(bases) == 2:
-            G = U[:, keep] / np.sqrt(w[keep])
             C = [G.T @ S @ G / s for S, s in zip(bases, scales)]
             _, V = basis_mod.spectrum(C[0], vectors=True)
-            root = V.T @ root
+            G = G @ V
             m = np.column_stack([np.einsum("ij,ji->i", V.T @ Cj, V) for Cj in C])
     except np.linalg.LinAlgError:
         raise NumericError(f"term {term!r}: penalty eigendecomposition "
                            "did not converge") from None
     m = np.where(m > _SPECTRUM_RTOL * m.max(axis=0), m, 0.0)
-    roots = [np.sqrt(scales[j] * m[m[:, j] > 0, j])[:, None] * root[m[:, j] > 0]
-             for j in range(len(bases))]
-    return roots, float(np.sum(np.log(w[keep]))), m * scales
+    return np.hstack([G, U[:, ~keep]]), float(np.sum(np.log(w[keep]))), \
+        m * scales
 
 
 def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
@@ -704,30 +715,32 @@ def _arrow_qr(level_rows: np.ndarray, border_rows: np.ndarray):
 
 def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
     """Penalized least squares by QR on a square root of X'X in block-arrow
-    form (design.arrow(), the layout reml_score factors).
+    form, in the coordinates where every penalty is diagonal (design.arrow(),
+    the layout reml_score factors).
 
     Reads only the cached X'X and X'y, never the n rows. The root: per
-    level, eigh of the rotated block G_l = Q_l' X'X_l Q_l scaled to a unit
+    level, eigh of the block G_l = T_l' X'X_l T_l scaled to a unit
     diagonal, D_l^-1 G_l D_l^-1 = U diag(w) U', gives the rows R_l =
     diag(w)^(1/2) U' D_l and, coupling the level to the border and to X'y,
-    C_l = diag(w)^(-1/2) U' D_l^-1 Q_l' [X'X_lB | X'y_l]. The border's Schur
-    complement X'X_BB - sum_l C_l'C_l gets the same root, scaled by
-    diag(X'X_BB). Directions with w at most 1e-13 max(max w, 1) are
-    dropped, so a Schur complement of pure rounding (intercept + fs) drops
-    out whole.
+    C_l = diag(w)^(-1/2) U' D_l^-1 T_l' [X'X_lB T_B | X'y_l]. The border's
+    Schur complement T_B' X'X_BB T_B - sum_l C_l'C_l gets the same root,
+    scaled by its diagonal before elimination. Directions with w at most
+    1e-13 max(max w, 1) are dropped, so a Schur complement of pure rounding
+    (intercept + fs) drops out whole.
 
     The penalty rows stay in the QR, never squared (Wood 2011, JRSSB
     73(1)): a Cholesky of X'X + S_lambda misplaces a rank-deficient factor
     smooth's group offsets at lambda = (1e10, 1e-6) by up to 2.09. Each
-    level stacks [R_l | C_l] on diag(sum_j lambda_j d_jl)^(1/2), with its
-    penalties' entries at or below 1e-9 of their largest set to zero, for
-    one batched QR over its k columns; the rows left over, the border root
-    and the border penalties' sqrt rows take one QR more. No p x p matrix
-    is factored, so the cost is linear in the number of levels; vb =
-    R^-1 R^-T is assembled from the level blocks and the border's nb
-    columns in O(p^2 nb), and edf = diag(vb X'X). A numerically singular system gets a ridge of
-    1e-10 * trace(X'X + S_lambda) / p on every column once, and is flagged.
-    A LinAlgError becomes a NumericError naming the final solve.
+    level stacks [R_l | C_l] on diag(sum_j lambda_j d_jl)^(1/2) for one
+    batched QR over its k columns; the rows left over, the border root and
+    the border's diag(sum_j lambda_j d_jB)^(1/2) take one QR more. beta and
+    the covariance's border columns map back by T. No p x p matrix is
+    factored, so the cost is linear in the number of levels; vb = T R^-1
+    R^-T T' is assembled from the level blocks and the border's nb columns
+    in O(p^2 nb), and edf = diag(vb X'X). A numerically singular system
+    gets a ridge of 1e-10 * trace(X'X + S_lambda) / p on every column of X
+    once, and is flagged. A LinAlgError becomes a NumericError naming the
+    final solve.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.shape != (len(design.penalties),):
@@ -747,19 +760,16 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     L, k, _ = ar.g_tt.shape
     nb = ar.border.size
     p = design.p
-    g_bb = ar.g_bb[:nb, :nb]
     # the square root of X'X, and X'y's rows
     root_t, to_rows = _gram_root(ar.g_tt,
                                  np.diagonal(ar.g_tt, axis1=1, axis2=2))
     cf = to_rows @ ar.g_tb                           # [C_l | f_l]
     cf_flat = cf.reshape(L * k, nb + 1)
     schur = ar.g_bb - cf_flat.T @ cf_flat
-    root_b, to_rows = _gram_root(schur[:nb, :nb], np.diagonal(g_bb))
-    # the penalties: diagonal in the rotated levels, sqrt rows on the border
-    pen_t = ar.d_t.reshape(ar.t_pen.size, L * k)
-    top = pen_t.max(axis=1, initial=0.0)[:, None]
-    pen_t = lambdas[ar.t_pen] @ np.where(pen_t > _SPECTRUM_RTOL * top,
-                                         pen_t, 0.0)
+    root_b, to_rows = _gram_root(schur[:nb, :nb], np.diagonal(ar.g_bb)[:nb])
+    # the penalties: one diagonal on the levels, one on the border
+    pen_t = lambdas @ ar.d_t.reshape(lambdas.size, L * k)
+    pen_b = lambdas @ ar.d_b
     c = k + nb + 1
     level_rows = np.zeros((L, 2 * k, c))
     level_rows[:, :k, :k] = root_t
@@ -767,50 +777,52 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     # the diagonal of rows k..2k-1: flat offsets k c + i (c + 1), i < k
     level_rows.reshape(L, 2 * k * c)[:, k * c::c + 1] = \
         np.sqrt(pen_t).reshape(L, k)
-    border_rows = [np.column_stack([root_b, to_rows @ schur[:nb, nb]])]
-    for j, sl, _, root in ar.b_pen:
-        rows = np.zeros((root.shape[0], nb + 1))
-        rows[:, sl] = math.sqrt(lambdas[j]) * root
-        border_rows.append(rows)
-    border_rows = np.vstack(border_rows)
+    on = pen_b > 0
+    border_rows = np.vstack([
+        np.column_stack([root_b, to_rows @ schur[:nb, nb]]),
+        np.sqrt(pen_b[on])[:, None] * np.eye(nb, nb + 1)[on]])
     r_t, r_b, rdiag = _arrow_qr(level_rows, border_rows)
     ridged = False
     if rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
-        trace = np.trace(ar.g_tt, axis1=1, axis2=2).sum() + np.trace(g_bb) \
-            + pen_t.sum() + sum(lambdas[j] * np.sum(root ** 2)
-                                for j, _, _, root in ar.b_pen)
+        trace = np.trace(design.ensure_products()[0]) + sum(
+            lam * len(e.levels) * np.trace(e.base)
+            for lam, e in zip(lambdas, design.penalties))
         delta = RIDGE_OF_LAST_RESORT * float(trace) / p
         if delta <= 0:
             raise RankError("design is identically zero")
+        # delta I in X's columns is delta T'T in the layout's
         root = math.sqrt(delta)
+        ridge_t = np.zeros((L, k, c))
+        ridge_t[..., :k] = root * ar.T_t
         r_t, r_b, rdiag = _arrow_qr(
-            np.concatenate([level_rows, np.broadcast_to(
-                root * np.eye(k, c), (L, k, c))], axis=1),
-            np.vstack([border_rows, root * np.eye(nb, nb + 1)]))
+            np.concatenate([level_rows, ridge_t], axis=1),
+            np.vstack([border_rows,
+                       np.column_stack([root * ar.T_b, np.zeros(nb)])]))
         if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
             order = np.concatenate([ar.idx.ravel(), ar.border])
             worst = design.coef_names[order[int(np.argmin(rdiag))]]
             raise RankError(f"penalized system singular even after ridge; "
                             f"offending column {worst!r}")
         ridged = True
-    # R = [[diag R_l, C~], [0, R_B]] with R^-1 = [[T, -T C~ R_B^-1],
-    # [0, R_B^-1]]: vb = R^-1 R^-T = diag(T_l T_l') + Z Z', Z = [-E; R_B^-1]
+    # R = [[diag R_l, C~], [0, R_B]] with R^-1 = [[V, -V C~ R_B^-1],
+    # [0, R_B^-1]], V = diag(R_l^-1): in X's columns vb = T R^-1 R^-T T'
+    # = diag(T_l V_l V_l' T_l') + Z Z', Z = T [-V C~ R_B^-1; R_B^-1]
     rb_inv, info = lapack.dtrtri(r_b[:nb, :nb])
     if info != 0:
         raise np.linalg.LinAlgError("singular border factor")
     beta_b = rb_inv @ r_b[:nb, nb]
     t_inv = np.linalg.inv(r_t[:, :k, :k])
-    tc = t_inv @ r_t[:, :k, k:]                      # T_l [C~_l | f~_l]
+    tc = t_inv @ r_t[:, :k, k:]                      # V_l [C~_l | f~_l]
     gamma = tc[..., nb] - tc[..., :nb] @ beta_b
-    z_t = -tc[..., :nb] @ rb_inv                     # -E, rotated levels
+    z_t = -tc[..., :nb] @ rb_inv                     # Z's levels, before T
     beta = np.empty(p)
-    beta[ar.border] = beta_b
-    beta[ar.idx] = (ar.Q @ gamma[..., None])[..., 0]
+    beta[ar.border] = ar.T_b @ beta_b
+    beta[ar.idx] = (ar.T_t @ gamma[..., None])[..., 0]
     z = np.empty((p, nb))
-    z[ar.border] = rb_inv
-    z[ar.idx] = ar.Q @ z_t
+    z[ar.border] = ar.T_b @ rb_inv
+    z[ar.idx] = ar.T_t @ z_t
     vb = z @ z.T
-    t_u = ar.Q @ t_inv
+    t_u = ar.T_t @ t_inv
     blocks = t_u @ t_u.swapaxes(1, 2)
     vb[ar.idx[:, :, None], ar.idx[:, None, :]] += \
         0.5 * (blocks + blocks.swapaxes(1, 2))
@@ -842,64 +854,46 @@ def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _ArrowLayout:
-    """X'X + S_lambda split into level blocks and a border, lambda aside.
+    """X'X + S_lambda in block-arrow form, lambda aside, in coordinates
+    where every penalty is diagonal.
 
     The block part is one per-level term's columns, L levels of k (its
-    penalties' base size) that its Gram does not couple. One orthogonal Q
-    makes its k x k bases diagonal: D_l = Q' X'X_l Q + diag(sum_j lambda_j
-    d_jl), d_jl penalty j's rotated base on its levels, 0 elsewhere. The
-    border is every other column, in X's order, each of its penalties
-    placed once as kron(I, base) over its levels. X'y rides along as one
-    more border column and y'y as its diagonal entry, so the Schur
-    complement of the blocks carries the right-hand side too.
+    penalties' base size) that its Gram does not couple; the border is
+    every other column, in X's order. The congruence T = diag(T_1, ...,
+    T_L, T_B) puts each penalty group's T (_term_penalties) on the group's
+    levels and I elsewhere: T_l on level l of the block part, and in the
+    nb x nb T_B one block per level of each border term. In its
+    coordinates penalty j is diag(d_jl) on level l and diag(d_jB) on the
+    border, so T' (X'X + S_lambda) T = [[D, C], [C', B]] with
+
+        D_l = T_l' X'X_l T_l + diag(sum_j lambda_j d_jl),
+        B   = T_B' X'X_BB T_B + diag(sum_j lambda_j d_jB),
+
+    and log|X'X + S_lambda| = log|[[D, C], [C', B]]| + logpdet_const, as
+    2 log|det T| = -logpdet_const. X'y rides along as one more border
+    column and y'y as its diagonal entry, so the Schur complement of the
+    blocks carries the right-hand side too.
     """
 
     penalties: list            # the penalty list this layout was built for
     idx: np.ndarray            # L x k: the level blocks' columns of X
     border: np.ndarray         # nb: the border's columns of X
-    Q: np.ndarray              # k x k: the level rotation, on every level
-    g_tt: np.ndarray           # L x k x k: Q' X'X_l Q
-    g_tb: np.ndarray           # L x k x (nb + 1): Q' [X'X_TB | X'y_T]
-    g_bb: np.ndarray           # [[X'X_BB, X'y_B], [X'y_B', y'y]]
-    d_t: np.ndarray            # m_T x L x k: the block-part penalties
-    t_pen: np.ndarray          # their indices in the penalty list
-    b_pen: tuple               # (index, border slice, S, sqrt) for the rest
-
-
-def _level_rotation(entries: list, L: int, k: int):
-    """Q (k x k) and the diagonals d (m x L x k) of Q' S_j Q on the levels
-    each penalty covers, from one eigh of a generic combination of the
-    bases; None if an off-diagonal entry exceeds _SPECTRUM_RTOL of a
-    base's largest one (bases that do not commute)."""
-    if not entries:
-        return np.eye(k), np.zeros((0, L, k))
-    bases = np.array([e.base for e in entries])
-    scale = np.abs(bases).reshape(len(entries), -1).max(axis=1)
-    mix = 0.5 ** np.arange(len(entries)) * math.pi / (3.0 * scale)
-    try:
-        _, Q = np.linalg.eigh(np.tensordot(mix, bases, axes=1))
-    except np.linalg.LinAlgError:
-        return None
-    R = Q.T @ bases @ Q
-    d = np.diagonal(R, axis1=1, axis2=2)
-    off = np.abs(R - d[..., None] * np.eye(k)).reshape(len(entries), -1)
-    if np.any(off.max(axis=1) > _SPECTRUM_RTOL * scale):
-        return None
-    d_t = np.zeros((len(entries), L, k))
-    for j, e in enumerate(entries):
-        d_t[j, e.levels] = d[j]
-    return Q, d_t
+    T_t: np.ndarray            # L x k x k: T_l
+    T_b: np.ndarray            # nb x nb: T_B
+    g_tt: np.ndarray           # L x k x k: T_l' X'X_l T_l
+    g_tb: np.ndarray           # L x k x (nb + 1): T_l' [X'X_lB T_B | X'y_l]
+    g_bb: np.ndarray           # [[T_B' X'X_BB T_B, T_B' X'y_B], [., y'y]]
+    d_t: np.ndarray            # m x L x k: every penalty on the levels
+    d_b: np.ndarray            # m x nb: every penalty on the border
 
 
 def _level_blocks(design: AssembledDesign):
     """The block part: of the terms held in X_sparse, the one with the most
     columns that split into two or more level blocks of its penalties' base
-    size k, with every entry of its whitened T'T inside one, and whose
-    bases one rotation makes diagonal. Returns its label, its columns (one
-    row per level) and _level_rotation's Q and d; (None, 0 x 0, ...) if
-    there is none."""
-    best = None, np.zeros((0, 0), dtype=np.int64), np.zeros((0, 0)), \
-        np.zeros((0, 0, 0))
+    size k, with every entry of its whitened T'T inside one. Returns its
+    label and its columns, one row per level; (None, 0 x 0) if there is
+    none."""
+    best = None, np.zeros((0, 0), dtype=np.int64)
     sparse_cols = design.sparse_cols
     for label, (a, b) in design.col_ranges.items():
         w = b - a
@@ -908,57 +902,58 @@ def _level_blocks(design: AssembledDesign):
             continue
         k = design.blocks[label].penalties[0].S.shape[0]
         gram = design._tt[lo:lo + w, lo:lo + w].tocoo()
-        if k == w or not np.array_equal(gram.row // k, gram.col // k):
-            continue
-        rot = _level_rotation([e for e in design.penalties
-                               if e.term_label == label], w // k, k)
-        if rot is not None:
-            best = (label, a + np.arange(w).reshape(w // k, k)) + rot
+        if k < w and np.array_equal(gram.row // k, gram.col // k):
+            best = label, a + np.arange(w).reshape(w // k, k)
     return best
 
 
 def _arrow_layout(design: AssembledDesign) -> _ArrowLayout:
-    """Gather and rotate the level blocks, the border and the penalties."""
+    """Gather the level blocks, the border and the penalty diagonals, and
+    apply the congruence."""
     xtx, xty, yty = design.ensure_products()
-    label, idx, Q, d_t = _level_blocks(design)
+    label, idx = _level_blocks(design)
+    L, k = idx.shape
     in_blocks = np.zeros(design.p, dtype=bool)
     in_blocks[idx.ravel()] = True
     border = np.flatnonzero(~in_blocks)
-    nb = border.size
-    g_bb = np.empty((nb + 1, nb + 1))
-    g_bb[:nb, :nb] = xtx[np.ix_(border, border)]
-    g_bb[:nb, nb] = g_bb[nb, :nb] = xty[border]
-    g_bb[nb, nb] = yty
-    g_tb = np.concatenate([xtx[idx[:, :, None], border],
-                           xty[idx][:, :, None]], axis=2)
-    t_pen, b_pen = [], []
+    nb, m = border.size, len(design.penalties)
+    T_t, T_b = np.tile(np.eye(k), (L, 1, 1)), np.eye(nb)
+    d_t, d_b = np.zeros((m, L, k)), np.zeros((m, nb))
     for j, e in enumerate(design.penalties):
         if e.term_label == label:
-            t_pen.append(j)
-        else:
-            pos = int(np.searchsorted(border, e.offset + e.cols.start))
-            eye = np.eye(len(e.levels))
-            b_pen.append((j, slice(pos, pos + e.cols.stop - e.cols.start),
-                          np.kron(eye, e.base), np.kron(eye, e.root)))
+            T_t[e.levels] = e.T
+            d_t[j, e.levels] = e.d
+        else:                  # its border positions, one row per level
+            pos = np.searchsorted(border, e.offset + e.cols.start) \
+                + np.arange(e.cols.stop - e.cols.start).reshape(-1, e.d.size)
+            T_b[pos[:, :, None], pos[:, None, :]] = e.T
+            d_b[j, pos] = e.d
+    g_bb = np.empty((nb + 1, nb + 1))
+    g_bb[:nb, :nb] = T_b.T @ xtx[np.ix_(border, border)] @ T_b
+    g_bb[:nb, nb] = g_bb[nb, :nb] = T_b.T @ xty[border]
+    g_bb[nb, nb] = yty
+    g_tb = np.concatenate([xtx[idx[:, :, None], border] @ T_b,
+                           xty[idx][:, :, None]], axis=2)
+    T_tt = T_t.swapaxes(1, 2)
     return _ArrowLayout(
-        penalties=design.penalties, idx=idx, border=border, Q=Q,
-        g_tt=Q.T @ xtx[idx[:, :, None], idx[:, None, :]] @ Q,
-        g_tb=Q.T @ g_tb, g_bb=g_bb, d_t=d_t,
-        t_pen=np.array(t_pen, dtype=np.int64), b_pen=tuple(b_pen))
+        penalties=design.penalties, idx=idx, border=border, T_t=T_t, T_b=T_b,
+        g_tt=T_tt @ xtx[idx[:, :, None], idx[:, None, :]] @ T_t,
+        g_tb=T_tt @ g_tb, g_bb=g_bb, d_t=d_t, d_b=d_b)
 
 
 def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     """Negative log restricted marginal likelihood at the given log-lambdas.
 
-    A = X'X + S_lambda is factored in block-arrow form (design.arrow()):
-    the L level blocks D_l of the block part by one batched Cholesky, then
-    the border's Schur complement Sigma = A_BB - sum_l C_l' D_l^-1 C_l, C_l
-    the level's rows of A_TB. Each D_l and Sigma is first scaled to a unit
-    diagonal, which with the level blocks' diagonal penalties keeps a lambda
-    of 1e12 from swamping the unpenalized directions. log|A| = sum_l
-    log|D_l| + log|Sigma|, and the penalized RSS comes from the same
+    A = X'X + S_lambda is factored in block-arrow form, in the coordinates
+    where every penalty is diagonal (design.arrow()): the L level blocks
+    D_l of the block part by one batched Cholesky, then the border's Schur
+    complement Sigma = B - sum_l C_l' D_l^-1 C_l, C_l the level's rows of
+    the coupling block. Each D_l and Sigma is first scaled to a unit
+    diagonal, which with every penalty on the diagonal keeps a lambda of
+    1e12 from swamping the unpenalized directions. log|A| = sum_l log|D_l|
+    + log|Sigma| + logpdet_const, and the penalized RSS comes from the same
     elimination of X'y. A design without a per-level term has no blocks,
-    and Sigma = A. The cost is linear in L.
+    and Sigma = B. The cost is linear in L.
 
     With derivatives=True it returns (score, grad, hess) in log lambda,
     exact (Wood 2011, JRSSB 73(1)), from the same factors
@@ -976,13 +971,12 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
         raise NumericError(f"non-finite lambdas {lambdas}")
     ar = design.arrow()
     L, k, _ = ar.g_tt.shape
-    nb = ar.g_bb.shape[0] - 1
+    nb = ar.border.size
     D = ar.g_tt.copy()
-    pen = lambdas[ar.t_pen] @ ar.d_t.reshape(ar.t_pen.size, L * k)
-    D.reshape(L, k * k)[:, ::k + 1] += pen.reshape(L, k)
+    D.reshape(L, k * k)[:, ::k + 1] += \
+        (lambdas @ ar.d_t.reshape(lambdas.size, L * k)).reshape(L, k)
     Z = ar.g_bb.copy()
-    for j, sl, S, _ in ar.b_pen:
-        Z[sl, sl] += lambdas[j] * S
+    Z[np.arange(nb), np.arange(nb)] += lambdas @ ar.d_b
     info = 1
     scale = np.diagonal(D, axis1=1, axis2=2)
     if np.all(scale > 0):
@@ -1010,7 +1004,7 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     logdet_a = 2.0 * float(
         np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)))
         + np.sum(np.log(scale)) + np.sum(np.log(s_fac.diagonal()))
-        + np.sum(np.log(s_scale)))
+        + np.sum(np.log(s_scale))) + design.logpdet_const
     logpdet_s = _log_pdet_slambda(design, lambdas)
     n_eff = design.n - design.m_null_total
     if n_eff <= 0:
@@ -1041,18 +1035,22 @@ def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
                   + [d_ij t_j - lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)] / 2
                   - [d_ij sum_k P_kj - sum_k P_ki P_kj] / 2.
 
-    A^-1 is never formed. With F = D^-1 C and Sigma^-1 = (A^-1)_BB, its
-    level-block part is D^-1 + F Sigma^-1 F' and its off-diagonal part
-    -F Sigma^-1. So a block-part penalty, diagonal in the rotated levels,
-    has lambda_j tr(A^-1 S_j) = tr(D^-1 S_j) + tr(Sigma^-1 K_j) with
-    K_j = lambda_j F' S_j F, and each trace of a pair is a sum over the
-    level blocks plus products of border size. b'S_j A^-1 S_i b applies
-    A^-1 to the vectors lambda_i S_i b by the same elimination.
+    A^-1 is never formed. In the layout's coordinates (_ArrowLayout) every
+    S_j is diagonal, lambda_j diag(d_jT) on the levels and lambda_j
+    diag(d_jB) on the border. With F = D^-1 C and Sigma^-1 = (A^-1)_BB,
+    A^-1 has the level-block part D^-1 + F Sigma^-1 F' and the off-diagonal
+    part -F Sigma^-1, so with K_j = lambda_j (F' diag(d_jT) F + diag(d_jB))
+
+        t_j = lambda_j d_jT . diag(D^-1) + tr(Sigma^-1 K_j),
+
+    and each trace of a pair is a sum over the level blocks plus
+    tr(Sigma^-1 K_i Sigma^-1 K_j). b'S_j A^-1 S_i b applies A^-1 to the
+    vectors lambda_i S_i b by the same elimination.
     """
     s_fac, s_scale, beta_b = border
     L, k, nb1 = W.shape
     nb = nb1 - 1
-    m, m_t, t_pen = len(lambdas), ar.t_pen.size, ar.t_pen
+    m = len(lambdas)
     P, info = lapack.dpotri(s_fac, lower=1)
     if info != 0:
         raise NumericError(f"inverse of X'X + S_lambda failed at lambdas "
@@ -1065,36 +1063,23 @@ def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
     F = FX[..., :nb]
     Ff = F.reshape(L * k, nb)
     beta_t = FX[..., nb] - F @ beta_b
-    # the block-part penalties, all at once
-    S = lambdas[t_pen, None, None] * ar.d_t          # m_T x L x k
-    Sf = S.reshape(m_t, L * k)
+    S = lambdas[:, None, None] * ar.d_t              # m x L x k
+    Sf = S.reshape(m, L * k)
+    SB = lambdas[:, None] * ar.d_b                   # m x nb
     E = S[..., None] * F                             # lambda_j S_j F
-    PK = P @ (Ff.T @ E.reshape(m_t, L * k, nb))      # Sigma^-1 K_j
+    K = Ff.T @ E.reshape(m, L * k, nb)
+    K[:, np.arange(nb), np.arange(nb)] += SB
+    PK = P @ K                                       # Sigma^-1 K_j
     G = (d_inv @ E) @ P
-    t = np.empty(m)
-    trace2 = np.empty((m, m))      # lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)
-    t[t_pen] = Sf @ np.diagonal(d_inv, axis1=1, axis2=2).ravel() \
+    t = Sf @ np.diagonal(d_inv, axis1=1, axis2=2).ravel() \
         + np.einsum("jaa->j", PK)
     n2 = L * k * nb
-    trace2[t_pen[:, None], t_pen] = (
-        Sf @ ((d_inv * d_inv) @ S[..., None]).reshape(m_t, L * k).T
-        + 2.0 * E.reshape(m_t, n2) @ G.reshape(m_t, n2).T
-        + PK.reshape(m_t, nb * nb)
-        @ PK.swapaxes(1, 2).reshape(m_t, nb * nb).T)
+    # lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)
+    trace2 = Sf @ ((d_inv * d_inv) @ S[..., None]).reshape(m, L * k).T \
+        + 2.0 * E.reshape(m, n2) @ G.reshape(m, n2).T \
+        + PK.reshape(m, nb * nb) @ PK.swapaxes(1, 2).reshape(m, nb * nb).T
     # u_j = lambda_j S_j b in its block-part and border rows
-    UT, UB = np.zeros((m, L * k)), np.zeros((m, nb))
-    UT[t_pen] = Sf * beta_t.ravel()
-    done = []                      # (j, slice, lambda_j S_j Sigma^-1[sl, :])
-    for j, sl, Sj, _ in ar.b_pen:
-        Sj = lambdas[j] * Sj
-        UB[j, sl] = Sj @ beta_b[sl]
-        U = Sj @ P[sl]
-        t[j] = np.trace(U[:, sl])
-        trace2[t_pen, j] = trace2[j, t_pen] = np.einsum("iab,ab->i",
-                                                        PK[:, sl], U)
-        for i, sl_i, U_i in done + [(j, sl, U)]:
-            trace2[i, j] = trace2[j, i] = np.sum(U_i[:, sl] * U[:, sl_i].T)
-        done.append((j, sl, U))
+    UT, UB = Sf * beta_t.ravel(), SB * beta_b
     # v_i = A^-1 u_i by block elimination; cross_ij = u_j' v_i
     VB = (UB - UT @ Ff) @ P
     VT = (d_inv @ UT.reshape(m, L, k, 1)).reshape(m, L * k) - VB @ Ff.T
@@ -1317,7 +1302,6 @@ class FittedModel:
     lambdas: np.ndarray
     sigma2: float
     vb: np.ndarray
-    vb_unscaled: np.ndarray
     edf_per_coef: np.ndarray
     total_edf: float
     reml: float
@@ -1423,7 +1407,7 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     sig = sigma2 if math.isfinite(sigma2) else 0.0
     return FittedModel(spec=spec, design_raw=design_raw, design=design,
                        beta=sol.beta, lambdas=lambdas, sigma2=sigma2,
-                       vb=sig * sol.vb_unscaled, vb_unscaled=sol.vb_unscaled,
+                       vb=sig * sol.vb_unscaled,
                        edf_per_coef=sol.edf_per_coef, total_edf=total_edf,
                        reml=reml, loglik=loglik, rss_whitened=rss_w,
                        residuals_raw=resid_raw, residuals_whitened=resid_w,

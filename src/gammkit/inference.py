@@ -110,13 +110,21 @@ def compare_reml(model0, model1) -> ComparisonResult:
     parameter counts (parametric coefficients plus smoothing parameters);
     p = P(chi2_df > stat). When the model with fewer parameters also has the
     lower score, no test is run: verdict is "simpler_and_better" and p is
-    None. Accepts fitted models or bare ModelScore records.
+    None. Accepts fitted models or bare ModelScore records. Fitted models
+    with different AR(1) rho are refused: the REML score leaves out the
+    AR(1) Jacobian, so their scores are on different scales.
     """
-    sig0 = getattr(getattr(model0, "spec", None), "signature", lambda: None)()
-    sig1 = getattr(getattr(model1, "spec", None), "signature", lambda: None)()
+    spec0, spec1 = getattr(model0, "spec", None), getattr(model1, "spec", None)
+    sig0 = getattr(spec0, "signature", lambda: None)()
+    sig1 = getattr(spec1, "signature", lambda: None)()
     if sig0 is not None and sig0 == sig1:
         raise GammkitError("models have identical specifications; "
                            "nothing to compare")
+    if spec0 is not None and spec1 is not None and spec0.rho != spec1.rho:
+        raise GammkitError(f"models were fitted with different AR(1) rho "
+                           f"({spec0.rho} and {spec1.rho}); their REML "
+                           "scores leave out the AR(1) Jacobian and are not "
+                           "comparable")
     r0, r1 = float(model0.reml), float(model1.reml)
     if math.isnan(r0) or math.isnan(r1):
         raise GammkitError("REML score unavailable (fixed lambda = 0 fit?)")

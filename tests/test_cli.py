@@ -274,6 +274,21 @@ def test_compare_identical_specs_exit_one(tmp_path, capsys):
     assert "identical" in capsys.readouterr().err
 
 
+def test_compare_specs_with_different_rho_exit_one(tmp_path, capsys):
+    scen = _write(tmp_path / "s.scn", SCENARIO)
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--spec", scen, "--out", str(sim_out)]) == 0
+    specs = [_write(tmp_path / f"m{i}.spec", SERIES_SPEC + f"rho: {rho}\n")
+             for i, rho in enumerate((0.0, 0.3))]
+    out = tmp_path / "out"
+    assert main(["compare", "--data", str(sim_out / "simulated.csv"),
+                 "--spec", specs[0], "--spec", specs[1],
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'compare'" in err and "(0.0 and 0.3)" in err
+    assert not (out / "comparison.txt").exists()
+
+
 # ---------------------------------------------------------------------------
 # diagnostics commands
 

@@ -631,6 +631,15 @@ _DERIVATIVE_CASES = {
            [(_NEAR_MIN, 1.0, 1.0), (1.0, _NEAR_MIN, 1.0),
             (1.0, 1.0, _NEAR_MIN)]),
 }
+# points near the upper bound, besides those above, probed by central
+# differences only: there the dense oracles carry rounding noise themselves
+_NEAR_MAX_POINTS = {
+    "te": [(_NEAR_MAX, 1.0), (1.0, _NEAR_MAX)],
+    "ti+cr": [(_NEAR_MAX, 1.0, 1.0), (1.0, _NEAR_MAX, 1.0)],
+    "fs": [(_NEAR_MAX, 1.0), (1.0, _NEAR_MAX)],
+    "by": [(_NEAR_MAX, 1.0, 1.0), (1.0, _NEAR_MAX, 1.0),
+           (1.0, 1.0, _NEAR_MAX)],
+}
 # fourth-order central difference weights for f'(x) at offsets a*h
 _D1 = {-2: 1.0, -1: -8.0, 1: 8.0, 2: -1.0}
 
@@ -640,10 +649,11 @@ def test_reml_derivatives_match_central_differences(name):
     """Gradient and Hessian in log lambda against fourth-order central
     differences of the score (h = 0.03), to 1e-5 relative in max norm.
 
-    Near the upper bound only diagonal penalties (natural-parameterized cr,
-    re) are probed: an un-reparameterized penalty at lambda ~ 1e11 makes
-    X'X + S_lambda so ill-conditioned that the score itself carries
-    rounding noise of order 0.1, which no difference quotient survives.
+    Every coordinate of every design is probed near the upper bound, where
+    lambda ~ 1e11: every penalty is diagonal in the coordinates the score
+    factors in, so the score carries no rounding noise that a difference
+    quotient would amplify. (With te and ti penalties as dense blocks, te's
+    gradient was 53 and ti's 0.36 of its largest entry off there.)
     """
     terms, extra = _DERIVATIVE_CASES[name]
     des = assemble(ModelSpec(response="y", smooth_terms=terms),
@@ -651,6 +661,7 @@ def test_reml_derivatives_match_central_differences(name):
     m = len(des.penalties)
     h = 0.03
     E = h * np.eye(m)
+    extra = extra + _NEAR_MAX_POINTS.get(name, [])
     for point in [np.zeros(m), np.full(m, 3.0)] + [np.array(p) for p in extra]:
         score, grad, hess = reml_score(des, point, derivatives=True)
         assert score == reml_score(des, point)
@@ -666,14 +677,82 @@ def test_reml_derivatives_match_central_differences(name):
         np.testing.assert_array_equal(hess, hess.T)
 
 
-def test_reml_score_refuses_a_system_it_would_have_to_ridge():
-    """At lambda = (1e10, 1e-6) on intercept + fs of per-level offsets,
-    X'X + S_lambda is not numerically positive definite. A ridge of
-    1e-10 * mean(diag) would add 431.5 to every diagonal entry against a
-    null-space penalty of at most 5.9e-7 and score another system; the
-    score raises instead, naming the lambdas."""
+@pytest.mark.parametrize("seed", [3, 4])
+def test_te_score_near_the_upper_bound_has_no_rounding_noise(seed):
+    """te(x, z) scored at log lambda = (26.6, 1) and at ten points 1e-9
+    away spreads less than 1e-8. With the te penalties as dense blocks,
+    X'X + S_lambda had a condition number near 1e16 there and the scores
+    spread over 1.08."""
+    des = assemble(ModelSpec(response="y", smooth_terms=(
+        SmoothTermSpec(("x", "z"), "tensor", k=5),)),
+        _derivative_table(seed=seed))
+    x = np.array([26.6, 1.0])
+    steps = 1e-9 * np.random.default_rng(0).standard_normal((10, 2))
+    scores = [reml_score(des, p) for p in np.vstack([x, x + steps])]
+    assert max(scores) - min(scores) <= 1e-8
+
+
+def _exact_reml(des, lambdas):
+    """The REML score of X'X + sum_j lambda_j R_j'R_j (R_j = entry.sqrt) in
+    exact rational arithmetic on the stored floats: log|A| by exact
+    elimination, and the penalized RSS |y - X b|^2 + sum_j lambda_j |R_j b|^2
+    at _exact_pls's b, where it is stationary, so b's rounding enters only
+    to second order. log|S_lambda|_+ comes from its closed form."""
+    cols = [[Fraction(v) for v in des.X.toarray()[:, j]] for j in range(des.p)]
+    A = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols] for ci in cols]
+    beta = [Fraction(v) for v in _exact_pls(des, lambdas)]
+    resid = [Fraction(v) for v in des.y]
+    for b, col in zip(beta, cols):
+        resid = [r - b * x for r, x in zip(resid, col)]
+    rss = sum(r * r for r in resid)
+    for entry, lam in zip(des.penalties, lambdas):
+        root = [[Fraction(v) for v in row] for row in entry.sqrt]
+        b = beta[entry.offset:entry.offset + entry.p_block]
+        rss += Fraction(lam) * sum(
+            sum(r * bi for r, bi in zip(row, b)) ** 2 for row in root)
+        for i in range(entry.p_block):
+            for j in range(entry.p_block):
+                A[entry.offset + i][entry.offset + j] += Fraction(lam) * sum(
+                    row[i] * row[j] for row in root)
+    det = Fraction(1)
+    for k in range(des.p):                  # positive definite: no pivoting
+        det *= A[k][k]
+        for i in range(k + 1, des.p):
+            f = A[i][k] / A[k][k]
+            A[i] = [a - f * c for a, c in zip(A[i], A[k])]
+    n_eff = des.n - des.m_null_total
+    logdet = math.log(det.numerator) - math.log(det.denominator)
+    logpdet = des.logpdet_const + float(np.sum(np.log(
+        des.logpdet_weights @ np.asarray(lambdas))))
+    return (0.5 * n_eff * (math.log(2.0 * math.pi * float(rss) / n_eff) + 1.0)
+            - 0.5 * logpdet + 0.5 * logdet)
+
+
+def test_reml_score_of_fs_offsets_at_extreme_lambdas_matches_exact():
+    """intercept + fs of per-level offsets at lambda = (1e10, 1e-6): the
+    stored wiggle base is singular only to rounding, +-1e-16 of its largest
+    entry on its null space, which lambda_1 lifts above lambda_2's null-space
+    penalty, and with it X'X + S_lambda is indefinite. With the penalties
+    diagonal the null space is exactly 0, as log|S_lambda|_+ takes it, and
+    the score is within 1e-8 of the exact rational one (2.4e-9 here)."""
     des = assemble(ModelSpec(response="y", smooth_terms=(
         SmoothTermSpec(("x",), "cr", k=5, fs_group="g"),)), _fs_offsets_table())
+    lambdas = [1e10, 1e-6]
+    want = _exact_reml(des, lambdas)
+    assert abs(reml_score(des, np.log(lambdas)) - want) <= 1e-8 * abs(want)
+
+
+def test_reml_score_refuses_a_system_it_would_have_to_ridge():
+    """intercept + fs of per-level offsets + a covariate that is 0 on every
+    row: X'X + S_lambda is singular at any lambda, and pls_solve ridges it.
+    A ridge of 1e-10 * mean(diag) would score another system; the score
+    raises instead, naming the lambdas."""
+    table = _fs_offsets_table()
+    des = assemble(ModelSpec(
+        response="y", parametric_terms=(ParametricTerm("zero"),),
+        smooth_terms=(SmoothTermSpec(("x",), "cr", k=5, fs_group="g"),)),
+        table.with_column("zero", np.zeros(table.n_rows)))
+    assert pls_solve(des, [1e10, 1e-6]).ridged
     with pytest.raises(NumericError, match=r"not positive definite at "
                                            r"lambdas \[1\.e\+10 1\.e-06\]"):
         reml_score(des, np.log([1e10, 1e-6]))
@@ -1036,11 +1115,16 @@ def test_arrow_matches_dense_oracle_on_search_designs(case):
            "large-n-shaped": _large_n_shaped,
            "crossed": _crossed_design,
            "fs+by": _fs_by_design}[case]()
-    blocks = {des.penalties[j].term_label for j in des.arrow().t_pen}
-    assert blocks == {"re(subject)" if case == "large-n-shaped"
-                      else "fs(trial,subject)"}
+    ar = des.arrow()
+    blocks = "re(subject)" if case == "large-n-shaped" else "fs(trial,subject)"
+    np.testing.assert_array_equal(ar.idx.ravel(),
+                                  np.arange(*des.col_ranges[blocks]))
     if case == "fs+by":
-        assert [S.shape for _, _, S, _ in des.arrow().b_pen] == [(5, 5)] * 2
+        a, b = des.col_ranges["cr(trial):cond"]
+        for level, j in enumerate((2, 3)):   # on its level's 5 columns only
+            cols = ar.border[np.flatnonzero(ar.d_b[j])] - a - 5 * level
+            assert 0 <= cols.min() <= cols.max() < 5
+        assert not np.any(ar.d_t[2:])
     m = len(des.penalties)
     _assert_matches_dense(des, [np.zeros(m), np.full(m, 10.0),
                                 np.log(optimize_lambdas(des).lambdas)])

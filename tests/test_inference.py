@@ -183,6 +183,19 @@ def test_compare_reml_identical_fits_raise():
         compare_reml(fit(spec, tab), fit(spec, tab))
 
 
+def test_compare_reml_refuses_fits_with_different_rho():
+    """The REML score leaves out the AR(1) Jacobian, so scores at two rho
+    are on different scales: the comparison raises, naming both."""
+    tab = _scenario(6, 60, 2)
+    fits = [fit(ModelSpec(response="y",
+                          parametric_terms=(ParametricTerm("cond"),),
+                          smooth_terms=(SmoothTermSpec("trial", "cr", k=6),),
+                          rho=rho), tab) for rho in (0.0, 0.4)]
+    with pytest.raises(GammkitError, match=r"different AR\(1\) rho "
+                                           r"\(0\.0 and 0\.4\)"):
+        compare_reml(*fits)
+
+
 def test_compare_reml_on_real_nested_fits():
     rng = np.random.default_rng(6)
     n = 250
