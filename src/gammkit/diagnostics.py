@@ -260,7 +260,7 @@ def residual_report(model: FittedModel) -> ResidualReport:
     n = resid.size
     theo = norm_dist.ppf((np.arange(1, n + 1) - 0.5) / n)
     return ResidualReport(qq_theoretical=theo, qq_observed=np.sort(resid),
-                          fitted=model.design.X @ model.beta,
+                          fitted=model.design.dot(model.beta),
                           residuals=resid,
                           skewness=float(_skew(resid)),
                           kurtosis=float(_kurtosis(resid, fisher=False)))

@@ -5,20 +5,21 @@ design keeps the columns of dense blocks (intercept, parametric terms,
 ordinary smooths) as one dense array and the per-level columns of random
 effects, factor smooths and by-factor smooths as one sparse matrix, which
 stores only each row's own level; no dense n x p array is formed. Past
-whitening the n rows enter only through X'X, X'y and y'y, formed once per
-design. Penalties keep the per-level form: a PenaltyEntry is a k x k base
-and the level blocks it repeats on. Once per term, on the base,
+whitening the n rows enter only through the products of the two parts, X'y
+and y'y, formed once per design (AssembledDesign.ensure_products); X'X is
+never formed p x p. Penalties keep the per-level form: a PenaltyEntry is a
+k x k base and the level blocks it repeats on. Once per term, on the base,
 _term_penalties computes one congruence T per penalty group that makes
 every penalty of the group diagonal (Wood 2011, JRSSB 73(1), section 3.1),
 so assembly too is linear in the number of levels. Each REML score, its
-derivatives and the final solve (pls_solve) work on X'X + S_lambda in
-those coordinates and in block-arrow form: one per-level term's L level
-blocks of k columns, which neither X'X nor the penalties couple, and a
-border of the other nb columns, with every penalty a diagonal on both. So
-each costs O(L k (k + nb)^2 + nb^3), linear in the number of levels; the
-solve's p x p covariance takes O(p^2 nb) more. The REML
-criterion is the negative log of the Gaussian restricted marginal
-likelihood with the scale profiled out:
+derivatives and the final solve (pls_solve) work on X'X + S_lambda in those
+coordinates and in block-arrow form: one per-level term's L level blocks of
+k columns, which neither X'X nor the penalties couple, and a border of the
+other nb columns, with every penalty a diagonal on both. So each costs
+O(L k (k + nb)^2 + nb^3), linear in the number of levels; the solve's
+p x p covariance takes O(p^2 nb) more. The REML criterion is the negative
+log of the Gaussian restricted marginal likelihood with the scale profiled
+out:
 
     score = (n - M)/2 * (log(2*pi*phi) + 1)
             - log|S_lambda|_+ / 2 + log|X'X + S_lambda| / 2,
@@ -184,10 +185,7 @@ class AssembledDesign:
     order_values: np.ndarray | None
     whitened: bool = False
     rho: float = 0.0
-    _xtx: np.ndarray | None = field(default=None, repr=False)
-    _xty: np.ndarray | None = field(default=None, repr=False)
-    _yty: float | None = field(default=None, repr=False)
-    _tt: sparse.csr_array | None = field(default=None, repr=False)
+    _products: tuple | None = field(default=None, repr=False)
     _arrow: _ArrowLayout | None = field(default=None, repr=False)
 
     @property
@@ -208,14 +206,13 @@ class AssembledDesign:
     @cached_property
     def X(self) -> sparse.csr_array:
         """The whole n x p design as one sparse matrix."""
-        H = sparse.coo_array(self.X_dense)
-        T = self.X_sparse.tocoo()
-        return sparse.csr_array(
-            (np.concatenate([H.data, T.data]),
-             (np.concatenate([H.row, T.row]),
-              np.concatenate([self.dense_cols[H.col],
-                              self.sparse_cols[T.col]]))),
-            shape=(self.n, self.p))
+        return sparse.hstack([sparse.csr_array(self.X_dense), self.X_sparse],
+                             format="csc")[:, self.part_order].tocsr()
+
+    @cached_property
+    def part_order(self) -> np.ndarray:
+        """X = [X_dense | X_sparse][:, part_order]."""
+        return np.argsort(np.concatenate([self.dense_cols, self.sparse_cols]))
 
     def dot(self, beta: np.ndarray) -> np.ndarray:
         """X @ beta from the two parts."""
@@ -223,25 +220,17 @@ class AssembledDesign:
             self.X_sparse @ beta[self.sparse_cols]
 
     def ensure_products(self):
-        """X'X, X'y and y'y, formed once. With H = X_dense and T = X_sparse,
-        H'H goes through BLAS and T'H, T'T through sparse products; a design
-        without per-level columns has no T to multiply. The sparse T'T is
-        kept: its pattern shows which columns couple (arrow)."""
-        if self._xtx is None:
+        """The Gram's parts (H'H, T'H, T'T, X'y, y'y), H = X_dense and T =
+        X_sparse, formed once: T'H and T'T by sparse products, T'T kept
+        sparse (COO), X'y in X's column order. X'X itself is never formed;
+        _arrow_layout gathers its blocks from these parts."""
+        if self._products is None:
             H, T, y = self.X_dense, self.X_sparse, self.y
-            xtx, xty = H.T @ H, H.T @ y
             Tt = T.T.tocsr()
-            self._tt = Tt @ T
-            if self.sparse_cols.size:
-                th = Tt @ H
-                # the parts' order [dense | sparse] back to X's columns
-                order = np.argsort(np.concatenate([self.dense_cols,
-                                                   self.sparse_cols]))
-                xtx = np.block([[xtx, th.T], [th, self._tt.toarray()]])
-                xtx = xtx[np.ix_(order, order)]
-                xty = np.concatenate([xty, Tt @ y])[order]
-            self._xtx, self._xty, self._yty = xtx, xty, float(y @ y)
-        return self._xtx, self._xty, self._yty
+            xty = np.concatenate([H.T @ y, Tt @ y])[self.part_order]
+            self._products = (H.T @ H, Tt @ H, (Tt @ T).tocoo(), xty,
+                              float(y @ y))
+        return self._products
 
     def arrow(self) -> _ArrowLayout:
         """X'X, X'y, y'y and the penalties in block-arrow form, built once
@@ -668,7 +657,7 @@ def ar1_whiten(design: AssembledDesign, rho: float,
     D = sparse.csr_array((data, indices, indptr), shape=(design.n, design.n))
     return replace(design, y=D @ design.y, X_dense=D @ design.X_dense,
                    X_sparse=D @ design.X_sparse, whitened=True, rho=rho,
-                   _xtx=None, _xty=None, _yty=None, _tt=None, _arrow=None)
+                   _products=None, _arrow=None)
 
 
 # ---------------------------------------------------------------------------
@@ -718,7 +707,7 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
     form, in the coordinates where every penalty is diagonal (design.arrow(),
     the layout reml_score factors).
 
-    Reads only the cached X'X and X'y, never the n rows. The root: per
+    Reads only the cached products, never the n rows. The root: per
     level, eigh of the block G_l = T_l' X'X_l T_l scaled to a unit
     diagonal, D_l^-1 G_l D_l^-1 = U diag(w) U', gives the rows R_l =
     diag(w)^(1/2) U' D_l and, coupling the level to the border and to X'y,
@@ -737,10 +726,11 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
     the covariance's border columns map back by T. No p x p matrix is
     factored, so the cost is linear in the number of levels; vb = T R^-1
     R^-T T' is assembled from the level blocks and the border's nb columns
-    in O(p^2 nb), and edf = diag(vb X'X). A numerically singular system
-    gets a ridge of 1e-10 * trace(X'X + S_lambda) / p on every column of X
-    once, and is flagged. A LinAlgError becomes a NumericError naming the
-    final solve.
+    in O(p^2 nb), the only p x p array, and edf = diag(vb X'X) sums over
+    X'X's nonzero entries only (_ArrowLayout.gram). A numerically
+    singular system gets a ridge of 1e-10 * trace(X'X + S_lambda) / p on
+    every column of X once, and is flagged. A LinAlgError becomes a
+    NumericError naming the final solve.
     """
     lambdas = np.asarray(lambdas, dtype=np.float64)
     if lambdas.shape != (len(design.penalties),):
@@ -784,7 +774,8 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     r_t, r_b, rdiag = _arrow_qr(level_rows, border_rows)
     ridged = False
     if rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
-        trace = np.trace(design.ensure_products()[0]) + sum(
+        i, j, v = ar.gram
+        trace = v[i == j].sum() + sum(
             lam * len(e.levels) * np.trace(e.base)
             for lam, e in zip(lambdas, design.penalties))
         delta = RIDGE_OF_LAST_RESORT * float(trace) / p
@@ -826,8 +817,9 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     blocks = t_u @ t_u.swapaxes(1, 2)
     vb[ar.idx[:, :, None], ar.idx[:, None, :]] += \
         0.5 * (blocks + blocks.swapaxes(1, 2))
-    # edf = diag(vb X'X), X'X symmetric
-    edf = np.einsum("ij,ij->i", vb, design.ensure_products()[0])
+    # edf = diag(vb X'X), summed over X'X's nonzero entries only
+    i, j, v = ar.gram
+    edf = np.bincount(i, vb[i, j] * v, minlength=p)
     # Trim pure float noise at the [0, 1] boundaries; real excursions remain.
     inside = np.minimum(np.maximum(edf, 0.0), 1.0)
     edf = np.where(np.abs(edf - inside) < 1e-8, inside, edf)
@@ -855,7 +847,7 @@ def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
 @dataclass(frozen=True)
 class _ArrowLayout:
     """X'X + S_lambda in block-arrow form, lambda aside, in coordinates
-    where every penalty is diagonal.
+    where every penalty is diagonal, gathered from ensure_products' parts.
 
     The block part is one per-level term's columns, L levels of k (its
     penalties' base size) that its Gram does not couple; the border is
@@ -885,60 +877,78 @@ class _ArrowLayout:
     g_bb: np.ndarray           # [[T_B' X'X_BB T_B, T_B' X'y_B], [., y'y]]
     d_t: np.ndarray            # m x L x k: every penalty on the levels
     d_b: np.ndarray            # m x nb: every penalty on the border
+    gram: tuple                # X'X's nonzero entries (i, j, v), X's columns
 
 
-def _level_blocks(design: AssembledDesign):
+def _level_blocks(design: AssembledDesign, i: np.ndarray, j: np.ndarray):
     """The block part: of the terms held in X_sparse, the one with the most
     columns that split into two or more level blocks of its penalties' base
-    size k, with every entry of its whitened T'T inside one. Returns its
-    label and its columns, one row per level; (None, 0 x 0) if there is
-    none."""
+    size k, with every entry (i, j) of its whitened Gram inside one.
+    Returns its label and its columns, one row per level; (None, 0 x 0) if
+    there is none."""
     best = None, np.zeros((0, 0), dtype=np.int64)
-    sparse_cols = design.sparse_cols
     for label, (a, b) in design.col_ranges.items():
         w = b - a
-        lo = int(np.searchsorted(sparse_cols, a))
-        if w <= best[1].size or lo == sparse_cols.size or sparse_cols[lo] != a:
+        if w <= best[1].size or a not in design.sparse_cols:
             continue
         k = design.blocks[label].penalties[0].S.shape[0]
-        gram = design._tt[lo:lo + w, lo:lo + w].tocoo()
-        if k < w and np.array_equal(gram.row // k, gram.col // k):
+        inside = (i >= a) & (i < b) & (j >= a) & (j < b)
+        if k < w and np.array_equal((i[inside] - a) // k,
+                                    (j[inside] - a) // k):
             best = label, a + np.arange(w).reshape(w // k, k)
     return best
 
 
 def _arrow_layout(design: AssembledDesign) -> _ArrowLayout:
-    """Gather the level blocks, the border and the penalty diagonals, and
-    apply the congruence."""
-    xtx, xty, yty = design.ensure_products()
-    label, idx = _level_blocks(design)
+    """Gather the level blocks, the border and the penalty diagonals from
+    the Gram's parts, and apply the congruence."""
+    hh, th, tt, xty, yty = design.ensure_products()
+    dc, sc, (ps, pd) = design.dense_cols, design.sparse_cols, th.shape
+    # X'X's nonzero entries: H'H, T'H on both sides and T'T's
+    gram = i, j, v = (
+        np.concatenate([np.repeat(dc, pd), np.repeat(sc, pd),
+                        np.repeat(dc, ps), sc[tt.row]]),
+        np.concatenate([np.tile(dc, pd), np.tile(dc, ps), np.tile(sc, pd),
+                        sc[tt.col]]),
+        np.concatenate([hh.ravel(), th.ravel(), th.T.ravel(), tt.data]))
+    label, idx = _level_blocks(design, i, j)
     L, k = idx.shape
     in_blocks = np.zeros(design.p, dtype=bool)
     in_blocks[idx.ravel()] = True
     border = np.flatnonzero(~in_blocks)
-    nb, m = border.size, len(design.penalties)
+    nb, m, w = border.size, len(design.penalties), idx.size
+    # each column's place in [level blocks | border]
+    at = np.argsort(np.concatenate([idx.ravel(), border]))
     T_t, T_b = np.tile(np.eye(k), (L, 1, 1)), np.eye(nb)
     d_t, d_b = np.zeros((m, L, k)), np.zeros((m, nb))
-    for j, e in enumerate(design.penalties):
+    for q, e in enumerate(design.penalties):
         if e.term_label == label:
             T_t[e.levels] = e.T
-            d_t[j, e.levels] = e.d
+            d_t[q, e.levels] = e.d
         else:                  # its border positions, one row per level
-            pos = np.searchsorted(border, e.offset + e.cols.start) \
-                + np.arange(e.cols.stop - e.cols.start).reshape(-1, e.d.size)
+            pos = at[e.offset:][e.cols].reshape(-1, e.d.size) - w
             T_b[pos[:, :, None], pos[:, None, :]] = e.T
-            d_b[j, pos] = e.d
+            d_b[q, pos] = e.d
+    # X'X's entries into the blocks; _level_blocks kept the levels apart
+    i, j = at[i], at[j]
+    x_tt, x_tb, x_bb = np.zeros((w, k)), np.zeros((w, nb)), np.zeros((nb, nb))
+    t = (i < w) & (j < w)
+    x_tt[i[t], j[t] % k] = v[t]
+    t = (i < w) & (j >= w)
+    x_tb[i[t], j[t] - w] = v[t]
+    t = (i >= w) & (j >= w)
+    x_bb[i[t] - w, j[t] - w] = v[t]
     g_bb = np.empty((nb + 1, nb + 1))
-    g_bb[:nb, :nb] = T_b.T @ xtx[np.ix_(border, border)] @ T_b
+    g_bb[:nb, :nb] = T_b.T @ x_bb @ T_b
     g_bb[:nb, nb] = g_bb[nb, :nb] = T_b.T @ xty[border]
     g_bb[nb, nb] = yty
-    g_tb = np.concatenate([xtx[idx[:, :, None], border] @ T_b,
+    g_tb = np.concatenate([x_tb.reshape(L, k, nb) @ T_b,
                            xty[idx][:, :, None]], axis=2)
     T_tt = T_t.swapaxes(1, 2)
     return _ArrowLayout(
         penalties=design.penalties, idx=idx, border=border, T_t=T_t, T_b=T_b,
-        g_tt=T_tt @ xtx[idx[:, :, None], idx[:, None, :]] @ T_t,
-        g_tb=T_tt @ g_tb, g_bb=g_bb, d_t=d_t, d_b=d_b)
+        g_tt=T_tt @ x_tt.reshape(L, k, k) @ T_t, g_tb=T_tt @ g_tb, g_bb=g_bb,
+        d_t=d_t, d_b=d_b, gram=gram)
 
 
 def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
@@ -1404,10 +1414,10 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     else:
         reml = math.nan
     resid_raw = design_raw.y - design_raw.dot(sol.beta)
-    sig = sigma2 if math.isfinite(sigma2) else 0.0
+    vb = sol.vb_unscaled
+    vb *= sigma2 if math.isfinite(sigma2) else 0.0   # no second p x p array
     return FittedModel(spec=spec, design_raw=design_raw, design=design,
-                       beta=sol.beta, lambdas=lambdas, sigma2=sigma2,
-                       vb=sig * sol.vb_unscaled,
+                       beta=sol.beta, lambdas=lambdas, sigma2=sigma2, vb=vb,
                        edf_per_coef=sol.edf_per_coef, total_edf=total_edf,
                        reml=reml, loglik=loglik, rss_whitened=rss_w,
                        residuals_raw=resid_raw, residuals_whitened=resid_w,

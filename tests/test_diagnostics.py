@@ -273,7 +273,8 @@ def test_cv_by_group_requires_positive_values():
 def _report_stub(resid):
     n = len(resid)
     return SimpleNamespace(residuals_whitened=np.asarray(resid, dtype=float),
-                           design=SimpleNamespace(X=np.zeros((n, 1))),
+                           design=SimpleNamespace(
+                               dot=lambda beta: np.zeros((n, 1)) @ beta),
                            beta=np.zeros(1))
 
 

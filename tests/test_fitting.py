@@ -302,6 +302,13 @@ def test_pls_edf_monotone_and_bounded(kind):
     assert np.all(np.diff(totals) <= 1e-9)
 
 
+def _dense_gram(des):
+    """X'X, X'y and y'y of the densified design, for the dense oracles:
+    built from des.X, sharing no code with ensure_products."""
+    X = des.X.toarray()
+    return X.T @ X, X.T @ des.y, float(des.y @ des.y)
+
+
 def _exact_pls(des, lambdas):
     """beta solving (X'X + sum_j lambda_j R_j'R_j) beta = X'y in exact
     rational arithmetic on the stored floats: no rounding anywhere."""
@@ -414,7 +421,7 @@ def test_pls_ridges_a_singular_system_and_flags_it():
     des = assemble(_COND_RE, _subject_table())
     sol = pls_solve(des, [0.0])
     assert sol.ridged
-    xtx, _, _ = des.ensure_products()
+    xtx, _, _ = _dense_gram(des)
     ref = _augmented_lstsq(des, [0.0], ridge=1e-10 * np.diag(xtx).mean())
     fitted, fitted_ref = des.X @ sol.beta, des.X @ ref
     assert np.max(np.abs(fitted - fitted_ref)) <= \
@@ -821,15 +828,17 @@ def _scenario(n_subjects, n_trials, seed):
         subject_intercept_sd=0.5, seed=seed))[0]
 
 
+_FULL_SPEC = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                       smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
+                                     SmoothTermSpec(("trial",), "cr", k=5,
+                                                    fs_group="subject")),
+                       rho=0.3)
+
+
 def _full_design(n_subjects, n_trials, seed):
     """cond + cr(trial) + fs(trial, subject), AR(1)-whitened at rho 0.3."""
-    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
-                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
-                                   SmoothTermSpec(("trial",), "cr", k=5,
-                                                  fs_group="subject")),
-                     rho=0.3)
-    return ar1_whiten(assemble(spec, _scenario(n_subjects, n_trials, seed)),
-                      0.3)
+    return ar1_whiten(assemble(_FULL_SPEC, _scenario(n_subjects, n_trials,
+                                                     seed)), 0.3)
 
 
 def _pilot_design(seed=120, perm_seed=88):
@@ -999,7 +1008,7 @@ def _dense_reml(des, x):
     and its dense inverse: the formulas reml_score used before it factored
     the level blocks and the border apart."""
     lam = np.exp(np.asarray(x, dtype=np.float64))
-    xtx, xty, yty = des.ensure_products()
+    xtx, xty, yty = _dense_gram(des)
     S = []
     for e in des.penalties:
         sl = slice(e.offset, e.offset + e.p_block)
@@ -1163,17 +1172,22 @@ def test_fit_does_not_depend_on_level_labels_or_row_order(model):
 @pytest.mark.parametrize("log_lambdas", [(-5.0, -5.0), (2.0, 2.0)])
 def test_reml_score_refuses_a_level_block_that_is_not_positive_definite(
         log_lambdas):
-    """One level's block of X'X with its sign flipped: at log lambda = -5
-    its diagonal turns negative, at 2 the penalties keep the diagonal
-    positive and the level's Cholesky fails. Either way the score raises
-    NumericError naming the lambdas, with or without derivatives."""
+    """One level's block of X'X, held in the cached sparse T'T, with its
+    sign flipped: at log lambda = -5 its diagonal turns negative, at 2 the
+    penalties keep the diagonal positive and the level's Cholesky fails.
+    Either way the score raises NumericError naming the lambdas, with or
+    without derivatives."""
     terms, _ = _DERIVATIVE_CASES["fs"]
     des = assemble(ModelSpec(response="y", smooth_terms=terms),
                    _derivative_table())
-    xtx, _, _ = des.ensure_products()
+    tt = des.ensure_products()[2]
     a, b = des.col_ranges["fs(x,g)"]
-    level = np.arange(a, b)[:(b - a) // 4]
-    xtx[np.ix_(level, level)] *= -1.0
+    lo = int(np.searchsorted(des.sparse_cols, a))
+    w = (b - a) // 4
+    level = (tt.row >= lo) & (tt.row < lo + w) & \
+        (tt.col >= lo) & (tt.col < lo + w)
+    assert np.count_nonzero(level) == w * w
+    tt.data[level] *= -1.0
     for derivatives in (False, True):
         with pytest.raises(NumericError, match="not positive definite at "
                                                "lambdas"):
@@ -1193,6 +1207,45 @@ def test_reml_score_memory_stays_below_one_dense_matrix():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 8 * des.p ** 2
+
+
+def test_gram_memory_stays_below_one_dense_matrix():
+    """On cond + cr + fs with 200 subjects (p = 1011), forming the Gram's
+    parts and gathering the block-arrow layout from them allocates less
+    than one dense p x p array: X'X is never formed p x p."""
+    des = _full_design(200, 100, 1)
+    assert des.p == 1011
+    tracemalloc.start()
+    des.ensure_products()
+    des.arrow()
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 8 * des.p ** 2
+
+
+def test_fit_forms_the_gram_once(monkeypatch):
+    """A fit with a lambda search, a final solve and a final score forms
+    the X'X products once and builds the block-arrow layout once: every
+    ensure_products call returns the same cached parts."""
+    formed, layouts = [], []
+    real_products = fitting.AssembledDesign.ensure_products
+    real_layout = fitting._arrow_layout
+
+    def products(design):
+        parts = real_products(design)
+        if not any(parts is seen for seen in formed):
+            formed.append(parts)
+        return parts
+
+    def layout(design):
+        layouts.append(real_layout(design))
+        return layouts[-1]
+
+    monkeypatch.setattr(fitting.AssembledDesign, "ensure_products", products)
+    monkeypatch.setattr(fitting, "_arrow_layout", layout)
+    model = fit(_FULL_SPEC, _scenario(6, 40, 1))
+    assert model.n_eval > 0
+    assert len(formed) == 1 and len(layouts) == 1
 
 
 def _assemble_peak(spec, table):
@@ -1241,7 +1294,7 @@ def _dense_pls(des, lambdas):
     """The final solve as it was before it read the block-arrow layout:
     eigh of the whole equilibrated X'X for a p-row root, one QR of the root
     stacked on the penalty roots, and a p x p triangular inverse for vb."""
-    xtx, xty, _ = des.ensure_products()
+    xtx, xty, _ = _dense_gram(des)
     p = des.p
     d = np.sqrt(np.diag(xtx))
     d = np.where(d > 0, d, 1.0)

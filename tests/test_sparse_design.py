@@ -60,19 +60,30 @@ def _assert_close(got, want):
 
 @pytest.mark.parametrize("rho", [0.0, 0.6])
 def test_products_match_dense_products(rho):
-    """X'X, X'y and y'y from the dense and sparse parts equal the products
-    of the densified design, unwhitened and whitened. At rho = 0.6 the
-    whitened item columns span two levels per row."""
+    """The arrow's blocks, gathered from the dense and sparse parts'
+    products, equal the densified design's X'X, X'y and y'y gathered by
+    idx and border and rotated by T, unwhitened and whitened. At rho = 0.6
+    the whitened item columns span two levels per row."""
     des = assemble(_MIXED, _mixed_table())
     if rho:
         des = ar1_whiten(des, rho)
-    xtx, xty, yty = des.ensure_products()
+    ar = des.arrow()
     X = des.X.toarray()
     a, b = des.col_ranges["re(item)"]
     assert np.count_nonzero(X[:, a:b], axis=1).max() == (2 if rho else 1)
-    _assert_close(xtx, X.T @ X)
-    _assert_close(xty, X.T @ des.y)
-    assert yty == pytest.approx(des.y @ des.y, rel=1e-12)
+    assert ar.idx.shape == (8, 5)      # the fs term's levels
+    xtx, xty = X.T @ X, X.T @ des.y
+    idx, border, T_t, T_b = ar.idx, ar.border, ar.T_t, ar.T_b
+    T_tt = T_t.swapaxes(1, 2)
+    nb = border.size
+    _assert_close(ar.g_tt, T_tt @ xtx[idx[:, :, None], idx[:, None, :]] @ T_t)
+    _assert_close(ar.g_tb[..., :nb],
+                  T_tt @ xtx[idx[:, :, None], border] @ T_b)
+    _assert_close(ar.g_tb[..., nb], (T_tt @ xty[idx][..., None])[..., 0])
+    _assert_close(ar.g_bb[:nb, :nb], T_b.T @ xtx[np.ix_(border, border)] @ T_b)
+    _assert_close(ar.g_bb[:nb, nb], T_b.T @ xty[border])
+    np.testing.assert_array_equal(ar.g_bb[nb, :nb], ar.g_bb[:nb, nb])
+    assert ar.g_bb[nb, nb] == pytest.approx(des.y @ des.y, rel=1e-12)
 
 
 def test_stacked_design_equals_the_dense_prediction_matrix():
