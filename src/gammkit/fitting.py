@@ -31,7 +31,8 @@ directions (parametric coefficients and penalty null spaces), which are
 integrated out with flat priors. Lower is better; only differences between
 scores are meaningful. optimize_lambdas minimizes it over log lambda by
 Newton steps on its exact gradient and Hessian (Wood 2011, JRSSB 73(1)),
-from three starts, then probes the lambda bounds from the best point.
+from three starts run in lockstep, then probes the lambda bounds from the
+best point; reml_score factors each round's points as one stack.
 """
 
 from __future__ import annotations
@@ -183,8 +184,6 @@ class AssembledDesign:
     table: DataTable
     series_codes: np.ndarray | None
     order_values: np.ndarray | None
-    whitened: bool = False
-    rho: float = 0.0
     _products: tuple | None = field(default=None, repr=False)
     _arrow: _ArrowLayout | None = field(default=None, repr=False)
 
@@ -656,8 +655,7 @@ def ar1_whiten(design: AssembledDesign, rho: float,
     data[lag] = -rho
     D = sparse.csr_array((data, indices, indptr), shape=(design.n, design.n))
     return replace(design, y=D @ design.y, X_dense=D @ design.X_dense,
-                   X_sparse=D @ design.X_sparse, whitened=True, rho=rho,
-                   _products=None, _arrow=None)
+                   X_sparse=D @ design.X_sparse, _products=None, _arrow=None)
 
 
 # ---------------------------------------------------------------------------
@@ -758,7 +756,7 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     schur = ar.g_bb - cf_flat.T @ cf_flat
     root_b, to_rows = _gram_root(schur[:nb, :nb], np.diagonal(ar.g_bb)[:nb])
     # the penalties: one diagonal on the levels, one on the border
-    pen_t = lambdas @ ar.d_t.reshape(lambdas.size, L * k)
+    pen_t = lambdas[ar.t_pen] @ ar.d_t
     pen_b = lambdas @ ar.d_b
     c = k + nb + 1
     level_rows = np.zeros((L, 2 * k, c))
@@ -831,8 +829,8 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
 # REML
 
 
-def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
-    """Log pseudo-determinant of sum_j lambda_j S_j in closed form.
+def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray):
+    """Log pseudo-determinant of sum_j lambda_j S_j in closed form (per row).
 
     assemble reduces every term's penalties to their spectrum once
     (_term_penalties), so log|S_lambda|_+ = const + sum_i log((W lambda)_i)
@@ -840,8 +838,8 @@ def _log_pdet_slambda(design: AssembledDesign, lambdas: np.ndarray) -> float:
     call, exact at any lambda ratio because no lambda enters an
     eigenproblem.
     """
-    return design.logpdet_const + \
-        float(np.sum(np.log(design.logpdet_weights @ lambdas)))
+    return design.logpdet_const + np.log(
+        (design.logpdet_weights @ lambdas[..., None])[..., 0]).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -875,7 +873,8 @@ class _ArrowLayout:
     g_tt: np.ndarray           # L x k x k: T_l' X'X_l T_l
     g_tb: np.ndarray           # L x k x (nb + 1): T_l' [X'X_lB T_B | X'y_l]
     g_bb: np.ndarray           # [[T_B' X'X_BB T_B, T_B' X'y_B], [., y'y]]
-    d_t: np.ndarray            # m x L x k: every penalty on the levels
+    t_pen: slice               # the block part's penalties, one term's
+    d_t: np.ndarray            # (those) x L k: them on the levels
     d_b: np.ndarray            # m x nb: every penalty on the border
     gram: tuple                # X'X's nonzero entries (i, j, v), X's columns
 
@@ -945,14 +944,18 @@ def _arrow_layout(design: AssembledDesign) -> _ArrowLayout:
     g_tb = np.concatenate([x_tb.reshape(L, k, nb) @ T_b,
                            xty[idx][:, :, None]], axis=2)
     T_tt = T_t.swapaxes(1, 2)
+    on = [q for q, e in enumerate(design.penalties) if e.term_label == label]
+    t_pen = slice(on[0], on[-1] + 1) if on else slice(0)
     return _ArrowLayout(
         penalties=design.penalties, idx=idx, border=border, T_t=T_t, T_b=T_b,
         g_tt=T_tt @ x_tt.reshape(L, k, k) @ T_t, g_tb=T_tt @ g_tb, g_bb=g_bb,
-        d_t=d_t, d_b=d_b, gram=gram)
+        t_pen=t_pen, d_t=d_t[t_pen].reshape(len(on), w), d_b=d_b,
+        gram=gram)
 
 
 def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
-    """Negative log restricted marginal likelihood at the given log-lambdas.
+    """Negative log restricted marginal likelihood at the given log-lambdas,
+    at one point or at each point of a stack.
 
     A = X'X + S_lambda is factored in block-arrow form, in the coordinates
     where every penalty is diagonal (design.arrow()): the L level blocks
@@ -972,69 +975,100 @@ def reml_score(design: AssembledDesign, log_lambdas, derivatives=False):
     line search needs them only at the point it accepts. A level block or
     Sigma that is not numerically positive definite raises NumericError:
     the score of a ridged system would be another model's.
+
+    log_lambdas of shape (B, m), a stack, is factored in one pass making
+    each point's BLAS and LAPACK calls as alone (bit for bit alike), and
+    gives B (score, grad, hess): derivatives may hold a threshold per
+    point, and a point that cannot be scored reads (inf, None, None).
     """
-    log_lambdas = np.atleast_1d(np.asarray(log_lambdas, dtype=np.float64))
-    if log_lambdas.shape != (len(design.penalties),):
+    x = np.asarray(log_lambdas, dtype=np.float64)
+    stack = x.ndim == 2
+    x = x if stack else np.atleast_1d(x)[None]       # a stack of one
+    if x.shape[1:] != (len(design.penalties),):
         raise ShapeError(f"expected {len(design.penalties)} log-lambdas")
-    lambdas = np.exp(log_lambdas)
-    if not np.all(np.isfinite(lambdas)):
-        raise NumericError(f"non-finite lambdas {lambdas}")
+    below = np.broadcast_to(math.inf if derivatives is True else -math.inf
+                            if derivatives is False else derivatives, len(x))
+    try:
+        out = _reml_stack(design, x, below)
+    except NumericError:
+        if not stack:
+            raise
+        out = [(math.inf, None, None)] if len(x) == 1 else [  # one by one
+            reml_score(design, x[i:i + 1], below[i:i + 1])[0]
+            for i in range(len(x))]
+    return out if stack else out[0][0] if derivatives is False else out[0]
+
+
+def _reml_stack(design: AssembledDesign, x: np.ndarray, below):
+    """reml_score at the rows of x; NumericError if any point fails."""
     ar = design.arrow()
-    L, k, _ = ar.g_tt.shape
-    nb = ar.border.size
-    D = ar.g_tt.copy()
-    D.reshape(L, k * k)[:, ::k + 1] += \
-        (lambdas @ ar.d_t.reshape(lambdas.size, L * k)).reshape(L, k)
-    Z = ar.g_bb.copy()
-    Z[np.arange(nb), np.arange(nb)] += lambdas @ ar.d_b
-    info = 1
-    scale = np.diagonal(D, axis1=1, axis2=2)
-    if np.all(scale > 0):
+    (B, _), (L, k, _), nb = x.shape, ar.g_tt.shape, ar.border.size
+    lambdas = np.exp(x)
+    at = lambdas[0] if B == 1 else lambdas        # for the messages
+    if not np.isfinite(lambdas).all():
+        raise NumericError(f"non-finite lambdas {at}")
+    D = np.repeat(ar.g_tt[None], B, axis=0)
+    D.reshape(B, L, k * k)[..., ::k + 1] += \
+        (lambdas[:, None, ar.t_pen] @ ar.d_t).reshape(B, L, k)
+    Z = np.repeat(ar.g_bb[None], B, axis=0)
+    Z.reshape(B, -1)[:, :nb * (nb + 2):nb + 2] += \
+        (lambdas[:, None] @ ar.d_b)[:, 0]
+    scale = np.diagonal(D, axis1=2, axis2=3)
+    try:                     # LinAlgError: not numerically positive definite
+        if not (scale > 0).all():
+            raise np.linalg.LinAlgError
         scale = np.sqrt(scale)
-        try:
-            chol = np.linalg.cholesky(
-                D / scale[:, :, None] / scale[:, None, :])
-            R = np.linalg.inv(chol) / scale[:, None, :]  # D_l^-1 = R_l' R_l
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            W = R @ ar.g_tb      # R_l [C_l | X'y_l]
-            Wf = W.reshape(L * k, nb + 1)
-            Z -= Wf.T @ Wf       # Sigma, bordered by the eliminated X'y
-            s_scale = np.diag(Z)[:nb]
-            if np.all(s_scale > 0):
-                s_scale = np.sqrt(s_scale)
-                s_fac, info = lapack.dpotrf(
-                    Z[:nb, :nb] / np.outer(s_scale, s_scale), lower=1, clean=1)
-    if info != 0:
+        chol = np.linalg.cholesky(D / scale[..., :, None] / scale[..., None, :])
+        R = np.linalg.inv(chol) / scale[..., None, :]      # D^-1 = R'R
+        W = R @ ar.g_tb                                    # R_l [C_l | X'y_l]
+        Wf = W.reshape(B, L * k, nb + 1)
+        Z -= Wf.swapaxes(1, 2) @ Wf    # Sigma, bordered by the X'y left
+        s_scale = np.diagonal(Z, axis1=1, axis2=2)[:, :nb]
+        if not (s_scale > 0).all():
+            raise np.linalg.LinAlgError
+        s_scale = np.sqrt(s_scale)
+        s_fac, info = zip(*[lapack.dpotrf(a, lower=1, clean=1) for a in Z[
+            :, :nb, :nb] / (s_scale[:, :, None] * s_scale[:, None, :])])
+        if any(info):
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
         raise NumericError(f"X'X + S_lambda not positive definite "
-                           f"at lambdas {lambdas}")
-    beta_b = lapack.dpotrs(s_fac, Z[:nb, nb] / s_scale, lower=1)[0] / s_scale
-    rss_pen = max(Z[nb, nb] - float(beta_b @ Z[:nb, nb]), 1e-300)
-    logdet_a = 2.0 * float(
-        np.sum(np.log(np.diagonal(chol, axis1=1, axis2=2)))
-        + np.sum(np.log(scale)) + np.sum(np.log(s_fac.diagonal()))
-        + np.sum(np.log(s_scale))) + design.logpdet_const
+                           f"at lambdas {at}") from None
+    beta_b = np.array([lapack.dpotrs(f, z, lower=1)[0] for f, z in zip(
+        s_fac, Z[:, :nb, nb] / s_scale)]) / s_scale
+    rss_pen = np.maximum(Z[:, nb, nb] - (
+        beta_b[:, None] @ Z[:, :nb, nb, None])[:, 0, 0], 1e-300)
+    logdet_a = 2.0 * (np.log(np.diagonal(chol, axis1=2, axis2=3)).reshape(
+        B, -1).sum(axis=1) + np.log(scale).reshape(B, -1).sum(axis=1)
+        + np.log(np.diagonal(s_fac, axis1=1, axis2=2)).sum(axis=1)
+        + np.log(s_scale).sum(axis=1)) + design.logpdet_const
     logpdet_s = _log_pdet_slambda(design, lambdas)
     n_eff = design.n - design.m_null_total
     if n_eff <= 0:
         raise NumericError("more unpenalized directions than observations")
-    phi = max(rss_pen / n_eff, 1e-300)
-    score = 0.5 * n_eff * (math.log(2.0 * math.pi * phi) + 1.0) \
-        - 0.5 * logpdet_s + 0.5 * logdet_a
-    if not math.isfinite(score):
-        raise NumericError(f"non-finite REML score at lambdas {lambdas}")
-    if derivatives is False:
-        return float(score)
-    if derivatives is not True and not score < derivatives:
-        return float(score), None, None
-    return (float(score),) + _reml_derivatives(
-        ar, lambdas, R, W, (s_fac, s_scale, beta_b), rss_pen, n_eff,
-        design.logpdet_weights)
+    out = [(float(0.5 * n_eff * (math.log(2.0 * math.pi * max(
+        rss_pen[b] / n_eff, 1e-300)) + 1.0) - 0.5 * logpdet_s[b]
+        + 0.5 * logdet_a[b]), None, None) for b in range(B)]
+    if not all(math.isfinite(f) for f, _, _ in out):
+        raise NumericError(f"non-finite REML score at lambdas {at}")
+    deriv = [b for b in range(B) if out[b][0] < below[b]]
+    if deriv:
+        # column-major as dpotri returns it, for one point's BLAS calls
+        P = np.array([lapack.dpotri(s_fac[b], lower=1)[0].T
+                      for b in deriv]).transpose(0, 2, 1)
+        P += np.tril(P, -1).swapaxes(1, 2)          # the upper triangle is 0
+        P /= s_scale[deriv, :, None] * s_scale[deriv, None, :]  # Sigma^-1
+        grad, hess = _reml_derivatives(
+            ar, lambdas[deriv], R[deriv], W[deriv], P, beta_b[deriv],
+            rss_pen[deriv], n_eff, design.logpdet_weights)
+        for i, b in enumerate(deriv):
+            out[b] = (out[b][0], grad[i], hess[i])
+    return out
 
 
-def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
-    """Gradient and Hessian of the REML score in log lambda.
+def _reml_derivatives(ar, lambdas, R, W, P, beta_b, rss_pen, n_eff, weights):
+    """Gradient and Hessian of the REML score in log lambda, per point of
+    _reml_stack's stack.
 
     With r_j = lambda_j b'S_j b, t_j = lambda_j tr(A^-1 S_j) and
     P_kj = W_kj lambda_j / (W lambda)_k (W = logpdet_weights):
@@ -1047,7 +1081,7 @@ def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
 
     A^-1 is never formed. In the layout's coordinates (_ArrowLayout) every
     S_j is diagonal, lambda_j diag(d_jT) on the levels and lambda_j
-    diag(d_jB) on the border. With F = D^-1 C and Sigma^-1 = (A^-1)_BB,
+    diag(d_jB) on the border. With F = D^-1 C and P = Sigma^-1 = (A^-1)_BB,
     A^-1 has the level-block part D^-1 + F Sigma^-1 F' and the off-diagonal
     part -F Sigma^-1, so with K_j = lambda_j (F' diag(d_jT) F + diag(d_jB))
 
@@ -1055,53 +1089,55 @@ def _reml_derivatives(ar, lambdas, R, W, border, rss_pen, n_eff, weights):
 
     and each trace of a pair is a sum over the level blocks plus
     tr(Sigma^-1 K_i Sigma^-1 K_j). b'S_j A^-1 S_i b applies A^-1 to the
-    vectors lambda_i S_i b by the same elimination.
+    vectors lambda_i S_i b by the same elimination. Only the block part's
+    penalties (ar.t_pen) have d_jT nonzero and enter the level products.
     """
-    s_fac, s_scale, beta_b = border
-    L, k, nb1 = W.shape
-    nb = nb1 - 1
-    m = len(lambdas)
-    P, info = lapack.dpotri(s_fac, lower=1)
-    if info != 0:
-        raise NumericError(f"inverse of X'X + S_lambda failed at lambdas "
-                           f"{lambdas}")
-    P += np.tril(P, -1).T          # s_fac's upper triangle is 0
-    P /= np.outer(s_scale, s_scale)                  # Sigma^-1
-    Rt = R.swapaxes(1, 2)
+    Bd, L, k, nb1 = W.shape
+    nb, m, mt, ti, Lk = nb1 - 1, lambdas.shape[1], len(ar.d_t), ar.t_pen, L * k
+    Rt = R.swapaxes(2, 3)
     d_inv = Rt @ R                                   # D_l^-1
     FX = Rt @ W                                      # [F | D^-1 X'y_T]
     F = FX[..., :nb]
-    Ff = F.reshape(L * k, nb)
-    beta_t = FX[..., nb] - F @ beta_b
-    S = lambdas[:, None, None] * ar.d_t              # m x L x k
-    Sf = S.reshape(m, L * k)
-    SB = lambdas[:, None] * ar.d_b                   # m x nb
-    E = S[..., None] * F                             # lambda_j S_j F
-    K = Ff.T @ E.reshape(m, L * k, nb)
-    K[:, np.arange(nb), np.arange(nb)] += SB
-    PK = P @ K                                       # Sigma^-1 K_j
-    G = (d_inv @ E) @ P
-    t = Sf @ np.diagonal(d_inv, axis1=1, axis2=2).ravel() \
-        + np.einsum("jaa->j", PK)
-    n2 = L * k * nb
+    Ff = F.reshape(Bd, Lk, nb)
+    beta_t = FX[..., nb] - (F @ beta_b[:, None, :, None])[..., 0]
+    S = lambdas[:, ti, None] * ar.d_t                # Bd x mt x Lk
+    Sf = np.zeros((Bd, m, Lk))                       # every penalty's
+    Sf[:, ti] = S
+    SB = lambdas[:, :, None] * ar.d_b                # Bd x m x nb
+    E = S.reshape(Bd, mt, L, k, 1) * F[:, None]      # lambda_j S_j F
+    K = np.zeros((Bd, m, nb, nb))
+    K[:, ti] = Ff.swapaxes(1, 2)[:, None] @ E.reshape(Bd, mt, Lk, nb)
+    K.reshape(Bd, m, nb * nb)[..., ::nb + 1] += SB
+    PK = P[:, None] @ K                              # Sigma^-1 K_j
+    G = (d_inv[:, None] @ E) @ P[:, None, None]
+    t = (Sf @ np.diagonal(d_inv, axis1=2, axis2=3).reshape(Bd, Lk, 1))[
+        ..., 0] + np.einsum("bjaa->bj", PK)
+    n2 = Lk * nb
     # lambda_i lambda_j tr(A^-1 S_i A^-1 S_j)
-    trace2 = Sf @ ((d_inv * d_inv) @ S[..., None]).reshape(m, L * k).T \
-        + 2.0 * E.reshape(m, n2) @ G.reshape(m, n2).T \
-        + PK.reshape(m, nb * nb) @ PK.swapaxes(1, 2).reshape(m, nb * nb).T
+    trace2 = PK.reshape(Bd, m, nb * nb) @ \
+        PK.swapaxes(2, 3).reshape(Bd, m, nb * nb).swapaxes(1, 2)
+    trace2[:, ti, ti] += \
+        S @ ((d_inv * d_inv)[:, None] @ S.reshape(Bd, mt, L, k, 1)).reshape(
+            Bd, mt, Lk).swapaxes(1, 2) \
+        + 2.0 * E.reshape(Bd, mt, n2) @ G.reshape(Bd, mt, n2).swapaxes(1, 2)
     # u_j = lambda_j S_j b in its block-part and border rows
-    UT, UB = Sf * beta_t.ravel(), SB * beta_b
+    UT, UB = Sf * beta_t.reshape(Bd, 1, Lk), SB * beta_b[:, None]
     # v_i = A^-1 u_i by block elimination; cross_ij = u_j' v_i
     VB = (UB - UT @ Ff) @ P
-    VT = (d_inv @ UT.reshape(m, L, k, 1)).reshape(m, L * k) - VB @ Ff.T
-    cross = UT @ VT.T + UB @ VB.T
-    r = UT @ beta_t.ravel() + UB @ beta_b
-    P_w = weights * lambdas / (weights @ lambdas)[:, None]
-    grad = 0.5 * (n_eff * r / rss_pen + t - P_w.sum(axis=0))
+    VT = (d_inv[:, None] @ UT.reshape(Bd, m, L, k, 1)).reshape(Bd, m, Lk) \
+        - VB @ Ff.swapaxes(1, 2)
+    cross = UT @ VT.swapaxes(1, 2) + UB @ VB.swapaxes(1, 2)
+    r = (UT @ beta_t.reshape(Bd, Lk, 1))[..., 0] \
+        + (UB @ beta_b[:, :, None])[..., 0]
+    P_w = weights * lambdas[:, None] / (weights @ lambdas[:, :, None])
+    grad = 0.5 * (n_eff * r / rss_pen[:, None] + t - P_w.sum(axis=1))
+    rss = rss_pen[:, None, None]
     # the d_ij terms of hess add up to grad on its diagonal
-    hess = -n_eff * (cross / rss_pen + 0.5 * np.outer(r, r) / rss_pen ** 2) \
-        - 0.5 * (trace2 - P_w.T @ P_w)
-    hess.flat[::m + 1] += grad
-    return grad, 0.5 * (hess + hess.T)
+    hess = -n_eff * (cross / rss + 0.5 * (r[:, :, None] * r[:, None, :])
+                     / rss ** 2) \
+        - 0.5 * (trace2 - P_w.swapaxes(1, 2) @ P_w)
+    hess.reshape(Bd, m * m)[:, ::m + 1] += grad
+    return grad, 0.5 * (hess + hess.swapaxes(1, 2))
 
 
 @dataclass(frozen=True)
@@ -1113,8 +1149,11 @@ class LambdaSearch:
     grad_max: float            # largest |projected gradient| at lambdas
 
 
-def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
-    """Projected Newton descent in log lambda from one start.
+def _newton_search(x: np.ndarray):
+    """Projected Newton descent in log lambda from one start, as a
+    generator (_lockstep drives it): it yields (point, the score below
+    which it wants the point's derivatives), receives reml_score's (score,
+    grad, hess) there and returns its LambdaSearch.
 
     A coordinate at a lambda bound whose gradient points outward stays
     fixed. On the free coordinates the step is Newton's along each
@@ -1122,10 +1161,12 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
     max(largest |eigenvalue|, 1), and MAX_NEWTON_STEP downhill along the
     others, where the quadratic model has no minimum; it is then scaled to
     at most MAX_NEWTON_STEP per coordinate and halved until the score
-    falls. Each trial point is scored once, asking for derivatives below
-    the current score: the point accepted brings its gradient and Hessian,
-    a rejected one costs only its factorization. A start that cannot be
-    scored returns score inf.
+    falls, until its predicted decrease is below the score's rounding. If
+    the full step's already is, a trial within rounding of the score with
+    a smaller largest free |gradient| is also taken. Each trial point is
+    scored once, asking for derivatives below the current score (plus its
+    rounding in that case): the point accepted brings its gradient and
+    Hessian. A start that cannot be scored returns score inf.
 
     Where the score tends to its limit like exp(-|log lambda_j|), the 1-D
     Newton step -g_j / H_jj is 1 toward that bound at every point, and
@@ -1136,16 +1177,16 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
     and taken if lower; each coordinate and bound is tried once per run.
     """
     lo, hi = LOG_LAMBDA_MIN, LOG_LAMBDA_MAX
-    try:
-        f, g, H = reml_score(design, x, derivatives=True)
-    except NumericError:
+    f, g, H = yield x, math.inf
+    if f == math.inf:
         return LambdaSearch(np.exp(x), math.inf, False, 1, math.nan)
     n_eval, converged = 1, False
     tail = np.zeros(x.size)        # tail direction at the last accepted point
     tried = set()
     for _ in range(_NEWTON_MAX_ITER):
         free = _free_coordinates(x, g)
-        if np.max(np.abs(g[free]), initial=0.0) <= GRAD_TOL:
+        g_max = np.max(np.abs(g[free]), initial=0.0)
+        if g_max <= GRAD_TOL:
             converged = True
             break
         toward = _tail_direction(g, H)
@@ -1158,15 +1199,12 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
             tried.add((j, toward[j]))
             probe = _tail_jump(x, g, H, free, j, toward[j], bound[j])
             n_eval += 1
-            try:
-                f_p, g_p, H_p = reml_score(design, probe, derivatives=f)
-            except NumericError:
-                f_p = math.inf
+            f_p, g_p, H_p = yield probe, f
             if f_p < f:
                 x, f, g, H = probe, f_p, g_p, H_p
                 tail = np.zeros(x.size)
                 continue
-        w, V = np.linalg.eigh(H[np.ix_(free, free)])
+        w, V = np.linalg.eigh(H[free][:, free])
         c = V.T @ g[free]
         # no quadratic minimum along nonpositive curvature: take the cap
         floor = _EIG_FLOOR * max(np.abs(w).max(), 1.0)
@@ -1174,22 +1212,23 @@ def _newton_search(design: AssembledDesign, x: np.ndarray) -> LambdaSearch:
         step[free] = -V @ np.where(w > floor, c / np.maximum(w, floor),
                                    MAX_NEWTON_STEP * np.sign(c))
         step *= min(1.0, MAX_NEWTON_STEP / np.abs(step).max())
-        trial = np.clip(x + step, lo, hi)
+        trial = (x + step).clip(lo, hi)
+        # a full step whose predicted decrease is below the score's rounding
+        flat = abs(g @ (trial - x)) <= (tol := _SCORE_RTOL * (1.0 + abs(f)))
         while True:
             n_eval += 1
-            try:
-                f_trial, g_trial, H_trial = reml_score(design, trial,
-                                                       derivatives=f)
-            except NumericError:
-                f_trial = math.inf
-            if f_trial < f:
+            f_trial, g_trial, H_trial = yield trial, f + tol if flat else f
+            if f_trial < f or flat and g_trial is not None and np.max(
+                    np.abs(g_trial[_free_coordinates(trial, g_trial)]),
+                    initial=0.0) < g_max:
                 break
             step *= 0.5
-            trial = np.clip(x + step, lo, hi)
+            trial = (x + step).clip(lo, hi)
             # a descent smaller than the score's rounding cannot be seen
-            if abs(g @ (trial - x)) <= _SCORE_RTOL * (1.0 + abs(f)):
+            if abs(g @ (trial - x)) <= tol:
+                trial = None
                 break
-        if f_trial >= f:
+        if trial is None:
             converged = True
             break
         x, f, g, H = trial, f_trial, g_trial, H_trial
@@ -1207,10 +1246,10 @@ def _tail_jump(x, g, H, free, j, toward, bound) -> np.ndarray:
     probe[j] = bound
     o = free & (np.arange(x.size) != j)
     if np.any(o):
-        w, V = np.linalg.eigh(H[np.ix_(o, o)])
+        w, V = np.linalg.eigh(H[o][:, o])
         if w[0] > _EIG_FLOOR * max(np.abs(w).max(), 1.0):
             shift = -V @ ((V.T @ (g[o] + H[o, j] * toward)) / w)
-            probe[o] = np.clip(x[o] + shift, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
+            probe[o] = (x[o] + shift).clip(LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
     return probe
 
 
@@ -1221,13 +1260,6 @@ def _tail_direction(g: np.ndarray, H: np.ndarray) -> np.ndarray:
     h = np.diag(H)
     s = np.divide(-g, h, out=np.zeros_like(g), where=h > 0)
     return np.where(np.abs(np.abs(s) - 1.0) <= _TAIL_RTOL, np.sign(s), 0.0)
-
-
-def _score_or_inf(design: AssembledDesign, x: np.ndarray) -> float:
-    try:
-        return reml_score(design, x)
-    except NumericError:
-        return math.inf
 
 
 def _free_coordinates(x: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -1248,23 +1280,40 @@ def _best_run(runs: list) -> LambdaSearch:
     return best
 
 
+def _lockstep(design: AssembledDesign, starts: list) -> list:
+    """The LambdaSearch of a Newton run (_newton_search) from each start,
+    the runs advanced together: each round scores every live run's next
+    point in one reml_score call, as each would score alone."""
+    runs = [_newton_search(x) for x in starts]
+    asks, done = [next(run) for run in runs], [None] * len(runs)
+    while live := [i for i, d in enumerate(done) if d is None]:
+        scored = reml_score(design, np.array([asks[i][0] for i in live]),
+                            derivatives=[asks[i][1] for i in live])
+        for i, result in zip(live, scored):
+            try:
+                asks[i] = runs[i].send(result)
+            except StopIteration as stop:
+                done[i] = stop.value
+    return done
+
+
 def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     """Minimize the REML score over log-lambda by projected Newton descent.
 
-    Runs from init (default log lambda = 0), then from +5 and -5 in log10
-    space, each clipped to [LOG_LAMBDA_MIN, LOG_LAMBDA_MAX], on the exact
-    gradient and Hessian of reml_score; the lowest score wins, the earlier
-    run on a tie within the score's rounding (_best_run). Then each log
-    lambda of the winner is set in turn to either bound it is not already
-    at, the others held, and a fourth run starts from the lowest of these
-    probes if it scores below the winner. A run converges when its largest
-    projected gradient is at most GRAD_TOL, or when no descent is possible:
-    the step has been halved until its predicted decrease is below the
-    score's rounding. A run out of iterations keeps its point with
-    converged=False, and a warning follows if it wins. A start that cannot
-    be scored is skipped. n_eval counts every point scored, each once,
-    probes included; grad_max is the largest absolute projected gradient
-    at the returned lambdas.
+    Runs from init (default log lambda = 0), +5 and -5 in log10 space,
+    each clipped to [LOG_LAMBDA_MIN, LOG_LAMBDA_MAX], on the exact gradient
+    and Hessian of reml_score, in lockstep (_lockstep): one reml_score call
+    per round scores the runs' points as a stack. The lowest score wins,
+    the earlier run on a tie within the score's rounding (_best_run). Then
+    each log lambda of the winner is set in turn to either bound it is not
+    at, the others held, these probes are scored in one call, and a fourth
+    run starts from the lowest if it scores below the winner. A run
+    converges when its largest projected gradient is at most GRAD_TOL, or
+    when no descent can be seen within the score's rounding (_newton_search).
+    A run out of iterations keeps its point with converged=False, and a
+    warning follows if it wins. A start that cannot be scored is skipped.
+    n_eval counts every point scored, each once, probes included; grad_max
+    is the largest absolute projected gradient at the returned lambdas.
     """
     m = len(design.penalties)
     if m == 0:
@@ -1274,8 +1323,8 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     starts = [np.asarray(init, dtype=np.float64),
               np.full(m, 5.0 * math.log(10.0)),
               np.full(m, -5.0 * math.log(10.0))]
-    runs = [_newton_search(design, np.clip(x0, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX))
-            for x0 in starts]
+    runs = _lockstep(design, [np.clip(x0, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
+                              for x0 in starts])
     best = _best_run(runs)
     if not math.isfinite(best.score):
         raise NumericError("REML score non-finite at every candidate lambda")
@@ -1286,10 +1335,10 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     probes = [np.where(np.arange(m) == j, bound, x)
               for j in range(m) for bound in (LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
               if x[j] != bound]
-    scores = [_score_or_inf(design, probe) for probe in probes]
+    scores = [f for f, _, _ in reml_score(design, np.array(probes))]
     k = int(np.argmin(scores))
     if scores[k] < best.score:
-        runs.append(_newton_search(design, probes[k]))
+        runs += _lockstep(design, [probes[k]])
         best = _best_run(runs)
     if not best.converged:
         warnings.warn("lambda search hit its iteration budget before "

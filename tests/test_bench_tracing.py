@@ -63,3 +63,45 @@ def test_traced_fit_opens_every_span_the_benchmark_reads(bench, tmp_path):
     assert not tracer.problems
     ops = [{"op": "op", "traced": True}]
     assert bench.missing_spans(tracer.summaries(), ops, wl, 0) == []
+
+
+def _traced_permtest(bench, tmp_path, tag):
+    """One traced one-permutation permtest of the permtest workload's pilot
+    model on 4 x 150 (simulate seed 2, permutation seed 0): its span
+    summary."""
+    wl = bench.WORKLOADS["permtest"]
+    scen, spec = tmp_path / "s.scn", tmp_path / "m.spec"
+    scen.write_text(bench.SCENARIO.format(subjects=wl.subjects,
+                                          trials=wl.trials))
+    spec.write_text(bench.SPEC_HEAD + wl.spec)
+    sim = tmp_path / "sim"
+    if not sim.exists():
+        assert cli.main(["simulate", "--spec", str(scen), "--out", str(sim),
+                         "--seed", "2"]) == 0
+    tracer = bench.Tracer()
+    tracer.install()
+    try:
+        assert not tracer.problems
+        rc = tracer.command(tag, cli.main, [
+            *wl.command, "--data", str(sim / "simulated.csv"),
+            "--spec", str(spec), "--out", str(tmp_path / tag),
+            "--seed", "0"])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    assert not tracer.problems
+    return tracer.summaries()[tag]
+
+
+def test_traced_permtest_opens_every_span_and_repeats_its_counts(
+        bench, tmp_path):
+    """A traced permtest opens every span that run.missing_spans asks of a
+    permtest command, and a second traced run of the same input makes as
+    many reml_score calls: run.check_repeats compares those counts."""
+    wl = bench.WORKLOADS["permtest"]
+    first = _traced_permtest(bench, tmp_path, "op1")
+    ops = [{"op": "op1", "traced": True}]
+    assert bench.missing_spans({"op1": first}, ops, wl, 0) == []
+    second = _traced_permtest(bench, tmp_path, "op2")
+    calls = first["calls"]["fitting.reml_score"]
+    assert calls == second["calls"]["fitting.reml_score"] > 0

@@ -177,7 +177,6 @@ def test_whiten_three_point_series():
     white = ar1_whiten(des, 0.5)
     np.testing.assert_allclose(white.y, [math.sqrt(0.75), 0.0, 0.0],
                                atol=1e-12)
-    assert white.whitened and white.rho == 0.5
 
 
 def test_whiten_rho_zero_is_identity():
@@ -901,29 +900,62 @@ def test_bound_probe_escapes_a_shallow_basin():
     assert math.log(search.lambdas[0]) == pytest.approx(LOG_LAMBDA_MAX)
 
 
+def _record_stacks(monkeypatch):
+    """Route the module attribute reml_score through a recorder: one entry
+    per call, the stack's points and their derivative thresholds."""
+    real_score = fitting.reml_score
+    calls = []
+
+    def recording_score(design, x, derivatives=False):
+        x = np.array(x, dtype=np.float64)
+        assert x.ndim == 2                  # the search scores in stacks
+        below = np.broadcast_to(
+            -math.inf if derivatives is False else derivatives, len(x))
+        calls.append((x, below.astype(np.float64)))
+        return real_score(design, x, derivatives)
+
+    monkeypatch.setattr(fitting, "reml_score", recording_score)
+    return calls
+
+
+def _record_runs(monkeypatch):
+    """Wrap the module attribute _newton_search: one entry per Newton run,
+    the (point, threshold) pairs it asked for, in order."""
+    real_search = fitting._newton_search
+    runs = []
+
+    def recording_search(x):
+        asked = []
+        runs.append(asked)
+        run, result = real_search(x), None
+        while True:
+            try:
+                ask = run.send(result)
+            except StopIteration as stop:
+                return stop.value
+            asked.append(ask)
+            result = yield ask
+
+    monkeypatch.setattr(fitting, "_newton_search", recording_search)
+    return runs
+
+
 def test_optimizer_converges_on_a_search_stuck_at_the_bound(monkeypatch):
     """On the stuck pilot the search runs lambda_1 up to its bound and
     converges there with no warning; every point it scores goes through the
     module attribute reml_score."""
     des = _pilot_design()
-    real_score = fitting.reml_score
-    calls = 0
-
-    def counting_score(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return real_score(*args, **kwargs)
-
-    monkeypatch.setattr(fitting, "reml_score", counting_score)
+    calls = _record_stacks(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         search = optimize_lambdas(des)
     monkeypatch.undo()
+    points = sum(len(x) for x, _ in calls)
     assert search.converged
     assert math.log(search.lambdas[0]) > LOG_LAMBDA_MAX - 1.0
     oracle = _nelder_mead_oracle(des)
     assert search.score <= oracle + 1e-6 * abs(oracle)
-    assert search.n_eval == calls < 200
+    assert search.n_eval == points < 200
     # the tail is jumped, not climbed: lambda_1 sits on the bound itself and
     # the other coordinate is stationary there
     assert math.log(search.lambdas[0]) == LOG_LAMBDA_MAX
@@ -940,39 +972,87 @@ def test_tail_jump_cuts_the_stuck_pilot_search():
     assert search.score <= 1004.5334513596856
 
 
+@pytest.mark.parametrize("case", ["stuck-pilot", "permtest-pilot"])
+def test_search_scores_its_runs_in_lockstep(monkeypatch, case):
+    """The three Newton runs advance together and the bound probes go in
+    one call: a permutation-test pilot search makes at most max(run
+    length) + 2 reml_score calls (the parent made one per point)."""
+    des = _pilot_design() if case == "stuck-pilot" else _pilot_design(2, 0)
+    calls, runs = _record_stacks(monkeypatch), _record_runs(monkeypatch)
+    search = optimize_lambdas(des)
+    assert search.converged and len(runs) >= 3
+    assert len(calls) <= max(len(run) for run in runs) + 2
+    assert search.n_eval == sum(len(x) for x, _ in calls)
+
+
 @pytest.mark.parametrize("case", ["stuck-pilot", "full-4x150-seed5",
                                   "fs-search-20x100"])
 def test_search_scores_each_point_once(monkeypatch, case):
-    """An accepted trial brings its own gradient and Hessian: no two
-    consecutive reml_score calls score the same point, and n_eval counts
-    every call. Seed 5 of the 4 x 150 model accepts halved steps. On the
-    stuck pilot and fs-search the search jumps a lambda from more than 5
-    below its upper bound onto it, and that point too is scored once,
-    with derivatives asked for below the current score."""
+    """An accepted trial brings its own gradient and Hessian: each point is
+    scored once, no run asks for the same point twice in a row, and n_eval
+    counts every point of every stacked call. Seed 5 of the 4 x 150 model
+    accepts halved steps. On the stuck pilot and fs-search the search jumps
+    a lambda from more than 5 below its upper bound onto it, and that point
+    too is scored once, with derivatives asked for below the run's current
+    score; the bound probes ask for none."""
     des = {"stuck-pilot": _pilot_design,
            "full-4x150-seed5": lambda: _full_design(4, 150, 5),
            "fs-search-20x100": lambda: _full_design(20, 100, 88)}[case]()
-    real_score = fitting.reml_score
-    points, asked = [], []
-
-    def recording_score(design, x, derivatives=False):
-        points.append(np.array(x, dtype=np.float64))
-        asked.append(derivatives)
-        return real_score(design, x, derivatives)
-
-    monkeypatch.setattr(fitting, "reml_score", recording_score)
+    calls, runs = _record_stacks(monkeypatch), _record_runs(monkeypatch)
     search = optimize_lambdas(des)
+    points = np.vstack([x for x, _ in calls])
     assert search.converged and search.n_eval == len(points)
-    assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
-    jumps = [i for i in range(1, len(points))
-             if np.any((points[i] == LOG_LAMBDA_MAX)
-                       & (points[i - 1] < LOG_LAMBDA_MAX - 5.0))
-             and asked[i] is not True and asked[i] is not False]
+    assert len({p.tobytes() for p in points}) == len(points)
+    asked = [(p.tobytes(), b) for x, below in calls
+             for p, b in zip(x, below)]
+    by_runs = [(np.asarray(p).tobytes(), b) for run in runs for p, b in run]
+    assert sorted(by_runs) == sorted(a for a in asked if a[1] != -math.inf)
+    jumps = []
+    for run in runs:
+        (first, start), rest = run[0], run[1:]
+        assert start == math.inf              # a start always brings them
+        assert all(math.isfinite(b) for _, b in rest)
+        assert not any(np.array_equal(a, b) for (a, _), (b, _)
+                       in zip(run, run[1:]))
+        jumps += [i for i in range(1, len(run))
+                  if np.any((run[i][0] == LOG_LAMBDA_MAX)
+                            & (run[i - 1][0] < LOG_LAMBDA_MAX - 5.0))]
     assert bool(jumps) == (case != "full-4x150-seed5")
+    # the probes: one call, every coordinate at each bound it is not at
+    probes = [x for x, below in calls if np.all(below == -math.inf)]
+    assert len(probes) == 1 and len(probes[0]) <= 2 * len(des.penalties)
+
+
+def test_search_takes_a_flat_step_that_lowers_the_gradient():
+    """cond + cr(x) + re(subj) at rho 0.25 on acceptance test A13's table:
+    the last Newton step's predicted decrease, 2e-13, is under the score's
+    rounding, and the trial did not score lower, so the search stopped at
+    |g| = 1.22e-6 > GRAD_TOL and still read converged. A full step whose
+    predicted decrease is rounding is taken when it scores within rounding
+    and lowers the largest free |g|: the fit ends stationary."""
+    rng = np.random.default_rng(7)
+    n = 300
+    x = rng.uniform(0.0, 1.0, n)
+    y = (np.sin(2.0 * np.pi * x) + 0.4 * (np.arange(n) % 2 - 0.5)
+         + 0.15 * rng.standard_normal(n))
+    table = DataTable(columns={
+        "y": y, "x": x,
+        "cond": FactorColumn.from_strings(["ab"[i % 2] for i in range(n)]),
+        "subj": FactorColumn.from_strings([f"s{i // 50}" for i in range(n)]),
+        "trial": np.tile(np.arange(50.0), 6)},
+        n_rows=n, series_key="subj", order_key="trial")
+    model = fit(ModelSpec(response="y",
+                          parametric_terms=(ParametricTerm("cond"),),
+                          smooth_terms=(SmoothTermSpec("x", "cr", k=10),
+                                        SmoothTermSpec("subj",
+                                                       is_random_effect=True)),
+                          rho=0.25), table)
+    assert model.converged and model.n_eval == 31
+    assert model.grad_max <= GRAD_TOL
 
 
 def test_search_skips_a_start_that_cannot_be_scored(monkeypatch):
-    """A start whose score raises is skipped and still counted; when no
+    """A start whose score fails is skipped and still counted; when no
     start can be scored the search raises."""
     des = assemble(ModelSpec(response="y",
                              smooth_terms=(SmoothTermSpec("x", "cr", k=8),)),
@@ -981,9 +1061,9 @@ def test_search_skips_a_start_that_cannot_be_scored(monkeypatch):
     reference = optimize_lambdas(des)
 
     def failing_low(design, x, derivatives=False):
-        if np.all(np.asarray(x) < -10.0):
-            raise NumericError("refused")
-        return real_score(design, x, derivatives)
+        scored = real_score(design, x, derivatives)
+        return [(math.inf, None, None) if np.all(p < -10.0) else r
+                for p, r in zip(np.asarray(x), scored)]
 
     monkeypatch.setattr(fitting, "reml_score", failing_low)
     search = optimize_lambdas(des)
@@ -992,7 +1072,7 @@ def test_search_skips_a_start_that_cannot_be_scored(monkeypatch):
     assert search.n_eval < reference.n_eval
 
     def failing(design, x, derivatives=False):
-        raise NumericError("refused")
+        return [(math.inf, None, None)] * len(x)
 
     monkeypatch.setattr(fitting, "reml_score", failing)
     with pytest.raises(NumericError, match="every candidate"):
@@ -1133,7 +1213,7 @@ def test_arrow_matches_dense_oracle_on_search_designs(case):
         for level, j in enumerate((2, 3)):   # on its level's 5 columns only
             cols = ar.border[np.flatnonzero(ar.d_b[j])] - a - 5 * level
             assert 0 <= cols.min() <= cols.max() < 5
-        assert not np.any(ar.d_t[2:])
+        assert ar.t_pen == slice(0, 2)       # only fs on the levels
     m = len(des.penalties)
     _assert_matches_dense(des, [np.zeros(m), np.full(m, 10.0),
                                 np.log(optimize_lambdas(des).lambdas)])
@@ -1192,6 +1272,72 @@ def test_reml_score_refuses_a_level_block_that_is_not_positive_definite(
         with pytest.raises(NumericError, match="not positive definite at "
                                                "lambdas"):
             reml_score(des, log_lambdas, derivatives=derivatives)
+
+
+def _assert_same_result(got, want):
+    assert got[0] == want[0]
+    for g, w in zip(got[1:], want[1:]):
+        assert (g is None and w is None) or np.array_equal(g, w)
+
+
+@pytest.mark.parametrize("name", ["fs", "by", "te", "no-levels"])
+def test_reml_score_of_a_point_does_not_depend_on_its_stack(name):
+    """Score, gradient and Hessian of a point are bit for bit the same
+    whether it is scored alone or inside a stack, in any order and next
+    to any points, with or without derivatives asked for its neighbours.
+    fs and by have level blocks; te and the cr + cr design have none."""
+    if name == "no-levels":
+        des = assemble(ModelSpec(response="y", smooth_terms=(
+            SmoothTermSpec("x", "cr", k=8), SmoothTermSpec("z", "cr", k=6))),
+            _derivative_table())
+        extra = [(_NEAR_MIN, 1.0), (1.0, _NEAR_MAX)]
+    else:
+        terms, extra = _DERIVATIVE_CASES[name]
+        des = assemble(ModelSpec(response="y", smooth_terms=terms),
+                       _derivative_table())
+    assert bool(des.arrow().idx.size) == (name in ("fs", "by"))
+    m = len(des.penalties)
+    points = np.array([np.zeros(m), np.full(m, 3.0)] + [list(p) for p in extra]
+                      + [np.full(m, LOG_LAMBDA_MIN), np.full(m, LOG_LAMBDA_MAX)])
+    alone = [reml_score(des, x, derivatives=True) for x in points]
+    for i, x in enumerate(points):
+        assert reml_score(des, x) == alone[i][0]
+    rng = np.random.default_rng(5)
+    for size in (1, 2, 3, len(points)):
+        for _ in range(3):
+            pick = rng.choice(len(points), size, replace=False)
+            below = np.where(rng.random(size) < 0.7, math.inf, -math.inf)
+            stacked = reml_score(des, points[pick], derivatives=below)
+            for i, b, got in zip(pick, below, stacked):
+                _assert_same_result(got, alone[i] if b == math.inf
+                                    else (alone[i][0], None, None))
+
+
+def test_a_stack_scores_a_failing_point_as_a_failure():
+    """In a stack, a point that raises NumericError alone reads (inf, None,
+    None) and the others score as alone: on the fs design with one level's
+    X'X block negated, log lambda = -5 fails the diagonal check, 2 the
+    level's Cholesky and nan the finite-lambda check, while large lambdas
+    keep every level block positive definite."""
+    terms, _ = _DERIVATIVE_CASES["fs"]
+    des = assemble(ModelSpec(response="y", smooth_terms=terms),
+                   _derivative_table())
+    tt = des.ensure_products()[2]
+    a, b = des.col_ranges["fs(x,g)"]
+    lo = int(np.searchsorted(des.sparse_cols, a))
+    w = (b - a) // 4
+    tt.data[(tt.row >= lo) & (tt.row < lo + w) & (tt.col >= lo)
+            & (tt.col < lo + w)] *= -1.0
+    points = np.array([[20.0, 20.0], [-5.0, -5.0], [24.0, 22.0], [2.0, 2.0],
+                       [math.nan, 1.0], [26.0, 21.0]])
+    stacked = reml_score(des, points, derivatives=True)
+    for x, got in zip(points, stacked):
+        if x[0] in (20.0, 24.0, 26.0):
+            _assert_same_result(got, reml_score(des, x, derivatives=True))
+        else:
+            assert got == (math.inf, None, None)
+            with pytest.raises(NumericError):
+                reml_score(des, x)
 
 
 def test_reml_score_memory_stays_below_one_dense_matrix():
