@@ -1,7 +1,7 @@
 """Penalized-spline additive mixed models with AR(1) errors.
 
-Submodules are imported lazily (PEP 562) so the command-line entry point can
-cap BLAS thread pools via GAMMKIT_THREADS before numpy first loads.
+Submodules are imported lazily (PEP 562), so the command line's --help and
+spec-file errors need no numpy.
 """
 
 import importlib

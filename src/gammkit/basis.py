@@ -58,22 +58,6 @@ def rank_psd(S: np.ndarray, rtol: float = 1e-9) -> int:
     return int(np.sum(w > rtol * top))
 
 
-def spectrum(S: np.ndarray, vectors: bool = False):
-    """np.linalg.eigvalsh(S), or eigh(S) with vectors=True, of symmetric S.
-
-    A diagonal S is read off its diagonal with a stable argsort, in O(p^2):
-    the eigenvalues eigh returns, bit for bit, and its eigenvectors too when
-    the diagonal does not decrease, as in a natural-parameterized smooth's
-    sorted weights. (Of an unsorted diagonal with
-    ties, eigh orders the eigenvectors of a tied eigenvalue otherwise.)
-    """
-    d = np.diagonal(S)
-    if np.count_nonzero(S) != np.count_nonzero(d):
-        return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
-    order = np.argsort(d, kind="stable")
-    return (d[order], np.eye(d.size)[:, order]) if vectors else d[order]
-
-
 class Penalty(NamedTuple):
     """The k x k matrix S repeated on the level blocks levels, those of
     columns [l k, (l + 1) k) for l in levels, and zero elsewhere. A term
@@ -85,7 +69,7 @@ class Penalty(NamedTuple):
 
 
 def _check_psd(S: np.ndarray, label: str) -> None:
-    w = spectrum(_symmetrize(S))
+    w = np.linalg.eigvalsh(_symmetrize(S))
     if w.size and w[0] < -_PSD_RTOL * max(w[-1], 1.0):
         raise NumericError(f"penalty {label!r} is not positive semidefinite "
                            f"(min eigenvalue {w[0]:.3e})")

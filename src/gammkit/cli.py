@@ -17,9 +17,14 @@ Smooth functions: s (thin plate), tp (alias of s), cr, poly, te, ti, fs;
 random effects: intercept(factor), slope(factor, covariate). Options per
 smooth line: k=<int[,int]>, m=<int>, by=<factor>.
 
-Only the standard library is imported at module load so that the
-GAMMKIT_THREADS environment variable can cap BLAS thread pools before numpy
-first loads; numeric modules are imported inside the command functions.
+Each command declares only the options it reads. main runs it inside the
+one error frame: a GammkitError, OSError or ValueError (SpecFileError
+among them) removes every file the command wrote, prints one line naming
+the stage it was in and exits 1.
+
+Only the standard library is imported at module load, so --help and
+spec-file errors need no numpy; numeric modules are imported inside the
+command functions.
 """
 
 from __future__ import annotations
@@ -35,20 +40,6 @@ from datetime import datetime, timezone
 
 from .errors import GammkitError
 
-_THREAD_ENV_TARGETS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                       "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("GAMMKIT_THREADS")
-    if not cap:
-        return
-    if not cap.isdigit() or int(cap) < 1:
-        raise SystemExit(f"gammkit: GAMMKIT_THREADS must be a positive "
-                         f"integer, got {cap!r}")
-    for var in _THREAD_ENV_TARGETS:
-        os.environ.setdefault(var, cap)
-
 
 # ---------------------------------------------------------------------------
 # model-spec file parsing (pure string work, no numpy)
@@ -62,6 +53,31 @@ class SpecFileError(ValueError):
     """Raised for malformed model-spec files, with the line number."""
 
 
+def _key_lines(path: str):
+    """(line number, key, value) of each 'key: value' line of a spec or
+    scenario file: '#' starts a comment, blank lines are skipped and the
+    key ends at the first colon; both parts are stripped."""
+    with open(path) as fh:
+        lines = fh.readlines()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if ":" not in line:
+            raise SpecFileError(f"line {lineno}: expected 'key: value', "
+                                f"got {line!r}")
+        key, value = line.split(":", 1)
+        yield lineno, key.strip(), value.strip()
+
+
+def _convert(kind, text: str, lineno: int, what: str):
+    """kind(text), or a SpecFileError naming the line."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise SpecFileError(f"line {lineno}: bad {what} {text!r}") from None
+
+
 def _parse_options(text: str, lineno: int) -> dict:
     opts = {}
     for piece in text.split():
@@ -73,11 +89,8 @@ def _parse_options(text: str, lineno: int) -> dict:
     return opts
 
 
-def _parse_k(val: str, lineno: int):
-    try:
-        parts = [int(v) for v in val.split(",")]
-    except ValueError:
-        raise SpecFileError(f"line {lineno}: bad k value {val!r}") from None
+def _int_list(text: str):
+    parts = [int(v) for v in text.split(",")]
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
@@ -89,18 +102,8 @@ def parse_spec_file(path: str) -> dict:
     """
     out = {"response": None, "parametric": [], "smooths": [], "rho": 0.0,
            "series_key": None, "order_key": None}
-    with open(path) as fh:
-        lines = fh.readlines()
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ":" not in line:
-            raise SpecFileError(f"line {lineno}: expected 'key: value', "
-                                f"got {line!r}")
-        key, value = line.split(":", 1)
-        key = key.strip().lower()
-        value = value.strip()
+    for lineno, key, value in _key_lines(path):
+        key = key.lower()
         if key == "response":
             out["response"] = value
         elif key == "parametric":
@@ -135,8 +138,10 @@ def parse_spec_file(path: str) -> dict:
                 raise SpecFileError(f"line {lineno}: smooth needs arguments")
             opts = _parse_options(rest, lineno)
             term = {"fn": fn, "covariates": covs,
-                    "k": _parse_k(opts["k"], lineno) if "k" in opts else None,
-                    "m": int(opts["m"]) if "m" in opts else 2,
+                    "k": _convert(_int_list, opts["k"], lineno, "k value")
+                    if "k" in opts else None,
+                    "m": _convert(int, opts["m"], lineno, "m value")
+                    if "m" in opts else 2,
                     "by": opts.get("by")}
             unknown = set(opts) - {"k", "m", "by"}
             if unknown:
@@ -160,11 +165,7 @@ def parse_spec_file(path: str) -> dict:
             out["smooths"].append({"fn": "re", "covariates": covs,
                                    "k": None, "m": 2, "by": None})
         elif key == "rho":
-            try:
-                out["rho"] = float(value)
-            except ValueError:
-                raise SpecFileError(f"line {lineno}: bad rho {value!r}") \
-                    from None
+            out["rho"] = _convert(float, value, lineno, "rho")
         elif key == "series":
             m = _SERIES_RX.match(value)
             if not m:
@@ -342,13 +343,19 @@ def _load_table(parsed: dict, data_path: str):
                     order_key=parsed["order_key"])
 
 
-def _fit_from_args(args, tracker: OutputTracker):
-    """Parse --spec, load --data and fit, advancing tracker.stage."""
+def _read_inputs(args, tracker: OutputTracker, rho_override=None):
+    """Parse --spec into a ModelSpec, then load --data, advancing
+    tracker.stage: (parsed spec file, ModelSpec, table)."""
     tracker.stage = "parse-spec"
     parsed = parse_spec_file(args.spec)
-    spec = build_model_spec(parsed, rho_override=args.rho)
+    spec = build_model_spec(parsed, rho_override)
     tracker.stage = "load-data"
-    table = _load_table(parsed, args.data)
+    return parsed, spec, _load_table(parsed, args.data)
+
+
+def _fit_from_args(args, tracker: OutputTracker):
+    """Read the inputs (--rho overriding the spec's) and fit."""
+    _, spec, table = _read_inputs(args, tracker, args.rho)
     tracker.stage = "fit"
     from .fitting import fit
     return fit(spec, table)
@@ -493,7 +500,7 @@ def _write_partials(tracker: OutputTracker, model):
                         _float_cells(se)])
 
 
-def _write_fit_json(path: str, model, args, extra=None):
+def _write_fit_json(path: str, model, args):
     from .inference import aic
     record = {
         "command": "fit",
@@ -513,162 +520,121 @@ def _write_fit_json(path: str, model, args, extra=None):
         "ridged": bool(model.ridged),
         "n_eval": int(model.n_eval),
         "grad_max": float(model.grad_max),
-        "seed": args.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if extra:
-        record.update(extra)
     with open(path, "w") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def cmd_fit(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        model = _fit_from_args(args, tracker)
-        tracker.stage = "write-output"
-        _write_summary(tracker.path("summary.txt"), model,
-                       args.format == "delimited")
-        _write_coefficients(tracker.path("coefficients.csv"), model)
-        _write_residuals(tracker.path("residuals.csv"), model)
-        _write_partials(tracker, model)
-        _write_fit_json(tracker.path("fit.json"), model, args)
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
+def cmd_fit(args, tracker: OutputTracker):
+    model = _fit_from_args(args, tracker)
+    tracker.stage = "write-output"
+    _write_summary(tracker.path("summary.txt"), model,
+                   args.format == "delimited")
+    _write_coefficients(tracker.path("coefficients.csv"), model)
+    _write_residuals(tracker.path("residuals.csv"), model)
+    _write_partials(tracker, model)
+    _write_fit_json(tracker.path("fit.json"), model, args)
 
 
-def cmd_predict(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        model = _fit_from_args(args, tracker)
-        tracker.stage = "predict"
-        from .fitting import predict
-        mean, se = predict(model, model.table)
-        tracker.stage = "write-output"
-        headers, columns = _row_keys(model)
-        _write_columns(tracker.path("predictions.csv"),
-                       headers + ["observed", "fit", "se"],
-                       columns + [_float_cells(model.design_raw.y),
-                                  _float_cells(mean), _float_cells(se)])
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
+def cmd_predict(args, tracker: OutputTracker):
+    model = _fit_from_args(args, tracker)
+    tracker.stage = "predict"
+    from .fitting import predict
+    mean, se = predict(model, model.table)
+    tracker.stage = "write-output"
+    headers, columns = _row_keys(model)
+    _write_columns(tracker.path("predictions.csv"),
+                   headers + ["observed", "fit", "se"],
+                   columns + [_float_cells(model.design_raw.y),
+                              _float_cells(mean), _float_cells(se)])
 
 
-def cmd_compare(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        if len(args.spec) != 2:
-            raise SpecFileError("compare needs exactly two --spec files")
-        tracker.stage = "parse-spec"
-        parsed = [parse_spec_file(p) for p in args.spec]
-        if parsed[0]["response"] != parsed[1]["response"]:
-            raise SpecFileError("the two specs model different responses: "
-                                f"{parsed[0]['response']!r} vs "
-                                f"{parsed[1]['response']!r}")
-        if (parsed[0]["series_key"], parsed[0]["order_key"]) != \
-                (parsed[1]["series_key"], parsed[1]["order_key"]):
-            raise SpecFileError("the two specs declare different "
-                                "series/order keys")
-        specs = [build_model_spec(p, rho_override=args.rho) for p in parsed]
-        if specs[0].signature() == specs[1].signature():
-            raise SpecFileError("the two spec files declare identical models")
-        tracker.stage = "load-data"
-        merged = {"response": parsed[0]["response"],
-                  "parametric": parsed[0]["parametric"] + parsed[1]["parametric"],
-                  "smooths": parsed[0]["smooths"] + parsed[1]["smooths"],
-                  "series_key": parsed[0]["series_key"],
-                  "order_key": parsed[0]["order_key"]}
-        table = _load_table(merged, args.data)
-        tracker.stage = "fit"
-        from .fitting import fit
-        from .inference import aic, compare_reml
-        models = [fit(s, table) for s in specs]
-        tracker.stage = "compare"
-        result = compare_reml(models[0], models[1])
-        tracker.stage = "write-output"
-        with open(tracker.path("comparison.txt"), "w") as fh:
-            for pth, m in zip(args.spec, models):
-                fh.write(f"model: {pth}  AIC = {_fmt(aic(m))}  "
-                         f"REML = {_fmt(m.reml)}  "
-                         f"params = {m.param_count}\n")
-            if result.verdict == "simpler_and_better":
-                fh.write("comparison: the model with fewer parameters also "
-                         "has the lower REML score (simpler and better); "
-                         "no test performed\n")
-            else:
-                fh.write(f"comparison: Chisq = {_fmt(result.stat)}  "
-                         f"df = {result.df}  p = {_fmt_p(result.p)}\n")
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
+def cmd_compare(args, tracker: OutputTracker):
+    if len(args.spec) != 2:
+        raise SpecFileError("compare needs exactly two --spec files")
+    tracker.stage = "parse-spec"
+    parsed = [parse_spec_file(p) for p in args.spec]
+    if parsed[0]["response"] != parsed[1]["response"]:
+        raise SpecFileError("the two specs model different responses: "
+                            f"{parsed[0]['response']!r} vs "
+                            f"{parsed[1]['response']!r}")
+    if (parsed[0]["series_key"], parsed[0]["order_key"]) != \
+            (parsed[1]["series_key"], parsed[1]["order_key"]):
+        raise SpecFileError("the two specs declare different "
+                            "series/order keys")
+    specs = [build_model_spec(p, rho_override=args.rho) for p in parsed]
+    if specs[0].signature() == specs[1].signature():
+        raise SpecFileError("the two spec files declare identical models")
+    tracker.stage = "load-data"
+    merged = {"response": parsed[0]["response"],
+              "parametric": parsed[0]["parametric"] + parsed[1]["parametric"],
+              "smooths": parsed[0]["smooths"] + parsed[1]["smooths"],
+              "series_key": parsed[0]["series_key"],
+              "order_key": parsed[0]["order_key"]}
+    table = _load_table(merged, args.data)
+    tracker.stage = "fit"
+    from .fitting import fit
+    from .inference import aic, compare_reml
+    models = [fit(s, table) for s in specs]
+    tracker.stage = "compare"
+    result = compare_reml(models[0], models[1])
+    tracker.stage = "write-output"
+    with open(tracker.path("comparison.txt"), "w") as fh:
+        for pth, m in zip(args.spec, models):
+            fh.write(f"model: {pth}  AIC = {_fmt(aic(m))}  "
+                     f"REML = {_fmt(m.reml)}  "
+                     f"params = {m.param_count}\n")
+        if result.verdict == "simpler_and_better":
+            fh.write("comparison: the model with fewer parameters also "
+                     "has the lower REML score (simpler and better); "
+                     "no test performed\n")
+        else:
+            fh.write(f"comparison: Chisq = {_fmt(result.stat)}  "
+                     f"df = {result.df}  p = {_fmt_p(result.p)}\n")
 
 
-def cmd_acf(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        model = _fit_from_args(args, tracker)
-        tracker.stage = "acf"
-        from .diagnostics import residual_acf_by_group
-        for which in ("raw", "whitened"):
-            results = residual_acf_by_group(model, which,
-                                            max_lag=args.max_lag)
-            _write_acf(tracker.path(f"acf_{which}.csv"), results)
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
+def cmd_acf(args, tracker: OutputTracker):
+    model = _fit_from_args(args, tracker)
+    tracker.stage = "acf"
+    from .diagnostics import residual_acf_by_group
+    for which in ("raw", "whitened"):
+        results = residual_acf_by_group(model, which,
+                                        max_lag=args.max_lag)
+        _write_acf(tracker.path(f"acf_{which}.csv"), results)
 
 
-def cmd_suggest_rho(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        tracker.stage = "parse-spec"
-        parsed = parse_spec_file(args.spec)
-        spec = build_model_spec(parsed, rho_override=None)
-        tracker.stage = "load-data"
-        table = _load_table(parsed, args.data)
-        tracker.stage = "suggest-rho"
-        from .diagnostics import suggest_rho
-        suggestion = suggest_rho(table, spec)
-        tracker.stage = "write-output"
-        with open(tracker.path("rho.txt"), "w") as fh:
-            fh.write(f"{suggestion.rho_hat:.6f}\n")
-        _write_columns(tracker.path("rho_by_group.csv"), ["group", "lag1"],
-                       [list(map(_csv_cell, suggestion.groups)),
-                        _float_cells(suggestion.per_group)])
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
+def cmd_suggest_rho(args, tracker: OutputTracker):
+    _, spec, table = _read_inputs(args, tracker)
+    tracker.stage = "suggest-rho"
+    from .diagnostics import suggest_rho
+    suggestion = suggest_rho(table, spec)
+    tracker.stage = "write-output"
+    with open(tracker.path("rho.txt"), "w") as fh:
+        fh.write(f"{suggestion.rho_hat:.6f}\n")
+    _write_columns(tracker.path("rho_by_group.csv"), ["group", "lag1"],
+                   [list(map(_csv_cell, suggestion.groups)),
+                    _float_cells(suggestion.per_group)])
 
 
-def cmd_permtest(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        tracker.stage = "parse-spec"
-        parsed = parse_spec_file(args.spec)
-        tracker.stage = "load-data"
-        table = _load_table(parsed, args.data)
-        tracker.stage = "permtest"
-        from .diagnostics import permutation_fs_test
-        result = permutation_fs_test(table, parsed["response"],
-                                     n_perm=args.n_perm,
-                                     seed=0 if args.seed is None else args.seed)
-        tracker.stage = "write-output"
-        _write_pvalues(tracker.path("permtest_pvalues.csv"), result.p_values)
-        with open(tracker.path("permtest_counts.txt"), "w") as fh:
-            n = args.n_perm
-            fh.write(f"alpha=0.05 rejections={result.rejections_at(0.05)} "
-                     f"of {n}\n")
-            fh.write(f"alpha=0.01 rejections={result.rejections_at(0.01)} "
-                     f"of {n}\n")
-        if result.n_failed:
-            print(f"gammkit: {result.n_failed} permutation fits failed",
-                  file=sys.stderr)
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
+def cmd_permtest(args, tracker: OutputTracker):
+    parsed, _, table = _read_inputs(args, tracker)
+    tracker.stage = "permtest"
+    from .diagnostics import permutation_fs_test
+    result = permutation_fs_test(table, parsed["response"],
+                                 n_perm=args.n_perm, seed=args.seed)
+    tracker.stage = "write-output"
+    _write_pvalues(tracker.path("permtest_pvalues.csv"), result.p_values)
+    with open(tracker.path("permtest_counts.txt"), "w") as fh:
+        n = args.n_perm
+        fh.write(f"alpha=0.05 rejections={result.rejections_at(0.05)} "
+                 f"of {n}\n")
+        fh.write(f"alpha=0.01 rejections={result.rejections_at(0.01)} "
+                 f"of {n}\n")
+    if result.n_failed:
+        print(f"gammkit: {result.n_failed} permutation fits failed",
+              file=sys.stderr)
 
 
 def _write_acf(path: str, results):
@@ -707,83 +673,60 @@ def parse_scenario_file(path: str):
               "subject_intercept_sd": 0.0, "mean": 0.0, "seed": 0}
     fixed = []
     fx_rx = re.compile(r"^(factor2|numeric)\((\w+)\)\s+effect=([-\d.eE+]+)$")
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if ":" not in line:
-                raise SpecFileError(f"line {lineno}: expected 'key: value'")
-            key, value = (s.strip() for s in line.split(":", 1))
-            if key == "fixed":
-                m = fx_rx.match(value)
-                if not m:
-                    raise SpecFileError(f"line {lineno}: cannot parse fixed "
-                                        f"effect {value!r}")
-                kind, name, eff = m.groups()
-                fixed.append(FixedEffect(name=name, kind=kind,
-                                         effect=float(eff)))
-            elif key == "trend":
-                words = value.split()
-                fields["trend"] = words[0]
-                for w in words[1:]:
-                    if w.startswith("amplitude="):
-                        fields["trend_amplitude"] = float(w.split("=", 1)[1])
-                    else:
-                        raise SpecFileError(f"line {lineno}: unknown trend "
-                                            f"option {w!r}")
-            elif key in ("n_subjects", "n_trials", "seed"):
-                fields[key] = int(value)
-            elif key in ("rho", "sigma", "subject_intercept_sd", "mean",
-                         "trend_amplitude"):
-                fields[key] = float(value)
-            else:
-                raise SpecFileError(f"line {lineno}: unknown key {key!r}")
+    for lineno, key, value in _key_lines(path):
+        if key == "fixed":
+            m = fx_rx.match(value)
+            if not m:
+                raise SpecFileError(f"line {lineno}: cannot parse fixed "
+                                    f"effect {value!r}")
+            kind, name, eff = m.groups()
+            fixed.append(FixedEffect(name=name, kind=kind, effect=_convert(
+                float, eff, lineno, "effect")))
+        elif key == "trend":
+            words = value.split()
+            fields["trend"] = words[0]
+            for w in words[1:]:
+                if not w.startswith("amplitude="):
+                    raise SpecFileError(f"line {lineno}: unknown trend "
+                                        f"option {w!r}")
+                fields["trend_amplitude"] = _convert(
+                    float, w.split("=", 1)[1], lineno, "amplitude")
+        elif key in ("n_subjects", "n_trials", "seed"):
+            fields[key] = _convert(int, value, lineno, key)
+        elif key in ("rho", "sigma", "subject_intercept_sd", "mean",
+                     "trend_amplitude"):
+            fields[key] = _convert(float, value, lineno, key)
+        else:
+            raise SpecFileError(f"line {lineno}: unknown key {key!r}")
     return ScenarioSpec(fixed_effects=tuple(fixed), **fields)
 
 
-def cmd_simulate(args) -> int:
-    tracker = OutputTracker(args.out)
-    try:
-        tracker.stage = "parse-scenario"
-        scenario = parse_scenario_file(args.spec)
-        if args.seed is not None:
-            from dataclasses import replace
-            scenario = replace(scenario, seed=args.seed)
-        tracker.stage = "simulate"
-        from .simulate import gen_experiment
-        table, truth = gen_experiment(scenario)
-        tracker.stage = "write-output"
-        _write_simulated(tracker.path("simulated.csv"), table)
-        record = {
-            "scenario": {"n_subjects": scenario.n_subjects,
-                         "n_trials": scenario.n_trials,
-                         "trend": scenario.trend,
-                         "trend_amplitude": scenario.trend_amplitude,
-                         "rho": scenario.rho, "sigma": scenario.sigma,
-                         "subject_intercept_sd": scenario.subject_intercept_sd,
-                         "mean": scenario.mean, "seed": scenario.seed},
-            "effects": truth.effects,
-            "subject_intercepts": [float(v) for v in truth.subject_intercepts],
-            "trends": [[float(v) for v in row] for row in truth.trends],
-            "errors": [[float(v) for v in row] for row in truth.errors],
-        }
-        with open(tracker.path("truth.json"), "w") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
-        return 0
-    except _CAUGHT as exc:
-        return _fail(tracker, exc)
-
-
-_CAUGHT = (GammkitError, SpecFileError, OSError, ValueError)
-
-
-def _fail(tracker: OutputTracker, exc: Exception) -> int:
-    tracker.discard_all()
-    msg = " ".join((str(exc) or exc.__class__.__name__).split())
-    print(f"gammkit: error at stage {tracker.stage!r}: {msg}",
-          file=sys.stderr)
-    return 1
+def cmd_simulate(args, tracker: OutputTracker):
+    tracker.stage = "parse-scenario"
+    scenario = parse_scenario_file(args.spec)
+    if args.seed is not None:
+        from dataclasses import replace
+        scenario = replace(scenario, seed=args.seed)
+    tracker.stage = "simulate"
+    from .simulate import gen_experiment
+    table, truth = gen_experiment(scenario)
+    tracker.stage = "write-output"
+    _write_simulated(tracker.path("simulated.csv"), table)
+    record = {
+        "scenario": {"n_subjects": scenario.n_subjects,
+                     "n_trials": scenario.n_trials,
+                     "trend": scenario.trend,
+                     "trend_amplitude": scenario.trend_amplitude,
+                     "rho": scenario.rho, "sigma": scenario.sigma,
+                     "subject_intercept_sd": scenario.subject_intercept_sd,
+                     "mean": scenario.mean, "seed": scenario.seed},
+        "effects": truth.effects,
+        "subject_intercepts": [float(v) for v in truth.subject_intercepts],
+        "trends": [[float(v) for v in row] for row in truth.trends],
+        "errors": [[float(v) for v in row] for row in truth.errors],
+    }
+    with open(tracker.path("truth.json"), "w") as fh:
+        fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -793,77 +736,65 @@ def _fail(tracker: OutputTracker, exc: Exception) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parse_args leaves it
-    unchanged."""
+    unchanged. Each command declares only the options it reads."""
     parser = argparse.ArgumentParser(
         prog="gammkit",
         description="Penalized-spline additive mixed models with AR(1) "
                     "errors: batch fitting, comparison, and diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, data=True, spec=True):
+    def command(name, func, text, data=True, rho=True,
+                spec="model spec file", spec_action="store"):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         if data:
             p.add_argument("--data", required=True,
                            help="CSV file of observations")
-        if spec:
-            p.add_argument("--spec", required=True,
-                           help="model spec file")
+        p.add_argument("--spec", required=True, action=spec_action, help=spec)
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--rho", type=float, default=None,
-                       help="override the spec file's AR(1) rho")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed")
-        p.add_argument("--format", choices=("text", "delimited"),
+        if rho:
+            p.add_argument("--rho", type=float, default=None,
+                           help="override the spec file's AR(1) rho")
+        return p
+
+    p_fit = command("fit", cmd_fit, "fit one model, write summary tables")
+    p_fit.add_argument("--format", choices=("text", "delimited"),
                        default="text", help="summary table format")
-
-    p_fit = sub.add_parser("fit", help="fit one model, write summary tables")
-    add_common(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
-
-    p_pred = sub.add_parser("predict",
-                            help="fit, then write fitted values with SEs")
-    add_common(p_pred)
-    p_pred.set_defaults(func=cmd_predict)
-
-    p_cmp = sub.add_parser("compare", help="fit two specs, compare scores")
-    p_cmp.add_argument("--data", required=True)
-    p_cmp.add_argument("--spec", action="append", required=True,
-                       help="model spec file (give twice)")
-    p_cmp.add_argument("--out", required=True)
-    p_cmp.add_argument("--rho", type=float, default=None)
-    p_cmp.add_argument("--seed", type=int, default=None)
-    p_cmp.add_argument("--format", choices=("text", "delimited"),
-                       default="text")
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_acf = sub.add_parser("acf", help="per-series residual ACFs")
-    add_common(p_acf)
+    command("predict", cmd_predict, "fit, then write fitted values with SEs")
+    command("compare", cmd_compare, "fit two specs, compare scores",
+            spec="model spec file (give twice)", spec_action="append")
+    p_acf = command("acf", cmd_acf, "per-series residual ACFs")
     p_acf.add_argument("--max-lag", type=int, default=30)
-    p_acf.set_defaults(func=cmd_acf)
-
-    p_rho = sub.add_parser("suggest-rho",
-                           help="estimate AR(1) rho from a pilot fit")
-    add_common(p_rho)
-    p_rho.set_defaults(func=cmd_suggest_rho)
-
-    p_perm = sub.add_parser("permtest",
-                            help="permutation type-I check for the factor "
-                                 "smooth")
-    add_common(p_perm)
+    command("suggest-rho", cmd_suggest_rho,
+            "estimate AR(1) rho from a pilot fit", rho=False)
+    p_perm = command("permtest", cmd_permtest,
+                     "permutation type-I check for the factor smooth",
+                     rho=False)
     p_perm.add_argument("--n-perm", type=int, default=100)
-    p_perm.set_defaults(func=cmd_permtest)
-
-    p_sim = sub.add_parser("simulate",
-                           help="generate a synthetic experiment")
-    p_sim.add_argument("--spec", required=True, help="scenario file")
-    p_sim.add_argument("--out", required=True)
-    p_sim.add_argument("--seed", type=int, default=None)
-    p_sim.set_defaults(func=cmd_simulate)
+    p_perm.add_argument("--seed", type=int, default=0,
+                        help="permutation RNG seed")
+    p_sim = command("simulate", cmd_simulate,
+                    "generate a synthetic experiment", data=False, rho=False,
+                    spec="scenario file")
+    p_sim.add_argument("--seed", type=int, default=None,
+                       help="override the scenario file's seed")
     return parser
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
+    """Run one command. An error in it removes every file it wrote and
+    prints one line naming its stage: exit status 1."""
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    tracker = OutputTracker(args.out)
+    try:
+        args.func(args, tracker)
+    except (GammkitError, OSError, ValueError) as exc:
+        tracker.discard_all()
+        msg = " ".join((str(exc) or exc.__class__.__name__).split())
+        print(f"gammkit: error at stage {tracker.stage!r}: {msg}",
+              file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -449,7 +449,7 @@ def _term_penalties(term: str, offset: int, penalties: list):
     by groups on the same bases (the by-factor levels), in which every base
     of the group is diagonal (Wood 2011, JRSSB 73(1), section 3.1):
 
-    - eigh(sum_j S_j / s_j) = U diag(w) U' (basis.spectrum), keeping the r
+    - eigh(sum_j S_j / s_j) = U diag(w) U', keeping the r
       directions with w > 1e-9 * max(w) as the range U_r, the rest U_0;
     - whitened, C_j = G' S_j G / s_j with G = U_r diag(w_r)^(-1/2) sum to I,
       so they commute and share the eigenvectors V of C_1 (V = I for one
@@ -494,14 +494,13 @@ def _base_spectrum(term: str, bases: list):
     (_term_penalties)."""
     scales = np.array([np.abs(S).max() for S in bases])
     try:
-        w, U = basis_mod.spectrum(
-            sum(S / s for S, s in zip(bases, scales)), vectors=True)
+        w, U = np.linalg.eigh(sum(S / s for S, s in zip(bases, scales)))
         keep = w > _SPECTRUM_RTOL * w[-1]
         G = U[:, keep] / np.sqrt(w[keep])
         m = np.ones((G.shape[1], 1))           # one penalty: C_1 = I
         if len(bases) == 2:
             C = [G.T @ S @ G / s for S, s in zip(bases, scales)]
-            _, V = basis_mod.spectrum(C[0], vectors=True)
+            _, V = np.linalg.eigh(C[0])
             G = G @ V
             m = np.column_stack([np.einsum("ij,ji->i", V.T @ Cj, V) for Cj in C])
     except np.linalg.LinAlgError:
@@ -743,8 +742,17 @@ def pls_solve(design: AssembledDesign, lambdas) -> PlsSolution:
         raise NumericError(f"final solve: {exc}") from None
 
 
+def _pivot_column(design: AssembledDesign, ar: _ArrowLayout,
+                  rdiag: np.ndarray) -> str:
+    """The name of X's column at the arrow QR's smallest pivot."""
+    order = np.concatenate([ar.idx.ravel(), ar.border])
+    return design.coef_names[order[int(np.argmin(rdiag))]]
+
+
 def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
-                 lambdas: np.ndarray) -> PlsSolution:
+                 lambdas: np.ndarray, ridge: bool = True) -> PlsSolution:
+    """pls_solve in the arrow layout; with ridge=False a singular system
+    raises RankError naming the column of the smallest pivot."""
     L, k, _ = ar.g_tt.shape
     nb = ar.border.size
     p = design.p
@@ -772,6 +780,9 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
     r_t, r_b, rdiag = _arrow_qr(level_rows, border_rows)
     ridged = False
     if rdiag.min() <= 1e-10 * max(rdiag.max(), 1.0):
+        if not ridge:
+            raise RankError("X'X + S_lambda is singular, its smallest pivot "
+                            f"in column {_pivot_column(design, ar, rdiag)!r}")
         i, j, v = ar.gram
         trace = v[i == j].sum() + sum(
             lam * len(e.levels) * np.trace(e.base)
@@ -788,10 +799,9 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
             np.vstack([border_rows,
                        np.column_stack([root * ar.T_b, np.zeros(nb)])]))
         if rdiag.min() <= 1e-12 * max(rdiag.max(), 1.0):
-            order = np.concatenate([ar.idx.ravel(), ar.border])
-            worst = design.coef_names[order[int(np.argmin(rdiag))]]
             raise RankError(f"penalized system singular even after ridge; "
-                            f"offending column {worst!r}")
+                            f"offending column "
+                            f"{_pivot_column(design, ar, rdiag)!r}")
         ridged = True
     # R = [[diag R_l, C~], [0, R_B]] with R^-1 = [[V, -V C~ R_B^-1],
     # [0, R_B^-1]], V = diag(R_l^-1): in X's columns vb = T R^-1 R^-T T'
@@ -1311,7 +1321,9 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     converges when its largest projected gradient is at most GRAD_TOL, or
     when no descent can be seen within the score's rounding (_newton_search).
     A run out of iterations keeps its point with converged=False, and a
-    warning follows if it wins. A start that cannot be scored is skipped.
+    warning follows if it wins. A start that cannot be scored is skipped;
+    when none can, the NumericError names the column of the smallest pivot
+    of pls_solve's QR at the first start if the system is singular there.
     n_eval counts every point scored, each once, probes included; grad_max
     is the largest absolute projected gradient at the returned lambdas.
     """
@@ -1327,7 +1339,12 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
                               for x0 in starts])
     best = _best_run(runs)
     if not math.isfinite(best.score):
-        raise NumericError("REML score non-finite at every candidate lambda")
+        message = "REML score non-finite at every candidate lambda"
+        try:
+            _arrow_solve(design, design.arrow(), runs[0].lambdas, ridge=False)
+        except RankError as exc:
+            message += f"; {exc}"
+        raise NumericError(message)
     # The score tends to a limit as a lambda goes to 0 or inf, and a basin
     # a few 1e-3 deep can hold every start above a lower limit: probe both
     # bounds of each coordinate from the best point.
@@ -1420,7 +1437,8 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     RSS/n, the convention under which AIC = n log(2 pi RSS/n) + n + 2(edf+1).
     n_eval counts the REML points the search scored and grad_max is its
     largest absolute projected gradient at the returned lambdas (both 0 if
-    no search ran).
+    no search ran). reml is NaN when the final solve needed the ridge
+    fallback (ridged), or when a lambda is pinned at 0.
     """
     design_raw = assemble(spec, table)
     if spec.rho > 0:
@@ -1452,7 +1470,10 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
         sigma2 = 0.0 if rss_w <= 1e-10 else math.nan
     n = design.n
     loglik = -0.5 * n * (math.log(2.0 * math.pi * max(rss_w, 1e-300) / n) + 1.0)
-    if len(design.penalties) and np.all(lambdas > 0):
+    if sol.ridged:
+        # a ridged system's score would be another model's (reml_score)
+        reml = math.nan
+    elif len(design.penalties) and np.all(lambdas > 0):
         try:
             reml = reml_score(design, np.log(lambdas))
         except NumericError:

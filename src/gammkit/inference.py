@@ -112,7 +112,8 @@ def compare_reml(model0, model1) -> ComparisonResult:
     lower score, no test is run: verdict is "simpler_and_better" and p is
     None. Accepts fitted models or bare ModelScore records. Fitted models
     with different AR(1) rho are refused: the REML score leaves out the
-    AR(1) Jacobian, so their scores are on different scales.
+    AR(1) Jacobian, so their scores are on different scales. So is a NaN
+    score, which fit reports for a ridged system or a lambda fixed at 0.
     """
     spec0, spec1 = getattr(model0, "spec", None), getattr(model1, "spec", None)
     sig0 = getattr(spec0, "signature", lambda: None)()
@@ -127,7 +128,8 @@ def compare_reml(model0, model1) -> ComparisonResult:
                            "comparable")
     r0, r1 = float(model0.reml), float(model1.reml)
     if math.isnan(r0) or math.isnan(r1):
-        raise GammkitError("REML score unavailable (fixed lambda = 0 fit?)")
+        raise GammkitError("REML score unavailable: a lambda fixed at 0, "
+                           "or a singular system the final solve ridged")
     k0, k1 = int(model0.param_count), int(model1.param_count)
     stat = abs(r0 - r1)
     df = abs(k0 - k1)

@@ -80,6 +80,7 @@ def test_fit_writes_every_output(tmp_path):
     assert record["n"] == 60 and record["p"] == 9
     assert record["converged"] is True
     assert len(record["lambdas"]) == 1
+    assert "seed" not in record           # fit draws no random numbers
     coefs = _read_csv(out / "coefficients.csv")
     assert coefs[0] == ["name", "estimate", "se"]
     assert len(coefs) == 10
@@ -224,6 +225,18 @@ def test_parametric_roles_come_from_the_one_read(tmp_path, monkeypatch):
     assert table.factor("c").levels == ("2", "4")
     assert table.numeric("d").tolist() == [5.0, 7.0, 8.0, 9.0]
     assert table.meta["dropped_rows"] == 1
+
+
+def test_spec_value_errors_name_their_line(tmp_path, capsys):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = _write(tmp_path / "m.spec", "response: y\n# m is an integer\n"
+                  "smooth: cr(x) m=abc\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--data", data, "--spec", spec,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("gammkit: error at stage 'parse-spec': "
+                                       "line 3: bad m value 'abc'\n")
+    assert not out.exists()
 
 
 def test_fit_unknown_smooth_function_rejected(tmp_path, capsys):
@@ -378,6 +391,51 @@ def test_one_parser_serves_every_command_of_a_process(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# every command: one error frame, and only the options it reads
+
+
+def _argv(command, data, spec, out, *extra):
+    """argv running command on data and spec (given twice to compare)."""
+    more = {"compare": ["--spec", spec], "permtest": ["--n-perm", "2"]}
+    return [command, "--data", data, "--spec", spec, "--out", out,
+            *more.get(command, []), *extra]
+
+
+@pytest.mark.parametrize("command", ["predict", "compare", "acf",
+                                     "suggest-rho", "permtest"])
+def test_a_bad_spec_exits_one_at_parse_spec_and_writes_nothing(
+        tmp_path, capsys, command):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = _write(tmp_path / "m.spec", "response: y\nsmooth: cr(x) k=six\n")
+    out = tmp_path / "out"
+    assert main(_argv(command, data, spec, str(out))) == 1
+    assert capsys.readouterr().err == ("gammkit: error at stage 'parse-spec': "
+                                       "line 2: bad k value 'six'\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, option", [
+    ("fit", "--seed=1"),
+    ("predict", "--seed=1"), ("predict", "--format=text"),
+    ("compare", "--seed=1"), ("compare", "--format=text"),
+    ("acf", "--seed=1"), ("acf", "--format=text"),
+    ("suggest-rho", "--rho=0.2"), ("suggest-rho", "--seed=1"),
+    ("suggest-rho", "--format=text"),
+    ("permtest", "--rho=0.2"), ("permtest", "--format=text"),
+])
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+        tmp_path, capsys, command, option):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = _write(tmp_path / "m.spec", BASIC_SPEC)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as stop:
+        main(_argv(command, data, spec, str(out), option))
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
 # simulate
 
 
@@ -412,6 +470,22 @@ def test_simulate_truth_record_structure(tmp_path):
     assert rows[1][0] == "s000" and rows[1][1] == "1"
 
 
+@pytest.mark.parametrize("line, message", [
+    ("n_subjects: ten", "bad n_subjects 'ten'"),
+    ("sigma: x", "bad sigma 'x'"),
+    ("fixed: numeric(z) effect=1.2.3", "bad effect '1.2.3'"),
+    ("trend: linear amplitude=big", "bad amplitude 'big'"),
+])
+def test_scenario_value_errors_name_their_line(tmp_path, capsys, line,
+                                               message):
+    scen = _write(tmp_path / "s.scn", f"n_trials: 10\n\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["simulate", "--spec", scen, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("gammkit: error at stage "
+                                       f"'parse-scenario': line 3: {message}\n")
+    assert not out.exists()
+
+
 def test_simulate_rejects_bad_fixed_effect(tmp_path, capsys):
     scen = _write(tmp_path / "s.scn",
                   "n_subjects: 4\nn_trials: 10\n"
@@ -425,15 +499,32 @@ def test_simulate_rejects_bad_fixed_effect(tmp_path, capsys):
 # console entry point
 
 
-@pytest.mark.skipif(shutil.which("gammkit") is None,
-                    reason="console script not on PATH")
+def _console_script():
+    """The command line of the installed gammkit script; when none is on
+    PATH, pyproject.toml's [project.scripts] target run by this interpreter
+    with the source tree on PYTHONPATH."""
+    if shutil.which("gammkit"):
+        return ["gammkit"], None
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml")) as fh:
+        text = fh.read()
+    section = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    target = re.search(r'^gammkit\s*=\s*"([\w.]+):(\w+)"', section, re.M)
+    module, func = target.groups()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-c", f"import sys; from {module} import {func}; "
+            f"sys.exit({func}())"], env
+
+
 def test_console_script_runs_a_fit(tmp_path):
     data = _basic_data(tmp_path / "d.csv")
     spec = _write(tmp_path / "m.spec", BASIC_SPEC)
     out = tmp_path / "out"
-    proc = subprocess.run(["gammkit", "fit", "--data", data, "--spec", spec,
+    script, env = _console_script()
+    proc = subprocess.run([*script, "fit", "--data", data, "--spec", spec,
                            "--out", str(out)],
-                          capture_output=True, text=True, timeout=120)
+                          capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.txt").is_file()
 

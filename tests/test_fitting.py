@@ -15,12 +15,14 @@ from gammkit import fitting
 from gammkit.basis import Penalty, SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
 from gammkit.diagnostics import pilot_spec
-from gammkit.errors import DomainError, NumericError, SchemaError, ShapeError
+from gammkit.errors import (DomainError, GammkitError, NumericError,
+                            SchemaError, ShapeError)
 from gammkit.fitting import (GRAD_TOL, LOG_LAMBDA_MAX, LOG_LAMBDA_MIN,
                              ModelSpec, ParametricTerm,
                              _term_penalties, ar1_whiten, assemble,
                              design_matrix_for, fit, optimize_lambdas,
                              partial_effect, pls_solve, predict, reml_score)
+from gammkit.inference import compare_reml
 from gammkit.simulate import FixedEffect, ScenarioSpec, gen_experiment
 
 
@@ -425,6 +427,44 @@ def test_pls_ridges_a_singular_system_and_flags_it():
     fitted, fitted_ref = des.X @ sol.beta, des.X @ ref
     assert np.max(np.abs(fitted - fitted_ref)) <= \
         1e-8 * np.max(np.abs(fitted_ref))
+
+
+def _twice_linear_trial(rho):
+    """cond + cr(trial) + te(trial, x) on 10 x 100 (simulate seed 2): both
+    smooths leave the linear trial trend unpenalized, so X'X + S_lambda is
+    singular at every lambda."""
+    table = gen_experiment(ScenarioSpec(
+        n_subjects=10, n_trials=100, trend="undulating", trend_amplitude=1.0,
+        fixed_effects=(FixedEffect("cond", "factor2", 0.8),
+                       FixedEffect("x", "numeric", 0.5)),
+        rho=0.3, subject_intercept_sd=0.5, seed=2))[0]
+    return ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr"),
+                                   SmoothTermSpec(("trial", "x"), "tensor")),
+                     rho=rho), table
+
+
+def test_a_fit_whose_final_solve_ridged_reports_no_reml():
+    """At rho = 0 the search scores the singular system through a
+    rounding-level pivot and the final solve ridges: the fit once reported
+    that score (below the nested te-only model's), and compare_reml took it."""
+    spec, table = _twice_linear_trial(0.0)
+    model = fit(spec, table)
+    assert model.ridged and math.isnan(model.reml)
+    te_only = fit(replace(spec, smooth_terms=spec.smooth_terms[1:]), table)
+    assert not te_only.ridged and math.isfinite(te_only.reml)
+    with pytest.raises(GammkitError, match="ridged"):
+        compare_reml(te_only, model)
+
+
+def test_a_search_failing_at_every_start_names_the_singular_column():
+    """At rho = 0.3 no start can be scored; the error names the column of
+    the smallest pivot of the penalized QR, as pls_solve's RankError does."""
+    spec, table = _twice_linear_trial(0.3)
+    with pytest.raises(NumericError, match=r"every candidate lambda; "
+                       r"X'X \+ S_lambda is singular, its smallest pivot in "
+                       r"column 'te\(trial,x\)\[\d+\]'"):
+        fit(spec, table)
 
 
 def test_pls_reads_only_the_cached_products():

@@ -13,7 +13,7 @@ from gammkit.data import DataTable, FactorColumn
 from gammkit.errors import NumericError
 from gammkit.fitting import (LOG_LAMBDA_MAX, LOG_LAMBDA_MIN, ModelSpec,
                              ParametricTerm, _log_pdet_slambda,
-                             _term_penalties, assemble, fit, reml_score)
+                             _term_penalties, assemble, fit)
 from gammkit.simulate import ScenarioSpec, gen_experiment
 
 
@@ -131,7 +131,7 @@ def test_spectrum_failure_names_the_term(monkeypatch):
     def broken(_):
         raise np.linalg.LinAlgError("eigenvalues did not converge")
     monkeypatch.setattr(np.linalg, "eigh", broken)
-    D = np.diff(np.eye(5), n=2, axis=0)      # a diagonal penalty skips eigh
+    D = np.diff(np.eye(5), n=2, axis=0)
     with pytest.raises(NumericError, match=r"cr\(x\)"):
         _term_penalties("cr(x)", 1, [basis.Penalty(D.T @ D, "cr")])
 
@@ -140,45 +140,6 @@ def test_check_psd_rejects_a_diagonal_penalty_with_a_negative_entry():
     with pytest.raises(NumericError, match="not positive semidefinite"):
         basis._check_psd(np.diag([2.0, -0.5, 1.0]), "neg")
     basis._check_psd(np.diag([2.0, 0.0, 1.0]), "ok")
-
-
-def test_spectrum_of_a_diagonal_matches_eigh():
-    """Eigenvalues bit for bit on any diagonal; eigenvectors too on a
-    non-decreasing one."""
-    for d in (np.ones(40), np.array([0.0, 0.0, 0.5, 2.0, 2.0, 7.0]),
-              np.array([1.0, 2.0, 1.0, 0.0, 2.0, 1.0, 0.5])):
-        np.testing.assert_array_equal(basis.spectrum(np.diag(d)),
-                                      np.linalg.eigvalsh(np.diag(d)))
-        if np.all(np.diff(d) >= 0):
-            for got, want in zip(basis.spectrum(np.diag(d), vectors=True),
-                                 np.linalg.eigh(np.diag(d))):
-                np.testing.assert_array_equal(got, want)
-
-
-def _eigh_spectrum(S, vectors=False):
-    return np.linalg.eigh(S) if vectors else np.linalg.eigvalsh(S)
-
-
-@pytest.mark.parametrize("name", ["re", "by", "cr"])
-def test_diagonal_penalties_give_the_eigh_route_bit_for_bit(monkeypatch,
-                                                            name):
-    """re's I_L, a natural-parameterized cr's diag(w) and a by-factor cr
-    skip the dense eigendecomposition: log|S_lambda|_+'s constant and
-    weights, the penalty roots and the REML score are bit-identical to
-    those of eigh."""
-    terms = {"re": (S(("g",), is_random_effect=True),),
-             "by": (S("x", "cr", k=6, by="c"),),
-             "cr": (S("x", "cr", k=8),)}[name]
-    spec = ModelSpec(response="y", smooth_terms=terms)
-    des = assemble(spec, _table())
-    monkeypatch.setattr(basis, "spectrum", _eigh_spectrum)
-    ref = assemble(spec, _table())
-    assert des.logpdet_const == ref.logpdet_const
-    np.testing.assert_array_equal(des.logpdet_weights, ref.logpdet_weights)
-    for e, e_ref in zip(des.penalties, ref.penalties):
-        np.testing.assert_array_equal(e.sqrt, e_ref.sqrt)
-    for x in (np.zeros(len(des.penalties)), np.full(len(des.penalties), 4.0)):
-        assert reml_score(des, x) == reml_score(ref, x)
 
 
 # ---------------------------------------------------------------------------
