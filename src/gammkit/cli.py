@@ -449,55 +449,49 @@ def _safe_name(label: str) -> str:
 
 
 def _write_partials(tracker: OutputTracker, model):
+    """partial_<term>.csv per smooth. A random effect lists each level's
+    coefficient and SE; any other term is one partial_effect call over its
+    grid: 100 points of its numeric covariate or 40 x 40 of its two
+    (meshgrid "ij" order), crossed for a per-level term with its factor's
+    levels (levels outer). Columns: [level,] covariates, effect, se."""
     import numpy as np
 
     from .data import DataTable, FactorColumn
     from .fitting import partial_effect
 
-    design = model.design_raw
-
-    def grid(name, m):
-        x = design.table.numeric(name)
-        return np.linspace(float(x.min()), float(x.max()), m)
-
+    design, table = model.design_raw, model.design_raw.table
     for label, block in design.blocks.items():
         path = tracker.path(f"partial_{_safe_name(label)}.csv")
         covs = design.term_covariates[label]
         a = design.col_ranges[label][0]
         if block.kind == "random":
-            levels = design.table.factor(covs[0]).levels
+            levels = table.factor(covs[0]).levels
+            b = a + len(levels)
             _write_columns(path, ["level", "effect", "se"],
                            [list(map(_csv_cell, levels)),
-                            _float_cells(model.beta[a:a + len(levels)]),
-                            _se_cells(model.vb)[a:a + len(levels)]])
+                            _float_cells(model.beta[a:b]),
+                            _se_cells(model.vb[a:b, a:b])])
             continue
-        spec_term = next(t for t in model.spec.smooth_terms
-                         if t.label == label)
-        if spec_term.by is not None or spec_term.fs_group is not None:
-            # one 100-point curve per level of the grouping factor
-            fac, grid_x = design.table.factor(covs[-1]), grid(covs[0], 100)
-            effects = [partial_effect(model, label, DataTable(columns={
-                covs[0]: grid_x,
-                covs[-1]: FactorColumn(np.full(grid_x.size, code), fac.levels)},
-                n_rows=grid_x.size))[:2] for code in range(fac.n_levels)]
-            codes = np.repeat(np.arange(fac.n_levels), grid_x.size)
-            _write_columns(path, ["level", covs[0], "effect", "se"],
-                           [_factor_cells(fac.levels, codes),
-                            _float_cells(np.tile(grid_x, fac.n_levels)),
-                            _float_cells(np.concatenate([e for e, _ in effects])),
-                            _float_cells(np.concatenate([s for _, s in effects]))])
-            continue
-        if block.n_cov == 2:
-            xx, zz = np.meshgrid(grid(covs[0], 40), grid(covs[1], 40),
-                                 indexing="ij")
-            cols = {covs[0]: xx.ravel(), covs[1]: zz.ravel()}
-        else:
-            cols = {covs[0]: grid(covs[0], 100)}
-        eff, se, _ = partial_effect(model, label, DataTable(
-            columns=dict(cols), n_rows=len(cols[covs[0]])))
-        _write_columns(path, [*cols, "effect", "se"],
-                       [*map(_float_cells, cols.values()), _float_cells(eff),
-                        _float_cells(se)])
+        per_level = isinstance(table.columns[covs[-1]], FactorColumn)
+        numeric = covs[:-1] if per_level else covs
+        m = 100 if len(numeric) == 1 else 40
+        axes = [np.linspace(float(x.min()), float(x.max()), m)
+                for x in map(table.numeric, numeric)]
+        columns = {name: g.ravel() for name, g in
+                   zip(numeric, np.meshgrid(*axes, indexing="ij"))}
+        headers, cells = [], []
+        if per_level:
+            fac = table.factor(covs[-1])
+            codes = np.repeat(np.arange(fac.n_levels), m ** len(numeric))
+            columns = {name: np.tile(x, fac.n_levels)
+                       for name, x in columns.items()}
+            columns[covs[-1]] = FactorColumn(codes, fac.levels)
+            headers, cells = ["level"], [_factor_cells(fac.levels, codes)]
+        effect, se = partial_effect(model, label, DataTable(
+            columns=columns, n_rows=len(columns[numeric[0]])))
+        _write_columns(path, [*headers, *numeric, "effect", "se"],
+                       cells + [_float_cells(columns[c]) for c in numeric]
+                       + [_float_cells(effect), _float_cells(se)])
 
 
 def _write_fit_json(path: str, model, args):

@@ -613,11 +613,11 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
 # whitening
 
 
-def ar1_whiten(design: AssembledDesign, rho: float,
-               series: np.ndarray | None = None) -> AssembledDesign:
+def ar1_whiten(design: AssembledDesign, rho: float) -> AssembledDesign:
     """Whiten y and X for AR(1) errors with the given rho.
 
-    Within each series, row t becomes row_t - rho*row_{t-1} and the first row
+    Within each series of design.series_codes (one series when the table
+    declares none), row t becomes row_t - rho*row_{t-1} and the first row
     is scaled by sqrt(1 - rho^2): left-multiplication by the inverse Cholesky
     factor of the AR(1) correlation matrix, a sparse bidiagonal D applied to
     y, X_dense and X_sparse (whose rows may then span two levels). Each
@@ -626,13 +626,9 @@ def ar1_whiten(design: AssembledDesign, rho: float,
     """
     if not (0.0 <= rho < 1.0):
         raise DomainError(f"rho must lie in [0, 1), got {rho}")
-    if series is None:
-        series = design.series_codes
+    series = design.series_codes
     if series is None:
         series = np.zeros(design.n, dtype=np.int64)
-    series = np.asarray(series)
-    if series.shape[0] != design.n:
-        raise ShapeError("series column not aligned with design rows")
     starts = np.ones(design.n, dtype=bool)
     starts[1:] = series[1:] != series[:-1]
     if design.order_values is not None:
@@ -787,9 +783,9 @@ def _arrow_solve(design: AssembledDesign, ar: _ArrowLayout,
         trace = v[i == j].sum() + sum(
             lam * len(e.levels) * np.trace(e.base)
             for lam, e in zip(lambdas, design.penalties))
+        # trace > 0: every design has the intercept column, whose sum of
+        # squares is positive, whitened or not
         delta = RIDGE_OF_LAST_RESORT * float(trace) / p
-        if delta <= 0:
-            raise RankError("design is identically zero")
         # delta I in X's columns is delta T'T in the layout's
         root = math.sqrt(delta)
         ridge_t = np.zeros((L, k, c))
@@ -1307,12 +1303,12 @@ def _lockstep(design: AssembledDesign, starts: list) -> list:
     return done
 
 
-def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
+def optimize_lambdas(design: AssembledDesign) -> LambdaSearch:
     """Minimize the REML score over log-lambda by projected Newton descent.
 
-    Runs from init (default log lambda = 0), +5 and -5 in log10 space,
-    each clipped to [LOG_LAMBDA_MIN, LOG_LAMBDA_MAX], on the exact gradient
-    and Hessian of reml_score, in lockstep (_lockstep): one reml_score call
+    Runs from log lambda = 0, +5 and -5 in log10 space, each clipped to
+    [LOG_LAMBDA_MIN, LOG_LAMBDA_MAX], on the exact gradient and Hessian
+    of reml_score, in lockstep (_lockstep): one reml_score call
     per round scores the runs' points as a stack. The lowest score wins,
     the earlier run on a tie within the score's rounding (_best_run). Then
     each log lambda of the winner is set in turn to either bound it is not
@@ -1330,9 +1326,7 @@ def optimize_lambdas(design: AssembledDesign, init=None) -> LambdaSearch:
     m = len(design.penalties)
     if m == 0:
         raise DomainError("no penalties to optimize")
-    if init is None:
-        init = np.zeros(m)
-    starts = [np.asarray(init, dtype=np.float64),
+    starts = [np.zeros(m),
               np.full(m, 5.0 * math.log(10.0)),
               np.full(m, -5.0 * math.log(10.0))]
     runs = _lockstep(design, [np.clip(x0, LOG_LAMBDA_MIN, LOG_LAMBDA_MAX)
@@ -1585,24 +1579,34 @@ def predict(model: FittedModel, newdata: DataTable,
 
 
 def partial_effect(model: FittedModel, term: str,
-                   grid: DataTable) -> tuple[np.ndarray, np.ndarray, DataTable]:
-    """Centered contribution of a single term over a covariate grid.
+                   grid: DataTable) -> tuple[np.ndarray, np.ndarray]:
+    """Centered contribution (effect, se) of a single term over a grid.
 
     Only the term's own columns are evaluated, so the grid needs just that
     term's covariates (and its by/grouping factor, when it has one); all
     other model terms are irrelevant to the partial effect. The SE comes
     from the term's block of the posterior covariance and pinches to zero
-    where a centered effect crosses zero.
+    where a centered effect crosses zero. A per-level term's rows
+    (basis.per_level_rows) stay sparse, and each row's SE reads only that
+    covariance's k x k block at the row's k stored columns.
     """
     design = model.design_raw
     if term not in design.blocks:
         raise SchemaError(f"no smooth term named {term!r}; have "
                           f"{sorted(design.blocks)}")
     a, b = design.col_ranges[term]
-    block = design.blocks[term]
-    cols = _evaluator_columns(design, term, grid)
-    Xt = block.evaluate(cols, extrapolate=True)
-    effect = Xt @ model.beta[a:b]
+    Xt = design.blocks[term].evaluator.evaluate(
+        _evaluator_columns(design, term, grid), extrapolate=True)
     vt = model.vb[a:b, a:b]
-    se = np.sqrt(np.maximum(np.einsum("ij,ij->i", Xt @ vt, Xt), 0.0))
-    return effect, se, grid
+    if not sparse.issparse(Xt):
+        var = np.einsum("ij,ij->i", Xt @ vt, Xt)
+    else:
+        n, counts = Xt.shape[0], np.diff(Xt.indptr)
+        k = int(counts.max(initial=0))
+        if np.any(counts != k):
+            raise ShapeError(f"term {term!r}: per-level rows store unequal "
+                             f"entry counts ({counts.min()} to {k})")
+        cols, vals = Xt.indices.reshape(n, k), Xt.data.reshape(n, k)
+        var = sum((vals[:, j] * np.einsum("ij,ij->i", vt[cols[:, [j]], cols],
+                                          vals) for j in range(k)), np.zeros(n))
+    return Xt @ model.beta[a:b], np.sqrt(np.maximum(var, 0.0))

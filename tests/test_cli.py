@@ -8,14 +8,17 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import gammkit
-from gammkit import cli
+from gammkit import cli, fitting
+from gammkit.basis import SmoothTermSpec
 from gammkit.cli import _load_table, main, parse_spec_file
-from gammkit.fitting import GRAD_TOL
+from gammkit.fitting import GRAD_TOL, ModelSpec, ParametricTerm, fit
+from gammkit.simulate import FixedEffect, ScenarioSpec, gen_experiment
 
 
 def _write(path, text):
@@ -245,6 +248,95 @@ def test_fit_unknown_smooth_function_rejected(tmp_path, capsys):
     assert main(["fit", "--data", data, "--spec", spec,
                  "--out", str(tmp_path / "out")]) == 1
     assert "stage 'parse-spec'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# partial-effect files
+
+
+@pytest.fixture(scope="module")
+def fs_model():
+    """cond + cr(trial) k=10 + fs(trial, subject) k=5 at rho 0.3 on
+    120 subjects x 12 trials."""
+    table, _ = gen_experiment(ScenarioSpec(
+        n_subjects=120, n_trials=12,
+        fixed_effects=(FixedEffect("cond", "factor2", 0.8),),
+        trend="undulating", trend_amplitude=1.0, rho=0.3,
+        subject_intercept_sd=0.5, seed=1))
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
+                                   SmoothTermSpec(("trial",), "cr", k=5,
+                                                  fs_group="subject")),
+                     rho=0.3)
+    return fit(spec, table)
+
+
+def test_partials_make_one_partial_effect_call_per_smooth_term(
+        tmp_path, monkeypatch, fs_model):
+    """The fs term's 120 curves come from one call over the levels crossed
+    with the 100-point grid, levels outer."""
+    calls, real = [], fitting.partial_effect
+
+    def counted(model, term, grid):
+        calls.append((term, grid.n_rows))
+        return real(model, term, grid)
+
+    monkeypatch.setattr(fitting, "partial_effect", counted)
+    cli._write_partials(cli.OutputTracker(str(tmp_path)), fs_model)
+    assert calls == [("cr(trial)", 100), ("fs(trial,subject)", 12_000)]
+    rows = _read_csv(tmp_path / "partial_fs_trial_subject.csv")
+    assert rows[0] == ["level", "trial", "effect", "se"]
+    assert len(rows) == 1 + 12_000
+    levels = fs_model.table.factor("subject").levels
+    assert [r[0] for r in rows[1::100]] == list(levels)
+    assert [r[1] for r in rows[1:101]] == [r[1] for r in rows[-100:]]
+
+
+def test_fs_partials_allocate_per_grid_entry_not_per_level_block(
+        tmp_path, monkeypatch, fs_model):
+    """Evaluating the fs curves of 120 subjects (12,000 grid rows of k = 5
+    stored entries) allocates at most 16 doubles per stored entry, summed
+    over the partial_effect calls (each call's peak above the memory it
+    started with): no call forms a grid row over every level's columns or
+    multiplies such rows by the term's whole block of vb."""
+    peaks, real = [], fitting.partial_effect
+
+    def traced(model, term, grid):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = real(model, term, grid)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+        return out
+
+    monkeypatch.setattr(fitting, "partial_effect", traced)
+    tracemalloc.start()
+    try:
+        cli._write_partials(cli.OutputTracker(str(tmp_path)), fs_model)
+    finally:
+        tracemalloc.stop()
+    assert sum(peaks) < 16 * 8 * 12_000 * 5
+
+
+def test_fit_writes_a_two_covariate_by_factor_smooth(tmp_path):
+    """s(trial, dose) by=cond: one 40 x 40 surface per cond level, levels
+    outer, trial outer within a level."""
+    scen = _write(tmp_path / "s.scn", SCENARIO + "trend: undulating "
+                  "amplitude=1.0\nfixed: factor2(cond) effect=0.8\n"
+                  "fixed: numeric(dose) effect=0.5\n")
+    assert main(["simulate", "--spec", scen, "--out", str(tmp_path)]) == 0
+    spec = _write(tmp_path / "m.spec", SERIES_SPEC + "parametric: cond\n"
+                  "smooth: s(trial, dose) k=12 by=cond\n"
+                  "random: intercept(subject)\nrho: 0.3\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(tmp_path / "simulated.csv"),
+                 "--spec", spec, "--out", str(out)]) == 0
+    rows = _read_csv(out / "partial_s_trial_dose_cond.csv")
+    assert rows[0] == ["level", "trial", "dose", "effect", "se"]
+    assert len(rows) == 1 + 2 * 1600
+    assert [r[0] for r in rows[1::1600]] == ["a", "b"]
+    assert len({r[1] for r in rows[1:41]}) == 1
+    assert len({r[2] for r in rows[1:41]}) == 40
+    assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[3:])
 
 
 # ---------------------------------------------------------------------------

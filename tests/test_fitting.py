@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 from scipy.optimize import minimize
 
@@ -1797,7 +1798,7 @@ def test_partial_effect_linear_truth_is_a_line():
     model = fit(ModelSpec(response="y",
                           smooth_terms=(SmoothTermSpec("x", "tp", k=8),)), tab)
     grid = DataTable(columns={"x": np.linspace(0.05, 0.95, 21)}, n_rows=21)
-    effect, se, _ = partial_effect(model, "s(x)", grid)
+    effect, se = partial_effect(model, "s(x)", grid)
     slopes = np.diff(effect) / np.diff(np.linspace(0.05, 0.95, 21))
     np.testing.assert_allclose(slopes, 2.0, atol=0.1)
     assert np.all(np.isfinite(se))
@@ -1808,7 +1809,7 @@ def test_partial_effects_add_up_to_fitted_values():
     train = model.table
     total = np.full(train.n_rows, model.beta[0])
     for term in ("cr(x)", "re(g)"):
-        effect, _, _ = partial_effect(model, term, train)
+        effect, _ = partial_effect(model, term, train)
         total = total + effect
     np.testing.assert_allclose(total, model.fitted_values, atol=1e-8)
 
@@ -1834,12 +1835,73 @@ def test_partial_effect_se_pinches_near_crossing():
     model = fit(ModelSpec(response="y",
                           smooth_terms=(SmoothTermSpec("x", "tp", k=8),)), tab)
     gx = np.linspace(0.02, 0.98, 97)
-    effect, se, _ = partial_effect(model, "s(x)", DataTable(columns={"x": gx},
+    effect, se = partial_effect(model, "s(x)", DataTable(columns={"x": gx},
                                                             n_rows=97))
     assert 0 < int(np.argmin(se)) < 96
     crossing = int(np.argmin(np.abs(effect)))
     assert se[crossing] < 0.6 * min(se[0], se[-1])
     assert int(np.argmax(se)) in (0, 96)
+
+
+def _per_level_fit():
+    """cond + fs(trial, subject) + cr(trial):cond + re(item) at rho 0.3 on
+    8 x 60: three per-level terms, each held sparse."""
+    table = _scenario(8, 60, 2)
+    table = table.with_column("item", FactorColumn.from_strings(
+        [f"i{int(t) % 9}" for t in table.numeric("trial")]))
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec(("trial",), "cr", k=5,
+                                                  fs_group="subject"),
+                                   SmoothTermSpec("trial", "cr", k=6,
+                                                  by="cond"),
+                                   SmoothTermSpec(("item",),
+                                                  is_random_effect=True)),
+                     rho=0.3)
+    return fit(spec, table)
+
+
+def test_per_level_partial_effects_match_the_dense_quadratic_form():
+    """On a grid whose rows take every factor's levels in random order, the
+    fs, by and re terms' effect and SE equal x' beta and sqrt(x' V x) of
+    the term's dense rows of design_matrix_for within 1e-12 relative to
+    each value or to the largest (the centered by-term's SE pinches near
+    zero, where both sums lose their relative digits)."""
+    model = _per_level_fit()
+    table, design = model.table, model.design_raw
+    rng = np.random.default_rng(5)
+    n = 400
+    trial = table.numeric("trial")
+    columns = {"trial": rng.uniform(trial.min(), trial.max(), n)}
+    for name in ("subject", "cond", "item"):
+        fac = table.factor(name)
+        columns[name] = FactorColumn(rng.integers(0, fac.n_levels, n),
+                                     fac.levels)
+    grid = DataTable(columns=columns, n_rows=n)
+    X = design_matrix_for(model, grid)
+    for label in ("fs(trial,subject)", "cr(trial):cond", "re(item)"):
+        assert sparse.issparse(design.blocks[label].X), label
+        a, b = design.col_ranges[label]
+        x, V = X[:, a:b], model.vb[a:b, a:b]
+        effect, se = partial_effect(model, label, grid)
+        want = x @ model.beta[a:b]
+        np.testing.assert_allclose(effect, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+        want = np.sqrt(np.einsum("ij,jk,ik->i", x, V, x))
+        np.testing.assert_allclose(se, want, rtol=1e-12,
+                                   atol=1e-12 * want.max())
+
+
+def test_per_level_rows_of_unequal_width_are_a_shape_error(monkeypatch):
+    """partial_effect reads each per-level row as k stored entries; a row
+    storing another count is a ShapeError naming the term."""
+    model = _per_level_fit()
+    block = model.design_raw.blocks["re(item)"]
+    ragged = sparse.csr_array((np.ones(3), np.array([0, 1, 2]),
+                               np.array([0, 1, 3])), shape=(2, 9))
+    monkeypatch.setattr(block.evaluator, "evaluate",
+                        lambda cols, extrapolate=False: ragged)
+    with pytest.raises(ShapeError, match="re\\(item\\)"):
+        partial_effect(model, "re(item)", model.table)
 
 
 def test_partial_effect_bivariate_grid_is_finite():
@@ -1855,6 +1917,6 @@ def test_partial_effect_bivariate_grid_is_finite():
     gx, gz = np.meshgrid(np.linspace(0.05, 0.95, 20),
                          np.linspace(0.05, 0.95, 20))
     grid = DataTable(columns={"x": gx.ravel(), "z": gz.ravel()}, n_rows=400)
-    effect, se, _ = partial_effect(model, "te(x,z)", grid)
+    effect, se = partial_effect(model, "te(x,z)", grid)
     assert effect.shape == (400,) and se.shape == (400,)
     assert np.all(np.isfinite(effect)) and np.all(np.isfinite(se))

@@ -76,18 +76,21 @@ def _oracle_partials(out_dir, model):
         spec_term = next(t for t in model.spec.smooth_terms
                          if t.label == label)
         if spec_term.by is not None or spec_term.fs_group is not None:
-            group_name = covs[-1]
-            x = design.table.numeric(covs[0])
-            grid_x = np.linspace(float(x.min()), float(x.max()), 100)
+            group_name, numeric = covs[-1], covs[:-1]
+            m = 100 if len(numeric) == 1 else 40
+            axes = [np.linspace(float(x.min()), float(x.max()), m)
+                    for x in map(design.table.numeric, numeric)]
+            points = [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
             fac = design.table.factor(group_name)
             rows = []
             for lev in fac.levels:
-                gtab = _oracle_grid_table({covs[0]: grid_x},
+                gtab = _oracle_grid_table(dict(zip(numeric, points)),
                                           {group_name: lev}, fac)
-                eff, se, _ = partial_effect(model, label, gtab)
-                rows += [[lev, repr(float(gx)), repr(float(e)), repr(float(s))]
-                         for gx, e, s in zip(grid_x, eff, se)]
-            _oracle_csv(path, ["level", covs[0], "effect", "se"], rows)
+                eff, se = partial_effect(model, label, gtab)
+                rows += [[lev, *map(repr, map(float, xs)), repr(float(e)),
+                          repr(float(s))]
+                         for *xs, e, s in zip(*points, eff, se)]
+            _oracle_csv(path, ["level", *numeric, "effect", "se"], rows)
         elif block.n_cov == 2:
             xs = [design.table.numeric(c) for c in covs]
             g1 = np.linspace(float(xs[0].min()), float(xs[0].max()), 40)
@@ -95,7 +98,7 @@ def _oracle_partials(out_dir, model):
             xx, zz = np.meshgrid(g1, g2, indexing="ij")
             gtab = DataTable(columns={covs[0]: xx.ravel(), covs[1]: zz.ravel()},
                              n_rows=xx.size)
-            eff, se, _ = partial_effect(model, label, gtab)
+            eff, se = partial_effect(model, label, gtab)
             rows = [[repr(float(x1)), repr(float(x2)), repr(float(e)),
                      repr(float(s))]
                     for x1, x2, e, s in zip(xx.ravel(), zz.ravel(), eff, se)]
@@ -104,7 +107,7 @@ def _oracle_partials(out_dir, model):
             x = design.table.numeric(covs[0])
             grid_x = np.linspace(float(x.min()), float(x.max()), 100)
             gtab = DataTable(columns={covs[0]: grid_x}, n_rows=100)
-            eff, se, _ = partial_effect(model, label, gtab)
+            eff, se = partial_effect(model, label, gtab)
             rows = [[repr(float(gx)), repr(float(e)), repr(float(s))]
                     for gx, e, s in zip(grid_x, eff, se)]
             _oracle_csv(path, [covs[0], "effect", "se"], rows)
@@ -226,6 +229,14 @@ SERIES_SPECS = {
            "smooth: fs(trial, subject) k=4\nrho: 0.2\n"),
     "re_te_by": ("response: y\nseries: subject order: trial\n"
                  "parametric: cond\nsmooth: te(trial, z) k=4,4\n"
+                 "smooth: cr(trial) k=5 by=cond\n"
+                 "random: intercept(subject)\nrho: 0.3\n"),
+    # a 2-D smooth per level: its curves cross the levels with a 40 x 40 grid
+    "tp2_by": ("response: y\nseries: subject order: trial\n"
+               "parametric: cond\nsmooth: s(trial, z) k=12 by=cond\n"
+               "random: intercept(subject)\nrho: 0.3\n"),
+    "ti_by_re": ("response: y\nseries: subject order: trial\n"
+                 "parametric: cond\nsmooth: ti(trial, z) k=4,4\n"
                  "smooth: cr(trial) k=5 by=cond\n"
                  "random: intercept(subject)\nrho: 0.3\n"),
 }
