@@ -175,11 +175,6 @@ class BasisBlock:
     def n_rows(self) -> int:
         return self.X.shape[0]
 
-    def evaluate(self, cols: list, extrapolate: bool = False) -> np.ndarray:
-        """Dense columns at new covariate values (prediction)."""
-        X = self.evaluator.evaluate(cols, extrapolate=extrapolate)
-        return X.toarray() if sparse.issparse(X) else X
-
 
 # ---------------------------------------------------------------------------
 # evaluators

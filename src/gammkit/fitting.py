@@ -1503,79 +1503,98 @@ def _evaluator_columns(design: AssembledDesign, term: str, table: DataTable):
     return cols
 
 
-def _extrapolation_mask(evaluator, cols) -> np.ndarray | None:
-    if isinstance(evaluator, basis_mod._ConstrainedEval):
-        return _extrapolation_mask(evaluator.base_ev, cols)
-    if isinstance(evaluator, basis_mod._PerLevelEval):
-        return _extrapolation_mask(evaluator.base_ev, cols[:-1])
-    if isinstance(evaluator, basis_mod._TensorEval):
-        ma = _extrapolation_mask(evaluator.ev_a, cols[:evaluator.n_cov_a])
-        mb = _extrapolation_mask(evaluator.ev_b, cols[evaluator.n_cov_a:])
-        if ma is None and mb is None:
-            return None
-        n = len(np.asarray(cols[0]))
-        out = np.zeros(n, dtype=bool)
-        if ma is not None:
-            out |= ma
-        if mb is not None:
-            out |= mb
-        return out
+def _extrapolation_mask(evaluator, cols, n: int) -> np.ndarray:
+    """Rows outside a cr basis's knot range, where it extends linearly."""
     if isinstance(evaluator, basis_mod._CrEval):
         return evaluator.out_of_range(np.asarray(cols[0], dtype=np.float64))
-    return None
+    if isinstance(evaluator, basis_mod._ConstrainedEval):
+        return _extrapolation_mask(evaluator.base_ev, cols, n)
+    if isinstance(evaluator, basis_mod._PerLevelEval):
+        return _extrapolation_mask(evaluator.base_ev, cols[:-1], n)
+    if isinstance(evaluator, basis_mod._TensorEval):
+        i = evaluator.n_cov_a
+        return (_extrapolation_mask(evaluator.ev_a, cols[:i], n)
+                | _extrapolation_mask(evaluator.ev_b, cols[i:], n))
+    return np.zeros(n, dtype=bool)
 
 
-def design_matrix_for(model: FittedModel, newdata: DataTable,
-                      include=None, exclude=None) -> np.ndarray:
-    """Model matrix for new observations, with optional term masking.
-
-    exclude zeroes the named terms' columns; include keeps only the named
-    terms (plus the intercept). Spline terms extend linearly outside the
+def _rows(design: AssembledDesign, table: DataTable, labels):
+    """The named terms' rows of the model matrix at table's observations,
+    as two n x c arrays (cols, vals): row i stores vals[i] at columns
+    cols[i]. A dense term stores all its columns, a per-level term its
+    row's k entries (basis.per_level_rows); a row storing another count is
+    a ShapeError naming the term. Spline terms extend linearly outside the
     training covariate range, with a warning naming the affected row count.
     """
-    design = model.design_raw
-    n = newdata.n_rows
-    X = np.zeros((n, design.p))
-    X[:, 0] = 1.0
-    for built in design.parametric:
-        a, b = design.col_ranges[built.label]
-        cols, _ = built.build(newdata)
-        X[:, a:b] = cols
+    n = table.n_rows
+    parametric = {built.label: built for built in design.parametric}
+    cols, vals = [np.zeros((n, 0), dtype=np.int64)], [np.zeros((n, 0))]
     flagged = 0
-    for label, block in design.blocks.items():
+    for label in labels:
         a, b = design.col_ranges[label]
-        cols = _evaluator_columns(design, label, newdata)
-        mask = _extrapolation_mask(block.evaluator, cols)
-        if mask is not None:
-            flagged += int(mask.sum())
-        X[:, a:b] = block.evaluate(cols, extrapolate=True)
+        if label == "(Intercept)":
+            X = np.ones((n, 1))
+        elif label in parametric:
+            X = parametric[label].build(table)[0]
+        else:
+            evaluator = design.blocks[label].evaluator
+            covariates = _evaluator_columns(design, label, table)
+            flagged += int(_extrapolation_mask(evaluator, covariates, n).sum())
+            X = evaluator.evaluate(covariates, extrapolate=True)
+        if not sparse.issparse(X):
+            cols.append(np.broadcast_to(np.arange(a, b), X.shape))
+            vals.append(X)
+            continue
+        counts = np.diff(X.indptr)
+        k = int(counts.max(initial=0))
+        if np.any(counts != k):
+            raise ShapeError(f"term {label!r}: per-level rows store unequal "
+                             f"entry counts ({counts.min()} to {k})")
+        cols.append(a + X.indices.reshape(n, k))
+        vals.append(X.data.reshape(n, k))
     if flagged:
         warnings.warn(f"{flagged} rows lie outside a spline's training range; "
-                      "linear extension applied", stacklevel=2)
-    keep = dict.fromkeys(design.col_ranges, True)
-    if include is not None:
-        include = set(include) | {"(Intercept)"}
-        for label in keep:
-            keep[label] = label in include
-    if exclude is not None:
-        for label in exclude:
-            if label not in keep:
-                raise SchemaError(f"no term named {label!r}")
-            keep[label] = False
-    for label, flag in keep.items():
-        if not flag:
-            a, b = design.col_ranges[label]
-            X[:, a:b] = 0.0
-    return X
+                      "linear extension applied", stacklevel=3)
+    return np.hstack(cols), np.hstack(vals)
+
+
+def _mean_se(model: FittedModel, cols: np.ndarray, vals: np.ndarray):
+    """x' beta and sqrt(x' vb x) of each row x stored as (cols, vals) by
+    _rows, reading vb only at the row's stored columns: O(n c^2). The
+    dense terms' columns, the same in every row, form one matrix product;
+    each per-level column j adds its row's reads vb[cols[i, j], cols[i]],
+    counting the pairs with a dense column twice (vb is symmetric). The
+    split follows the terms, not which columns the rows passed happen to
+    share, so a grid at one level takes the same path as one over many.
+    """
+    # positions of dense terms' columns, read off row 0 (none without rows)
+    dense = np.isin(cols[:1], model.design_raw.dense_cols).any(axis=0)
+    d, x = cols[:1, dense].ravel(), vals[:, dense]
+    var = np.einsum("ij,ij->i", x @ model.vb[np.ix_(d, d)], x)
+    weighted = vals * np.where(dense, 2.0, 1.0)
+    for j in np.flatnonzero(~dense):
+        var += vals[:, j] * np.einsum("ij,ij->i", model.vb[cols[:, [j]], cols],
+                                      weighted)
+    mean = np.einsum("ij,ij->i", vals, model.beta[cols])
+    return mean, np.sqrt(np.maximum(var, 0.0))
 
 
 def predict(model: FittedModel, newdata: DataTable,
             include=None, exclude=None) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and SE of the linear predictor at new observations."""
-    X = design_matrix_for(model, newdata, include=include, exclude=exclude)
-    mean = X @ model.beta
-    se = np.sqrt(np.maximum(np.einsum("ij,ij->i", X @ model.vb, X), 0.0))
-    return mean, se
+    """Posterior mean and SE of the linear predictor at new observations.
+
+    include keeps only the named terms and the intercept; exclude drops the
+    named terms; naming a term the model lacks is a SchemaError. Only the
+    kept terms are evaluated, so newdata needs only their covariates.
+    """
+    design = model.design_raw
+    for label in [*(include or ()), *(exclude or ())]:
+        design.column_range(label)          # SchemaError if no such term
+    labels = [label for label in design.col_ranges
+              if (include is None or label == "(Intercept)"
+                  or label in include)
+              and (exclude is None or label not in exclude)]
+    return _mean_se(model, *_rows(design, newdata, labels))
 
 
 def partial_effect(model: FittedModel, term: str,
@@ -1586,27 +1605,10 @@ def partial_effect(model: FittedModel, term: str,
     term's covariates (and its by/grouping factor, when it has one); all
     other model terms are irrelevant to the partial effect. The SE comes
     from the term's block of the posterior covariance and pinches to zero
-    where a centered effect crosses zero. A per-level term's rows
-    (basis.per_level_rows) stay sparse, and each row's SE reads only that
-    covariance's k x k block at the row's k stored columns.
+    where a centered effect crosses zero.
     """
     design = model.design_raw
     if term not in design.blocks:
         raise SchemaError(f"no smooth term named {term!r}; have "
                           f"{sorted(design.blocks)}")
-    a, b = design.col_ranges[term]
-    Xt = design.blocks[term].evaluator.evaluate(
-        _evaluator_columns(design, term, grid), extrapolate=True)
-    vt = model.vb[a:b, a:b]
-    if not sparse.issparse(Xt):
-        var = np.einsum("ij,ij->i", Xt @ vt, Xt)
-    else:
-        n, counts = Xt.shape[0], np.diff(Xt.indptr)
-        k = int(counts.max(initial=0))
-        if np.any(counts != k):
-            raise ShapeError(f"term {term!r}: per-level rows store unequal "
-                             f"entry counts ({counts.min()} to {k})")
-        cols, vals = Xt.indices.reshape(n, k), Xt.data.reshape(n, k)
-        var = sum((vals[:, j] * np.einsum("ij,ij->i", vt[cols[:, [j]], cols],
-                                          vals) for j in range(k)), np.zeros(n))
-    return Xt @ model.beta[a:b], np.sqrt(np.maximum(var, 0.0))
+    return _mean_se(model, *_rows(design, grid, [term]))

@@ -20,9 +20,9 @@ from gammkit.errors import (DomainError, GammkitError, NumericError,
                             SchemaError, ShapeError)
 from gammkit.fitting import (GRAD_TOL, LOG_LAMBDA_MAX, LOG_LAMBDA_MIN,
                              ModelSpec, ParametricTerm,
-                             _term_penalties, ar1_whiten, assemble,
-                             design_matrix_for, fit, optimize_lambdas,
-                             partial_effect, pls_solve, predict, reml_score)
+                             _term_penalties, ar1_whiten, assemble, fit,
+                             optimize_lambdas, partial_effect, pls_solve,
+                             predict, reml_score)
 from gammkit.inference import compare_reml
 from gammkit.simulate import FixedEffect, ScenarioSpec, gen_experiment
 
@@ -1748,13 +1748,61 @@ def test_predict_include_empty_is_intercept_only():
     np.testing.assert_allclose(mean, model.beta[0], atol=1e-12)
 
 
-def test_predict_include_selects_single_term():
+def _dense_rows(model, table):
+    """Every term's rows as fitting._rows stores them, placed at their
+    columns of a dense n x p matrix."""
+    design = model.design_raw
+    cols, vals = fitting._rows(design, table, list(design.col_ranges))
+    X = np.zeros((table.n_rows, model.p))
+    np.put_along_axis(X, cols, vals, axis=1)
+    return X
+
+
+def test_predict_include_selects_single_term(monkeypatch):
     model, tab = _grouped_fit()
-    X = design_matrix_for(model, tab, include=["cr(x)"])
+    rows, real = [], fitting._rows
+
+    def recorded(*args):
+        rows.append(real(*args))
+        return rows[-1]
+
+    monkeypatch.setattr(fitting, "_rows", recorded)
+    predict(model, tab, include=["cr(x)"])
+    X = np.zeros((tab.n_rows, model.p))
+    np.put_along_axis(X, *rows[0], axis=1)
     a, b = model.column_range("re(g)")
     np.testing.assert_array_equal(X[:, a:b], 0.0)
     a, b = model.column_range("cr(x)")
     assert np.abs(X[:, a:b]).max() > 0
+
+
+def test_predict_include_unknown_term_raises():
+    model, tab = _grouped_fit()
+    with pytest.raises(SchemaError, match="s\\(typo\\)"):
+        predict(model, tab, include=["s(typo)"])
+
+
+def test_predict_and_partial_effect_on_no_rows_are_empty():
+    model, tab = _grouped_fit()
+    empty = tab.take(np.zeros(0, dtype=np.int64))
+    for mean, se in (predict(model, empty),
+                     partial_effect(model, "cr(x)", empty),
+                     partial_effect(model, "re(g)", empty)):
+        assert mean.shape == se.shape == (0,)
+
+
+def test_predict_needs_only_the_kept_terms_covariates():
+    """Without the grouping column, the terms that do not read it still
+    predict, and as they do on the full table."""
+    model, tab = _grouped_fit()
+    no_g = DataTable(columns={"x": tab.numeric("x")}, n_rows=tab.n_rows)
+    for kw in ({"include": ["cr(x)"]}, {"exclude": ["re(g)"]}):
+        mean, se = predict(model, no_g, **kw)
+        want_mean, want_se = predict(model, tab, **kw)
+        np.testing.assert_array_equal(mean, want_mean)
+        np.testing.assert_array_equal(se, want_se)
+    with pytest.raises(SchemaError, match="lacks column 'g'"):
+        predict(model, no_g)
 
 
 def test_predict_unseen_level_raises():
@@ -1860,14 +1908,10 @@ def _per_level_fit():
     return fit(spec, table)
 
 
-def test_per_level_partial_effects_match_the_dense_quadratic_form():
-    """On a grid whose rows take every factor's levels in random order, the
-    fs, by and re terms' effect and SE equal x' beta and sqrt(x' V x) of
-    the term's dense rows of design_matrix_for within 1e-12 relative to
-    each value or to the largest (the centered by-term's SE pinches near
-    zero, where both sums lose their relative digits)."""
-    model = _per_level_fit()
-    table, design = model.table, model.design_raw
+def _random_level_grid(model):
+    """400 rows of uniform trials whose factors take their levels in random
+    order."""
+    table = model.table
     rng = np.random.default_rng(5)
     n = 400
     trial = table.numeric("trial")
@@ -1876,8 +1920,19 @@ def test_per_level_partial_effects_match_the_dense_quadratic_form():
         fac = table.factor(name)
         columns[name] = FactorColumn(rng.integers(0, fac.n_levels, n),
                                      fac.levels)
-    grid = DataTable(columns=columns, n_rows=n)
-    X = design_matrix_for(model, grid)
+    return DataTable(columns=columns, n_rows=n)
+
+
+def test_per_level_partial_effects_match_the_dense_quadratic_form():
+    """On a grid whose rows take every factor's levels in random order, the
+    fs, by and re terms' effect and SE equal x' beta and sqrt(x' V x) of
+    the term's dense rows within 1e-12 relative to each value or to the
+    largest (the centered by-term's SE pinches near zero, where both sums
+    lose their relative digits)."""
+    model = _per_level_fit()
+    design = model.design_raw
+    grid = _random_level_grid(model)
+    X = _dense_rows(model, grid)
     for label in ("fs(trial,subject)", "cr(trial):cond", "re(item)"):
         assert sparse.issparse(design.blocks[label].X), label
         a, b = design.col_ranges[label]
@@ -1889,6 +1944,50 @@ def test_per_level_partial_effects_match_the_dense_quadratic_form():
         want = np.sqrt(np.einsum("ij,jk,ik->i", x, V, x))
         np.testing.assert_allclose(se, want, rtol=1e-12,
                                    atol=1e-12 * want.max())
+
+
+def test_predict_matches_the_dense_quadratic_form_over_all_terms():
+    """predict's mean and SE over every term, per-level and dense, equal
+    x' beta and sqrt(x' V x) of the whole dense rows, so the covariance
+    between terms is read too."""
+    model = _per_level_fit()
+    grid = _random_level_grid(model)
+    X = _dense_rows(model, grid)
+    mean, se = predict(model, grid)
+    want = X @ model.beta
+    np.testing.assert_allclose(mean, want, rtol=1e-12,
+                               atol=1e-12 * np.abs(want).max())
+    want = np.sqrt(np.einsum("ij,jk,ik->i", X, model.vb, X))
+    np.testing.assert_allclose(se, want, rtol=1e-12, atol=1e-12 * want.max())
+
+
+def test_predict_allocates_per_stored_entry_not_per_column():
+    """On the fs model at 200 subjects x 100 trials (p = 1,011, each row
+    storing c = 16 entries), predict's tracemalloc peak stays under 64
+    bytes per stored entry: no n x p matrix, nor its product with vb."""
+    table, _ = gen_experiment(ScenarioSpec(
+        n_subjects=200, n_trials=100,
+        fixed_effects=(FixedEffect("cond", "factor2", 0.8),),
+        trend="undulating", trend_amplitude=1.0, rho=0.3,
+        subject_intercept_sd=0.5, seed=1))
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("trial", "cr", k=10),
+                                   SmoothTermSpec(("trial",), "cr", k=5,
+                                                  fs_group="subject")),
+                     rho=0.3)
+    model = fit(spec, table)
+    table = model.table
+    cols, _ = fitting._rows(model.design_raw, table,
+                            list(model.design_raw.col_ranges))
+    assert cols.shape == (20_000, 16) and model.p == 1011
+    tracemalloc.start()
+    try:
+        mean, se = predict(model, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * cols.size
+    np.testing.assert_allclose(mean, model.fitted_values, atol=1e-10)
 
 
 def test_per_level_rows_of_unequal_width_are_a_shape_error(monkeypatch):

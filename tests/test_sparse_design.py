@@ -13,11 +13,12 @@ import pytest
 from scipy import sparse
 
 from gammkit import basis as basis_mod
+from gammkit import fitting
 from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
 from gammkit.errors import NumericError
 from gammkit.fitting import (ModelSpec, ParametricTerm, ar1_whiten, assemble,
-                             design_matrix_for, fit)
+                             fit)
 
 
 def _mixed_table(n_subj=8, per=40, seed=0):
@@ -87,17 +88,18 @@ def test_products_match_dense_products(rho):
 
 
 def test_stacked_design_equals_the_dense_prediction_matrix():
-    """design.X puts every column where the prediction path, which
-    evaluates each term densely, puts it."""
+    """design.X puts every column where the prediction path's rows, each
+    term evaluated anew and placed at its stored columns, put it."""
     tab = _mixed_table()
     model = fit(_MIXED, tab, lambdas=np.ones(len(assemble(_MIXED, tab)
                                                  .penalties)))
-    np.testing.assert_array_equal(
-        model.design_raw.X.toarray(), design_matrix_for(model, model.table))
-    np.testing.assert_allclose(
-        model.fitted_values,
-        design_matrix_for(model, model.table) @ model.beta,
-        rtol=1e-12, atol=1e-12)
+    design = model.design_raw
+    cols, vals = fitting._rows(design, model.table, list(design.col_ranges))
+    X = np.zeros((model.n, model.p))
+    np.put_along_axis(X, cols, vals, axis=1)
+    np.testing.assert_array_equal(design.X.toarray(), X)
+    np.testing.assert_allclose(model.fitted_values, X @ model.beta,
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_per_level_blocks_store_one_level_per_row():
