@@ -303,33 +303,45 @@ def _csv_cell(text: str) -> str:
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
 
 
-def _float_cells(values) -> list[str]:
-    """Shortest round-trip repr of each value."""
-    import numpy as np
-    return list(map(repr, np.asarray(values, dtype=np.float64).tolist()))
-
-
-def _factor_cells(levels, codes) -> list[str]:
-    """Each code's level name, quoted once per level."""
-    import numpy as np
-    quoted = [_csv_cell(name) for name in levels]
-    return list(map(quoted.__getitem__, np.asarray(codes).tolist()))
-
-
-def _se_cells(vb) -> list[str]:
+def _se(vb):
     """sqrt(max(v, 0)) of vb's diagonal, with Python's max (NaN stays NaN)."""
     import numpy as np
     d = np.diag(vb)
-    return _float_cells(np.sqrt(np.where(0.0 > d, 0.0, d)))
+    return np.sqrt(np.where(0.0 > d, 0.0, d))
+
+
+def _pvalue_cell(p: float) -> str:
+    """A p-value's repr; NaN (a failed fit) is an empty cell."""
+    return "" if math.isnan(p) else repr(p)
 
 
 def _write_columns(path: str, headers, columns):
-    """Write headers plus equal-length columns of CSV cell text (quoted
-    already), in CRLF lines as csv.writer writes them."""
-    lines = [",".join(map(_csv_cell, headers))]
-    lines += map(",".join, zip(*columns))
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines) + "\r\n")
+    """Write headers plus equal-length columns in CRLF lines, as csv.writer
+    writes them, formatting _CHUNK rows at a time. A column is an array
+    (each value's repr: the shortest round trip of a float), a FactorColumn
+    (each code's level name, quoted once per level), a (format, array) pair
+    or a list of cell text, quoted already."""
+    import numpy as np
+
+    from .data import _CHUNK, FactorColumn
+    sources = []
+    for col in columns:
+        if isinstance(col, FactorColumn):
+            col = ([_csv_cell(name) for name in col.levels].__getitem__,
+                   col.codes)
+        elif isinstance(col, np.ndarray):
+            col = (repr, col)
+        elif not isinstance(col, tuple):
+            col = (None, col)
+        sources.append(col)
+    n = len(sources[0][1]) if sources else 0
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(",".join(map(_csv_cell, headers)) + "\r\n")
+        for a in range(0, n, _CHUNK):
+            cells = [values[a:a + _CHUNK] if fmt is None
+                     else map(fmt, values[a:a + _CHUNK].tolist())
+                     for fmt, values in sources]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +412,7 @@ def _summary_sections(model):
 def _write_summary(path: str, model, delimited: bool):
     from .inference import aic
     par_rows, smooth_rows = _summary_sections(model)
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"response: {model.spec.response}    n = {model.n}    "
                  f"rho = {model.spec.rho:.4f}\n")
         fh.write(f"REML = {_fmt(model.reml)}    AIC = {_fmt(aic(model))}    "
@@ -423,25 +435,24 @@ def _write_summary(path: str, model, delimited: bool):
 
 def _write_coefficients(path: str, model):
     _write_columns(path, ["name", "estimate", "se"],
-                   [list(map(_csv_cell, model.coef_names)),
-                    _float_cells(model.beta), _se_cells(model.vb)])
+                   [list(map(_csv_cell, model.coef_names)), model.beta,
+                    _se(model.vb)])
 
 
 def _row_keys(model):
     """Leading (headers, columns) of a per-row output: series and order, or row."""
+    import numpy as np
     design = model.design_raw
     if design.series_codes is None:
-        return ["row"], [list(map(str, range(model.n)))]
-    levels = design.table.factor(design.table.series_key).levels
-    return ["series", "order"], [_factor_cells(levels, design.series_codes),
-                                 _float_cells(design.order_values)]
+        return ["row"], [np.arange(model.n)]
+    return ["series", "order"], [design.table.factor(design.table.series_key),
+                                 design.order_values]
 
 
 def _write_residuals(path: str, model):
     headers, columns = _row_keys(model)
     _write_columns(path, headers + ["raw", "whitened"],
-                   columns + [_float_cells(model.residuals_raw),
-                              _float_cells(model.residuals_whitened)])
+                   columns + [model.residuals_raw, model.residuals_whitened])
 
 
 def _safe_name(label: str) -> str:
@@ -468,9 +479,8 @@ def _write_partials(tracker: OutputTracker, model):
             levels = table.factor(covs[0]).levels
             b = a + len(levels)
             _write_columns(path, ["level", "effect", "se"],
-                           [list(map(_csv_cell, levels)),
-                            _float_cells(model.beta[a:b]),
-                            _se_cells(model.vb[a:b, a:b])])
+                           [list(map(_csv_cell, levels)), model.beta[a:b],
+                            _se(model.vb[a:b, a:b])])
             continue
         per_level = isinstance(table.columns[covs[-1]], FactorColumn)
         numeric = covs[:-1] if per_level else covs
@@ -486,12 +496,11 @@ def _write_partials(tracker: OutputTracker, model):
             columns = {name: np.tile(x, fac.n_levels)
                        for name, x in columns.items()}
             columns[covs[-1]] = FactorColumn(codes, fac.levels)
-            headers, cells = ["level"], [_factor_cells(fac.levels, codes)]
+            headers, cells = ["level"], [columns[covs[-1]]]
         effect, se = partial_effect(model, label, DataTable(
             columns=columns, n_rows=len(columns[numeric[0]])))
         _write_columns(path, [*headers, *numeric, "effect", "se"],
-                       cells + [_float_cells(columns[c]) for c in numeric]
-                       + [_float_cells(effect), _float_cells(se)])
+                       cells + [columns[c] for c in numeric] + [effect, se])
 
 
 def _write_fit_json(path: str, model, args):
@@ -516,7 +525,7 @@ def _write_fit_json(path: str, model, args):
         "grad_max": float(model.grad_max),
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -541,8 +550,7 @@ def cmd_predict(args, tracker: OutputTracker):
     headers, columns = _row_keys(model)
     _write_columns(tracker.path("predictions.csv"),
                    headers + ["observed", "fit", "se"],
-                   columns + [_float_cells(model.design_raw.y),
-                              _float_cells(mean), _float_cells(se)])
+                   columns + [model.design_raw.y, mean, se])
 
 
 def cmd_compare(args, tracker: OutputTracker):
@@ -575,7 +583,7 @@ def cmd_compare(args, tracker: OutputTracker):
     tracker.stage = "compare"
     result = compare_reml(models[0], models[1])
     tracker.stage = "write-output"
-    with open(tracker.path("comparison.txt"), "w") as fh:
+    with open(tracker.path("comparison.txt"), "w", encoding="utf-8") as fh:
         for pth, m in zip(args.spec, models):
             fh.write(f"model: {pth}  AIC = {_fmt(aic(m))}  "
                      f"REML = {_fmt(m.reml)}  "
@@ -605,11 +613,11 @@ def cmd_suggest_rho(args, tracker: OutputTracker):
     from .diagnostics import suggest_rho
     suggestion = suggest_rho(table, spec)
     tracker.stage = "write-output"
-    with open(tracker.path("rho.txt"), "w") as fh:
+    with open(tracker.path("rho.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"{suggestion.rho_hat:.6f}\n")
     _write_columns(tracker.path("rho_by_group.csv"), ["group", "lag1"],
                    [list(map(_csv_cell, suggestion.groups)),
-                    _float_cells(suggestion.per_group)])
+                    suggestion.per_group])
 
 
 def cmd_permtest(args, tracker: OutputTracker):
@@ -620,7 +628,8 @@ def cmd_permtest(args, tracker: OutputTracker):
                                  n_perm=args.n_perm, seed=args.seed)
     tracker.stage = "write-output"
     _write_pvalues(tracker.path("permtest_pvalues.csv"), result.p_values)
-    with open(tracker.path("permtest_counts.txt"), "w") as fh:
+    with open(tracker.path("permtest_counts.txt"), "w",
+              encoding="utf-8") as fh:
         n = args.n_perm
         fh.write(f"alpha=0.05 rejections={result.rejections_at(0.05)} "
                  f"of {n}\n")
@@ -632,31 +641,35 @@ def cmd_permtest(args, tracker: OutputTracker):
 
 
 def _write_acf(path: str, results):
-    rows = [(_csv_cell(r.group), str(lag), acf, repr(float(r.band)), str(r.n))
-            for r in results
-            for lag, acf in zip(r.lags.tolist(), _float_cells(r.acf))]
-    _write_columns(path, ["group", "lag", "acf", "band", "n"], list(zip(*rows)))
+    """One row per group and lag; every group's rows share its band and n."""
+    import numpy as np
+
+    from .data import FactorColumn
+    sizes = [len(r.lags) for r in results]
+    groups = FactorColumn(np.repeat(np.arange(len(results)), sizes),
+                          tuple(r.group for r in results))
+    _write_columns(path, ["group", "lag", "acf", "band", "n"], [
+        groups, np.concatenate([r.lags for r in results]),
+        np.concatenate([r.acf for r in results]),
+        np.repeat([float(r.band) for r in results], sizes),
+        np.repeat([r.n for r in results], sizes)])
 
 
 def _write_pvalues(path: str, p_values):
     """One row per permutation; a NaN p-value (failed fit) is an empty cell."""
-    cells = _float_cells(p_values)
-    _write_columns(path, ["perm", "p"], [list(map(str, range(len(cells)))),
-                                         ["" if c == "nan" else c for c in cells]])
+    import numpy as np
+    p_values = np.asarray(p_values, dtype=np.float64)
+    _write_columns(path, ["perm", "p"], [np.arange(len(p_values)),
+                                         (_pvalue_cell, p_values)])
 
 
 def _write_simulated(path: str, table):
+    """Every column of the table; a numeric trial is written in "{:g}" form."""
     from .data import FactorColumn
-    columns = []
-    for name in table.column_names():
-        col = table.columns[name]
-        if isinstance(col, FactorColumn):
-            columns.append(_factor_cells(col.levels, col.codes))
-        elif name == "trial":
-            columns.append(list(map("{:g}".format, col.tolist())))
-        else:
-            columns.append(_float_cells(col))
-    _write_columns(path, table.column_names(), columns)
+    _write_columns(path, table.column_names(), [
+        ("{:g}".format, col)
+        if name == "trial" and not isinstance(col, FactorColumn) else col
+        for name, col in table.columns.items()])
 
 
 def parse_scenario_file(path: str):
@@ -719,7 +732,7 @@ def cmd_simulate(args, tracker: OutputTracker):
         "trends": [[float(v) for v in row] for row in truth.trends],
         "errors": [[float(v) for v in row] for row in truth.errors],
     }
-    with open(tracker.path("truth.json"), "w") as fh:
+    with open(tracker.path("truth.json"), "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress
+from itertools import compress, islice
 from operator import itemgetter
 
 import numpy as np
@@ -19,6 +19,7 @@ from .errors import DomainError, GammkitError, ParseError, SchemaError, ShapeErr
 
 MISSING_TOKENS = ("", "NA")
 _MISSING = frozenset(MISSING_TOKENS)
+_CHUNK = 8192          # CSV records read, or rows written, per step
 
 
 @dataclass(frozen=True)
@@ -129,75 +130,132 @@ class DataTable:
 
 def load_csv(path, schema: dict[str, str], series_key: str | None = None,
              order_key: str | None = None) -> DataTable:
-    """Read an RFC-4180-style CSV into a validated DataTable.
+    """Read an RFC-4180-style UTF-8 CSV into a validated DataTable.
 
     schema maps column name -> role ("numeric" | "factor" | "auto"); only
-    schema columns are loaded, and each must appear once in the header. Cells
-    are stripped; rows with a missing value ("" or "NA") in any schema column,
-    or too short to reach one, are dropped and counted in meta["dropped_rows"].
-    An "auto" column is numeric when every non-missing cell parses as a
-    number, dropped rows included, and a factor otherwise.
+    schema columns are loaded, and each must appear once in the header. A
+    leading byte-order mark is skipped; a byte that is not UTF-8 is a
+    ParseError. Cells are stripped; rows with a missing value ("" or "NA")
+    in any schema column, or too short to reach one, are dropped and counted
+    in meta["dropped_rows"]. An "auto" column is numeric when every
+    non-missing cell parses as a number, dropped rows included, and a factor
+    otherwise. A numeric cell that does not parse or is not finite is a
+    ParseError naming the file line of the first such cell in file order.
+
+    Records are read _CHUNK at a time, and each chunk becomes float arrays
+    and factor codes before the next is read, so the file's text is never
+    held whole.
     """
     for role in schema.values():
         if role not in ("numeric", "factor", "auto"):
             raise SchemaError(f"unknown column role {role!r}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty file, header required") from None
-        rows = list(reader)
-    for name in schema:
-        if header.count(name) != 1:
-            where = "repeated in" if name in header else "not in"
-            raise SchemaError(f"{path}: declared column {name!r} {where} header")
-    positions = {name: header.index(name) for name in schema}
-    width = max(positions.values(), default=-1) + 1
-    if any(len(row) < width for row in rows):
-        rows = [row + [""] * (width - len(row)) for row in rows]
-    # One list of stripped cells per schema column, one shared row mask.
-    cells = {name: list(map(str.strip, map(itemgetter(pos), rows)))
-             for name, pos in positions.items()}
-    missing = {name: np.fromiter(map(_MISSING.__contains__, col), dtype=bool,
-                                 count=len(rows))
-               for name, col in cells.items()}
-    keep = np.full(len(rows), bool(schema))
-    for mask in missing.values():
-        keep &= ~mask
-    n = int(keep.sum())
+    columns = {name: _Column(name, role) for name, role in schema.items()}
+    records = n = 0
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file, header required")
+            for name in schema:
+                if header.count(name) != 1:
+                    where = "repeated in" if name in header else "not in"
+                    raise SchemaError(f"{path}: declared column {name!r} "
+                                      f"{where} header")
+            positions = [header.index(name) for name in schema]
+            width = max(positions, default=-1) + 1
+            while rows := list(islice(reader, _CHUNK)):
+                if any(len(row) < width for row in rows):
+                    rows = [row + [""] * (width - len(row)) for row in rows]
+                # One list of stripped cells per schema column, one row mask.
+                cells = [list(map(str.strip, map(itemgetter(pos), rows)))
+                         for pos in positions]
+                present = [~np.fromiter(map(_MISSING.__contains__, col),
+                                        dtype=bool, count=len(rows))
+                           for col in cells]
+                keep = np.full(len(rows), bool(schema))
+                for mask in present:
+                    keep &= mask
+                for col, col_cells, mask in zip(columns.values(), cells,
+                                                present):
+                    col.add(col_cells, mask, keep, records)
+                records += len(rows)
+                n += int(keep.sum())
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
+                         f"UTF-8 text ({exc.reason})") from None
     if n == 0:
         raise GammkitError(f"{path}: zero usable rows after missing-value removal")
-    dropped = len(rows) - n
-    keep_list = keep.tolist()
-
-    columns: dict[str, object] = {}
-    bad = []
-    for j, (name, role) in enumerate(schema.items()):
-        if role == "auto":
-            present = compress(cells[name], (~missing[name]).tolist())
-            role = "numeric" if _floats(list(present)) is not None else "factor"
-        kept = list(compress(cells[name], keep_list)) if dropped else cells[name]
-        if role == "factor":
-            columns[name] = FactorColumn.from_strings(kept)
-            continue
-        columns[name] = values = _floats(kept)
-        if values is None or not np.isfinite(values).all():
-            i, message = _first_bad_cell(kept, name)
-            bad.append((i, j, message))
+    bad = [(col.bad[0], j, col.bad[1])
+           for j, col in enumerate(columns.values()) if col.bad]
     if bad:
         # The first bad cell in file order, as a row-by-row read meets it.
-        i, _, message = min(bad)
-        line = _record_line(path, int(np.flatnonzero(keep)[i]))
-        raise ParseError(f"{path}: row {line}: {message}")
-    return DataTable(columns=columns, n_rows=n, series_key=series_key,
-                     order_key=order_key, meta={"dropped_rows": dropped})
+        record, _, message = min(bad)
+        raise ParseError(f"{path}: row {_record_line(path, record)}: {message}")
+    return DataTable(columns={name: col.values()
+                              for name, col in columns.items()},
+                     n_rows=n, series_key=series_key, order_key=order_key,
+                     meta={"dropped_rows": records - n})
+
+
+class _Column:
+    """One schema column's kept cells, gathered chunk by chunk (load_csv):
+    float arrays for a numeric role, codes for a factor role, levels
+    numbered in order of first sight. An "auto" column is read as numeric,
+    its kept cells held as text, until a present cell fails to parse; then
+    it becomes a factor, coded from the held text onward."""
+
+    def __init__(self, name: str, role: str):
+        self.name, self.role = name, role
+        self.parts: list[np.ndarray] = []
+        self.held: list[list[str]] = []
+        self.index: dict[str, int] = {}
+        self.bad: tuple[int, str] | None = None   # (record, message)
+
+    def add(self, cells: list[str], present: np.ndarray, keep: np.ndarray,
+            start: int):
+        """Take one chunk: its stripped cells, present (non-missing) mask,
+        kept-row mask, and the record index of its first row."""
+        if self.role == "auto" and _floats(
+                list(compress(cells, present.tolist()))) is None:
+            self.role, self.bad = "factor", None
+            self.parts, self.held = list(map(self._codes, self.held)), []
+        kept = cells if keep.all() else list(compress(cells, keep.tolist()))
+        if self.role == "factor":
+            self.parts.append(self._codes(kept))
+            return
+        if self.role == "auto":
+            self.held.append(kept)
+        values = _floats(kept)
+        if values is not None:
+            self.parts.append(values)
+        if (values is None or not np.isfinite(values).all()) \
+                and self.bad is None:
+            i, message = _first_bad_cell(kept, self.name)
+            self.bad = (start + int(np.flatnonzero(keep)[i]), message)
+
+    def _codes(self, kept: list[str]) -> np.ndarray:
+        index = self.index
+        for name in set(kept).difference(index):
+            index[name] = len(index)
+        return np.fromiter(map(index.__getitem__, kept), dtype=np.int64,
+                           count=len(kept))
+
+    def values(self):
+        """The column: a float array, or a FactorColumn with sorted levels
+        (deterministic under row reordering)."""
+        if self.role != "factor":
+            return np.concatenate(self.parts)
+        levels = tuple(sorted(self.index))
+        rank = np.empty(len(levels), dtype=np.int64)
+        rank[[self.index[name] for name in levels]] = np.arange(len(levels))
+        return FactorColumn(rank[np.concatenate(self.parts)], levels)
 
 
 def _record_line(path, record: int) -> int:
     """File line on which data record `record` (0-based, after the header)
     starts: record + 2 unless a quoted cell above it spans lines."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         for _ in range(record + 1):
             next(reader)

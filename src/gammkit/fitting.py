@@ -157,6 +157,20 @@ class PenaltyEntry:
         return out
 
 
+@dataclass(frozen=True)
+class StackedTerm:
+    """A smooth term of an assembled design: what evaluates and penalizes
+    it. Its p_term basis columns are held only in the design's X_dense or
+    X_sparse, at col_ranges[label]."""
+
+    evaluator: object
+    penalties: list
+    kind: str
+    n_cov: int
+    sub_terms: list | None
+    p_term: int
+
+
 @dataclass
 class AssembledDesign:
     """Stacked design for one model on one (sorted) table.
@@ -165,6 +179,7 @@ class AssembledDesign:
     (those of dense blocks) as one dense array, and X_sparse, every other
     column in order (the per-level columns) as one CSR matrix. The fit path
     reads only the parts; X stacks them into one sparse matrix on first use.
+    blocks maps each smooth term's label to its StackedTerm.
     """
 
     y: np.ndarray
@@ -517,7 +532,8 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     Rows are sorted by (series, order) when the table declares a series key,
     so AR(1) whitening and residual diagnostics see contiguous series runs.
     Dense blocks stack into X_dense, whose columns dense_cols records; the
-    sparse per-level blocks stack into X_sparse. Both must be all finite. A
+    sparse per-level blocks stack into X_sparse. Both must be all finite;
+    the blocks' own matrices are not kept (StackedTerm). A
     NumericError or LinAlgError while building a term's basis is raised as
     a NumericError naming the term.
     """
@@ -546,7 +562,7 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         cursor += cols.shape[1]
         parametric.append(built)
 
-    blocks: dict[str, BasisBlock] = {}
+    blocks: dict[str, StackedTerm] = {}
     term_covariates: dict[str, tuple] = {}
     entries: list[PenaltyEntry] = []
     logpdet_const = 0.0
@@ -564,11 +580,13 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
             block = _natural_reparam(block, label)
         if label in col_ranges:
             raise SchemaError(f"term label collision: {label!r}")
-        block.term_label = label
-        if block.sub_terms is not None:
-            block.sub_terms = [(f"{label.split(':')[0]}:{lev}", a, b)
-                               for lev, a, b in block.sub_terms]
-        blocks[label] = block
+        sub_terms = block.sub_terms
+        if sub_terms is not None:
+            sub_terms = [(f"{label.split(':')[0]}:{lev}", a, b)
+                         for lev, a, b in sub_terms]
+        blocks[label] = StackedTerm(block.evaluator, block.penalties,
+                                    block.kind, block.n_cov, sub_terms,
+                                    block.p_term)
         term_covariates[label] = cov_names
         if sparse.issparse(block.X):
             sparse_parts.append(block.X)
@@ -1523,12 +1541,14 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
     as two n x c arrays (cols, vals): row i stores vals[i] at columns
     cols[i]. A dense term stores all its columns, a per-level term its
     row's k entries (basis.per_level_rows); a row storing another count is
-    a ShapeError naming the term. Spline terms extend linearly outside the
-    training covariate range, with a warning naming the affected row count.
+    a ShapeError naming the term. When every term is dense, cols is one
+    row of column indices broadcast to n rows (a view). Spline terms
+    extend linearly outside the training covariate range, with a warning
+    naming the affected row count.
     """
     n = table.n_rows
     parametric = {built.label: built for built in design.parametric}
-    cols, vals = [np.zeros((n, 0), dtype=np.int64)], [np.zeros((n, 0))]
+    cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros((n, 0))]
     flagged = 0
     for label in labels:
         a, b = design.col_ranges[label]
@@ -1542,7 +1562,7 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
             flagged += int(_extrapolation_mask(evaluator, covariates, n).sum())
             X = evaluator.evaluate(covariates, extrapolate=True)
         if not sparse.issparse(X):
-            cols.append(np.broadcast_to(np.arange(a, b), X.shape))
+            cols.append(np.arange(a, b))
             vals.append(X)
             continue
         counts = np.diff(X.indptr)
@@ -1554,28 +1574,36 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
         vals.append(X.data.reshape(n, k))
     if flagged:
         warnings.warn(f"{flagged} rows lie outside a spline's training range; "
-                      "linear extension applied", stacklevel=3)
-    return np.hstack(cols), np.hstack(vals)
+                      "linear extension applied", stacklevel=4)
+    vals = np.hstack(vals)
+    if all(c.ndim == 1 for c in cols):
+        return np.broadcast_to(np.concatenate(cols), vals.shape), vals
+    return np.hstack([np.broadcast_to(c, (n, c.shape[-1])) for c in cols]), vals
 
 
-def _mean_se(model: FittedModel, cols: np.ndarray, vals: np.ndarray):
-    """x' beta and sqrt(x' vb x) of each row x stored as (cols, vals) by
-    _rows, reading vb only at the row's stored columns: O(n c^2). The
-    dense terms' columns, the same in every row, form one matrix product;
-    each per-level column j adds its row's reads vb[cols[i, j], cols[i]],
-    counting the pairs with a dense column twice (vb is symmetric). The
-    split follows the terms, not which columns the rows passed happen to
-    share, so a grid at one level takes the same path as one over many.
+def _mean_se(model: FittedModel, table: DataTable, labels):
+    """x' beta and sqrt(x' vb x) of each row x of the named terms at
+    table's observations, stored as (cols, vals) by _rows, reading vb only
+    at the row's stored columns: O(n c^2). The dense terms' columns, the
+    same in every row, form one matrix product; each per-level column j
+    adds its row's reads vb[cols[i, j], cols[i]], those at a dense column
+    doubled (vb is symmetric; doubling is exact). The split follows the
+    terms, not which columns the rows passed happen to share, so a grid at
+    one level takes the same path as one over many.
     """
+    cols, vals = _rows(model.design_raw, table, labels)
+    mean = np.einsum("ij,ij->i", vals, model.beta[cols])
     # positions of dense terms' columns, read off row 0 (none without rows)
     dense = np.isin(cols[:1], model.design_raw.dense_cols).any(axis=0)
     d, x = cols[:1, dense].ravel(), vals[:, dense]
+    if dense.all():
+        del vals            # x holds every column: free the rows before x @ vb
     var = np.einsum("ij,ij->i", x @ model.vb[np.ix_(d, d)], x)
-    weighted = vals * np.where(dense, 2.0, 1.0)
+    weight = np.where(dense, 2.0, 1.0)
     for j in np.flatnonzero(~dense):
-        var += vals[:, j] * np.einsum("ij,ij->i", model.vb[cols[:, [j]], cols],
-                                      weighted)
-    mean = np.einsum("ij,ij->i", vals, model.beta[cols])
+        reads = model.vb[cols[:, [j]], cols]
+        reads *= weight
+        var += vals[:, j] * np.einsum("ij,ij->i", reads, vals)
     return mean, np.sqrt(np.maximum(var, 0.0))
 
 
@@ -1594,7 +1622,7 @@ def predict(model: FittedModel, newdata: DataTable,
               if (include is None or label == "(Intercept)"
                   or label in include)
               and (exclude is None or label not in exclude)]
-    return _mean_se(model, *_rows(design, newdata, labels))
+    return _mean_se(model, newdata, labels)
 
 
 def partial_effect(model: FittedModel, term: str,
@@ -1611,4 +1639,4 @@ def partial_effect(model: FittedModel, term: str,
     if term not in design.blocks:
         raise SchemaError(f"no smooth term named {term!r}; have "
                           f"{sorted(design.blocks)}")
-    return _mean_se(model, *_rows(design, grid, [term]))
+    return _mean_se(model, grid, [term])

@@ -197,6 +197,18 @@ def test_fit_bad_cell_reports_load_stage(tmp_path, capsys):
     assert "row" in err
 
 
+def test_fit_undecodable_byte_names_the_data_file(tmp_path, capsys):
+    """A Latin-1 byte in a cell is a load-data error naming the file, not a
+    bare decoding error."""
+    (tmp_path / "d.csv").write_bytes(b"y,x\n1.0,0.1\n2.0,0.2\xe9\n")
+    spec = _write(tmp_path / "m.spec", "response: y\nsmooth: cr(x) k=4\n")
+    assert main(["fit", "--data", str(tmp_path / "d.csv"), "--spec", spec,
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "stage 'load-data'" in err
+    assert f"{tmp_path / 'd.csv'}: byte 0xe9 is not UTF-8" in err
+
+
 def test_fit_repeated_header_column_is_an_error(tmp_path, capsys):
     with open(tmp_path / "d.csv", "w", newline="") as fh:
         fh.write("y,x,y\n1,0.1,3\n2,0.2,4\n3,0.3,5\n")
@@ -585,6 +597,68 @@ def test_simulate_rejects_bad_fixed_effect(tmp_path, capsys):
     assert main(["simulate", "--spec", scen,
                  "--out", str(tmp_path / "out")]) == 1
     assert "stage 'parse-scenario'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# text paths: records streamed in chunks
+
+
+@pytest.fixture(scope="module")
+def large_n(tmp_path_factory):
+    """The 400 x 100 simulated experiment (n = 40 000), its simulated.csv
+    and the spec of cond + cr(trial) + intercept(subject) with AR(1)."""
+    d = tmp_path_factory.mktemp("large_n")
+    table, _ = gen_experiment(ScenarioSpec(
+        n_subjects=400, n_trials=100, trend="undulating", trend_amplitude=1.0,
+        fixed_effects=(FixedEffect("cond", "factor2", 0.8),), rho=0.3,
+        subject_intercept_sd=0.5, seed=1))
+    cli._write_simulated(str(d / "simulated.csv"), table)
+    spec = _write(d / "m.spec", SERIES_SPEC + "parametric: cond\n"
+                  "smooth: cr(trial) k=10\nrandom: intercept(subject)\n"
+                  "rho: 0.3\n")
+    return table, d / "simulated.csv", spec
+
+
+def _traced_peak(func, *args):
+    """func(*args) and its traced allocation peak above the memory traced
+    at entry."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = func(*args)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_load_csv_of_40k_rows_peaks_below_8_mb(large_n):
+    """Each chunk of records becomes arrays before the next is read: the
+    loader never holds the file's cells as strings (14.5 MB when it did)."""
+    _, path, spec = large_n
+    table, peak = _traced_peak(_load_table, parse_spec_file(spec), str(path))
+    assert table.n_rows == 40_000
+    assert peak < 8e6
+
+
+def test_residuals_writer_of_40k_rows_peaks_below_6_mb(large_n, tmp_path):
+    """The writer formats _CHUNK rows at a time (16.4 MB when it formatted
+    every column whole)."""
+    _, path, spec = large_n
+    parsed = parse_spec_file(spec)
+    model = fit(cli.build_model_spec(parsed), _load_table(parsed, str(path)))
+    _, peak = _traced_peak(cli._write_residuals, str(tmp_path / "r.csv"),
+                           model)
+    assert peak < 6e6
+    assert len(_read_csv(tmp_path / "r.csv")) == 1 + 40_000
+
+
+def test_simulated_writer_of_40k_rows_peaks_below_4_mb(large_n, tmp_path):
+    table, path, _ = large_n
+    _, peak = _traced_peak(cli._write_simulated, str(tmp_path / "s.csv"),
+                           table)
+    assert peak < 4e6
+    assert (tmp_path / "s.csv").read_bytes() == path.read_bytes()
 
 
 # ---------------------------------------------------------------------------

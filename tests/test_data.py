@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gammkit import data as data_mod
 from gammkit.data import (DataTable, FactorColumn, boxcox_profile, load_csv,
                           rescale_unit, transform_response)
 from gammkit.errors import (DomainError, GammkitError, ParseError,
@@ -377,6 +378,153 @@ def test_load_csv_auto_roles_match_sniffing_oracle(tmp_path, seed):
                      for name, role in schema.items()}
     _assert_same_load(_load_or_error(load_csv, p, schema),
                       _load_or_error(_oracle_load_csv, p, oracle_schema))
+
+
+# ---------------------------------------------------------------------------
+# records read in chunks of data._CHUNK
+
+CHUNK = data_mod._CHUNK
+
+
+def _csv_rows(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, *rows])
+    return str(path)
+
+
+def _numbered_rows(n):
+    """(x, g, c) rows: x numeric, g a level per 7 records, c numeric text."""
+    return [[repr(0.5 * i - 3.0), f"g{i % 7}", str(i % 11)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n", [CHUNK - 1, CHUNK, CHUNK + 1])
+def test_load_csv_at_chunk_boundaries_matches_oracle(tmp_path, n):
+    rows = _numbered_rows(n)
+    rows[-1][1] = "a-last"                    # a level seen in the last row
+    rows[n // 2][0] = "NA"                    # one dropped row
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    schema = {"x": "numeric", "g": "factor", "c": "numeric"}
+    tab = load_csv(p, schema)
+    _assert_same_load(tab, _oracle_load_csv(p, schema))
+    assert tab.n_rows == n - 1 and tab.meta["dropped_rows"] == 1
+    assert tab.factor("g").levels[0] == "a-last"
+
+
+def test_load_csv_multiline_cell_closing_a_chunk(tmp_path):
+    """The last record of the first chunk spans two lines; a bad cell in
+    the next chunk is reported on its file line, one below its record
+    number + 2."""
+    rows = _numbered_rows(CHUNK + 20)
+    rows[CHUNK - 1][1] = "two\nlines"
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    schema = {"x": "numeric", "g": "factor"}
+    tab = load_csv(p, schema)
+    _assert_same_load(tab, _oracle_load_csv(p, schema))
+    assert "two\nlines" in tab.factor("g").levels
+    rows[CHUNK + 5][0] = "oops"
+    p = _csv_rows(tmp_path / "e.csv", ["x", "g", "c"], rows)
+    with pytest.raises(ParseError, match=rf"row {CHUNK + 5 + 3}: "
+                                         r"cannot parse 'oops'"):
+        load_csv(p, schema)
+
+
+def test_load_csv_bad_cell_in_a_later_chunk_names_its_line(tmp_path):
+    rows = _numbered_rows(2 * CHUNK + 50)
+    rows[2 * CHUNK + 10][2] = "1e999"
+    rows[CHUNK + 3][0] = "NA"                 # dropped: not checked
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    schema = {"x": "numeric", "g": "factor", "c": "numeric"}
+    with pytest.raises(ParseError, match=rf"row {2 * CHUNK + 12}: "
+                                         r"non-finite value in 'c'"):
+        load_csv(p, schema)
+    assert str(_load_or_error(load_csv, p, schema)) == \
+        str(_load_or_error(_oracle_load_csv, p, schema))
+
+
+def test_load_csv_auto_column_failing_in_a_later_chunk_is_a_factor(tmp_path):
+    """c parses as a number throughout chunk 1 and fails in chunk 2, in a
+    row dropped for its missing x: a factor whose levels are the kept
+    cells' text of every chunk, sorted."""
+    rows = _numbered_rows(CHUNK + 30)
+    rows[CHUNK + 7][0] = ""
+    rows[CHUNK + 7][2] = "lo"
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    tab = load_csv(p, {"x": "numeric", "c": "auto"})
+    _assert_same_load(tab, _oracle_load_csv(p, {"x": "numeric",
+                                                "c": "factor"}))
+    assert tab.factor("c").levels == tuple(sorted(str(i) for i in range(11)))
+
+
+def test_load_csv_level_first_seen_in_a_later_chunk_sorts_first(tmp_path):
+    rows = _numbered_rows(2 * CHUNK + 5)
+    rows[2 * CHUNK + 2][1] = "a0"
+    rows[CHUNK + 1][1] = "g35"
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    schema = {"x": "numeric", "g": "factor"}
+    tab = load_csv(p, schema)
+    _assert_same_load(tab, _oracle_load_csv(p, schema))
+    g = tab.factor("g")
+    assert g.levels == ("a0", "g0", "g1", "g2", "g3", "g35", "g4", "g5",
+                        "g6")
+    assert g.levels[g.codes[2 * CHUNK + 2]] == "a0"
+
+
+def test_load_csv_drops_rows_in_every_chunk(tmp_path):
+    rows = _numbered_rows(3 * CHUNK + 3)
+    dropped = [5, CHUNK - 1, CHUNK, 2 * CHUNK + 7, 3 * CHUNK + 2]
+    for i in dropped:
+        rows[i][1 if i % 2 else 2] = "NA" if i % 3 else ""
+    rows[CHUNK + 4] = rows[CHUNK + 4][:1]     # too short to reach g
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    schema = {"x": "numeric", "g": "factor", "c": "auto"}
+    tab = load_csv(p, schema)
+    assert tab.meta["dropped_rows"] == len(dropped) + 1
+    _assert_same_load(tab, _oracle_load_csv(p, {"x": "numeric",
+                                                "g": "factor",
+                                                "c": "numeric"}))
+
+
+def test_load_csv_auto_non_finite_cell_before_a_bad_numeric_cell(tmp_path):
+    """An auto column that stays numeric reports its early non-finite cell
+    ahead of a numeric column's later parse failure; one that a later chunk
+    makes a factor reports nothing."""
+    rows = _numbered_rows(CHUNK + 40)
+    rows[3][2] = "inf"
+    rows[CHUNK + 3][0] = "oops"
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    schema = {"x": "numeric", "c": "auto"}
+    with pytest.raises(ParseError, match=r"row 5: non-finite value in 'c'"):
+        load_csv(p, schema)
+    rows[CHUNK + 20][2] = "word"
+    p = _csv_rows(tmp_path / "e.csv", ["x", "g", "c"], rows)
+    with pytest.raises(ParseError, match=rf"row {CHUNK + 5}: cannot parse "
+                                         r"'oops' as numeric for column 'x'"):
+        load_csv(p, schema)
+
+
+# ---------------------------------------------------------------------------
+# encodings
+
+
+def test_load_csv_skips_a_utf8_byte_order_mark(tmp_path):
+    """A "CSV UTF-8" file from a spreadsheet starts with a BOM: its first
+    header cell is still 'x', and error lines count as without it."""
+    p = tmp_path / "d.csv"
+    p.write_bytes("\ufeffx,g\n1.5,é\n2,b\n".encode("utf-8"))
+    tab = load_csv(str(p), {"x": "numeric", "g": "factor"})
+    assert tab.numeric("x").tolist() == [1.5, 2.0]
+    assert tab.factor("g").levels == ("b", "é")
+    p.write_bytes("\ufeffx\n1\noops\n".encode("utf-8"))
+    with pytest.raises(ParseError, match="row 3"):
+        load_csv(str(p), {"x": "numeric"})
+
+
+def test_load_csv_undecodable_byte_is_a_parse_error_naming_the_file(tmp_path):
+    p = tmp_path / "latin1.csv"
+    p.write_bytes(b"x,g\n1,caf\xe9\n2,b\n")
+    with pytest.raises(ParseError, match=r"latin1\.csv: byte 0xe9 is not "
+                                         r"UTF-8"):
+        load_csv(str(p), {"x": "numeric", "g": "factor"})
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from gammkit import cli
+from gammkit import data as data_mod
 from gammkit.cli import main
 from gammkit.data import DataTable, FactorColumn
 from gammkit.diagnostics import (permutation_fs_test, residual_acf_by_group,
@@ -397,6 +398,38 @@ def test_csv_cell_matches_csv_writer():
         buf = io.StringIO()
         csv.writer(buf).writerow([text, "z"])
         assert cli._csv_cell(text) + ",z\r\n" == buf.getvalue(), text
+
+
+@pytest.mark.parametrize("n", [data_mod._CHUNK - 1, data_mod._CHUNK,
+                               data_mod._CHUNK + 1])
+def test_chunked_writers_equal_the_unchunked_join(tmp_path, n):
+    """Around one chunk of rows, every kind of column _write_columns takes
+    gives the bytes of one join over whole columns of cell text, and the
+    simulated.csv writer those of its per-row oracle."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    codes = rng.integers(0, len(SUBJECTS), n)
+    levels = tuple(sorted(SUBJECTS))
+    text = [f"t{i}" for i in range(n)]
+    cli._write_columns(str(tmp_path / "new.csv"), ["x", "level", "g", "i",
+                                                     "text"],
+                       [x, FactorColumn(codes, levels),
+                        ("{:g}".format, x), np.arange(n), text])
+    whole = [list(map(repr, x.tolist())),
+             [cli._csv_cell(levels[c]) for c in codes],
+             list(map("{:g}".format, x.tolist())),
+             list(map(str, range(n))), text]
+    lines = ['x,level,g,i,text'] + list(map(",".join, zip(*whole)))
+    assert (tmp_path / "new.csv").read_bytes() == \
+        ("\r\n".join(lines) + "\r\n").encode()
+    table = DataTable(columns={
+        "subject": FactorColumn(codes, levels),
+        "trial": np.arange(n, dtype=np.float64) % 150 + 1.0,
+        "y": x}, n_rows=n)
+    cli._write_simulated(str(tmp_path / "sim.csv"), table)
+    _oracle_simulated(tmp_path / "oracle.csv", table)
+    assert (tmp_path / "sim.csv").read_bytes() == \
+        (tmp_path / "oracle.csv").read_bytes()
 
 
 def test_write_columns_writes_crlf_lines(tmp_path):

@@ -10,7 +10,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 from gammkit import basis as basis_mod
 from gammkit import fitting
@@ -108,11 +107,13 @@ def test_per_level_blocks_store_one_level_per_row():
     levels = {"re(item)": 7, "fs(trial,subject)": 8, "re(subject,x)": 8,
               "cr(z):g": 2}
     for label, n_levels in levels.items():
-        X = des.blocks[label].X
-        assert sparse.issparse(X)
+        a, b = des.col_ranges[label]
+        assert np.isin(np.arange(a, b), des.sparse_cols).all()
+        start = int(np.searchsorted(des.sparse_cols, a))
+        X = des.X_sparse[:, start:start + b - a]
         assert X.nnz == tab.n_rows * X.shape[1] // n_levels
     for label in ("cr(trial)", "te(x,z)"):
-        assert not sparse.issparse(des.blocks[label].X)
+        assert np.isin(np.arange(*des.col_ranges[label]), des.dense_cols).all()
     assert des.X_dense.shape[1] == 1 + 1 + 7 + 15
 
 
@@ -148,7 +149,8 @@ def test_one_level_by_factor_fits_like_the_plain_smooth():
         SmoothTermSpec("x", "cr", k=8, by="g"),)), one)
     plain = fit(ModelSpec(response="y", smooth_terms=(
         SmoothTermSpec("x", "cr", k=8),)), one)
-    assert not sparse.issparse(by.design.blocks["cr(x):g"].X)
+    assert np.isin(np.arange(*by.design.col_ranges["cr(x):g"]),
+                   by.design.dense_cols).all()
     np.testing.assert_allclose(by.fitted_values, plain.fitted_values,
                                rtol=1e-8, atol=1e-10)
     assert by.reml == pytest.approx(plain.reml, rel=1e-10)
