@@ -17,7 +17,6 @@ _EXPORTS = {
     "transform_response": "gammkit.data",
     "boxcox_profile": "gammkit.data",
     # basis
-    "SmoothTermSpec": "gammkit.basis",
     "BasisBlock": "gammkit.basis",
     "KnotSet": "gammkit.basis",
     "poly_basis": "gammkit.basis",
@@ -29,9 +28,11 @@ _EXPORTS = {
     "factor_smooth": "gammkit.basis",
     "random_effect": "gammkit.basis",
     "absorb_constraints": "gammkit.basis",
+    # terms
+    "SmoothTermSpec": "gammkit.terms",
+    "ParametricTerm": "gammkit.terms",
+    "ModelSpec": "gammkit.terms",
     # fitting
-    "ModelSpec": "gammkit.fitting",
-    "ParametricTerm": "gammkit.fitting",
     "AssembledDesign": "gammkit.fitting",
     "FittedModel": "gammkit.fitting",
     "assemble": "gammkit.fitting",

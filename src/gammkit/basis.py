@@ -30,6 +30,7 @@ from scipy.spatial.distance import cdist
 
 from .data import FactorColumn
 from .errors import DomainError, NumericError, RankError, ShapeError
+from .terms import SmoothTermSpec  # noqa: F401  (re-exported)
 
 _PSD_RTOL = 1e-8
 
@@ -91,46 +92,6 @@ class KnotSet:
 
     def __len__(self) -> int:
         return int(self.locations.size)
-
-
-@dataclass(frozen=True)
-class SmoothTermSpec:
-    """Declarative description of one smooth model term."""
-
-    covariates: tuple[str, ...]
-    basis_kind: str = "tp"
-    k: tuple[int, ...] | int | None = None
-    m: int = 2
-    by: str | None = None
-    fs_group: str | None = None
-    is_random_effect: bool = False
-
-    def __post_init__(self):
-        if isinstance(self.covariates, str):
-            object.__setattr__(self, "covariates", (self.covariates,))
-        else:
-            object.__setattr__(self, "covariates", tuple(self.covariates))
-        if self.by is not None and self.fs_group is not None:
-            raise DomainError("by and fs_group are mutually exclusive")
-        if self.basis_kind in ("tensor", "ti") and len(self.covariates) < 2:
-            raise DomainError(f"{self.basis_kind} smooths need >= 2 covariates")
-        if self.basis_kind in ("cr", "tp") and self.k is not None:
-            kk = self.k if isinstance(self.k, int) else self.k[0]
-            if kk < 3:
-                raise DomainError(f"k must be >= 3 for {self.basis_kind} smooths")
-
-    @property
-    def label(self) -> str:
-        inner = ",".join(self.covariates)
-        if self.is_random_effect:
-            return f"re({inner})"
-        if self.fs_group is not None:
-            return f"fs({inner},{self.fs_group})"
-        tag = {"tp": "s", "tensor": "te"}.get(self.basis_kind, self.basis_kind)
-        base = f"{tag}({inner})"
-        if self.by is not None:
-            base += f":{self.by}"
-        return base
 
 
 @dataclass

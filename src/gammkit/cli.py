@@ -15,16 +15,18 @@ Models are declared in a line-oriented spec file::
 
 Smooth functions: s (thin plate), tp (alias of s), cr, poly, te, ti, fs;
 random effects: intercept(factor), slope(factor, covariate). Options per
-smooth line: k=<int[,int]>, m=<int>, by=<factor>.
+smooth line: k=<int[,int]>, m=<int>, by=<factor> (not on fs). Each line
+parses straight into ModelSpec terms; an error names its line. Spec and
+scenario files are UTF-8, with an optional byte-order mark.
 
 Each command declares only the options it reads. main runs it inside the
 one error frame: a GammkitError, OSError or ValueError (SpecFileError
 among them) removes every file the command wrote, prints one line naming
 the stage it was in and exits 1.
 
-Only the standard library is imported at module load, so --help and
-spec-file errors need no numpy; numeric modules are imported inside the
-command functions.
+Only the standard library and gammkit.terms are imported at module load,
+so --help and spec-file errors need no numpy; numeric modules are imported
+inside the command functions.
 """
 
 from __future__ import annotations
@@ -36,9 +38,12 @@ import math
 import os
 import re
 import sys
+from contextlib import contextmanager
+from dataclasses import fields, replace
 from datetime import datetime, timezone
 
-from .errors import GammkitError
+from .errors import GammkitError, ParseError
+from .terms import ModelSpec, ParametricTerm, SmoothTermSpec
 
 
 # ---------------------------------------------------------------------------
@@ -55,10 +60,15 @@ class SpecFileError(ValueError):
 
 def _key_lines(path: str):
     """(line number, key, value) of each 'key: value' line of a spec or
-    scenario file: '#' starts a comment, blank lines are skipped and the
-    key ends at the first colon; both parts are stripped."""
-    with open(path) as fh:
-        lines = fh.readlines()
+    scenario file, read as UTF-8 with an optional byte-order mark: '#'
+    starts a comment, blank lines are skipped and the key ends at the first
+    colon; both parts are stripped."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise SpecFileError(f"{path}: byte 0x{exc.object[exc.start]:02x} is "
+                            f"not UTF-8 text ({exc.reason})") from None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -70,23 +80,30 @@ def _key_lines(path: str):
         yield lineno, key.strip(), value.strip()
 
 
-def _convert(kind, text: str, lineno: int, what: str):
-    """kind(text), or a SpecFileError naming the line."""
+@contextmanager
+def _line(lineno: int):
+    """Turn a GammkitError raised while reading one line into a
+    SpecFileError naming the line."""
+    try:
+        yield
+    except GammkitError as exc:
+        raise SpecFileError(f"line {lineno}: {exc}") from None
+
+
+def _convert(kind, text: str, what: str):
+    """kind(text), or a ParseError naming what text is."""
     try:
         return kind(text)
     except ValueError:
-        raise SpecFileError(f"line {lineno}: bad {what} {text!r}") from None
+        raise ParseError(f"bad {what} {text!r}") from None
 
 
-def _parse_options(text: str, lineno: int) -> dict:
-    opts = {}
-    for piece in text.split():
+def _parse_options(text: str) -> dict:
+    pieces = text.split()
+    for piece in pieces:
         if "=" not in piece:
-            raise SpecFileError(f"line {lineno}: expected key=value, "
-                                f"got {piece!r}")
-        key, val = piece.split("=", 1)
-        opts[key] = val
-    return opts
+            raise ParseError(f"expected key=value, got {piece!r}")
+    return dict(piece.split("=", 1) for piece in pieces)
 
 
 def _int_list(text: str):
@@ -94,150 +111,121 @@ def _int_list(text: str):
     return parts[0] if len(parts) == 1 else tuple(parts)
 
 
-def parse_spec_file(path: str) -> dict:
-    """Parse the line-oriented model file into a plain dict.
+def _parametric_terms(value: str) -> list:
+    """The terms of a 'parametric:' line: a*b is a, b and a:b."""
+    words = value.split()
+    codings = [w.split("=", 1)[1] for w in words if w.startswith("coding=")]
+    expr = "".join(w for w in words if not w.startswith("coding="))
+    if not expr:
+        raise ParseError("empty parametric term")
+    names = []
+    for term in expr.split("+"):
+        if "*" in term:
+            a, b = term.split("*", 1)
+            names += [(a,), (b,), (a, b)]
+        else:
+            names.append(tuple(term.split(":")))
+    return [ParametricTerm(names=n, coding=(codings or ["sum"])[-1])
+            for n in names]
 
-    Returns keys: response, parametric (list of (names tuple, coding)),
-    smooths (list of dicts), rho, series_key, order_key.
-    """
-    out = {"response": None, "parametric": [], "smooths": [], "rho": 0.0,
-           "series_key": None, "order_key": None}
+
+def _smooth_term(value: str) -> SmoothTermSpec:
+    """The term of a 'smooth:' line; fs(x, g) is a cr smooth of x per g."""
+    m = _SMOOTH_RX.match(value)
+    if not m:
+        raise ParseError(f"cannot parse smooth term {value!r}")
+    fn, args, rest = m.groups()
+    covs = tuple(a.strip() for a in args.split(",") if a.strip())
+    if not covs:
+        raise ParseError("smooth needs arguments")
+    opts = _parse_options(rest)
+    k = _convert(_int_list, opts["k"], "k value") if "k" in opts else None
+    order = _convert(int, opts["m"], "m value") if "m" in opts else 2
+    unknown = set(opts) - {"k", "m", "by"}
+    if unknown:
+        raise ParseError(f"unknown options {sorted(unknown)}")
+    group = None
+    if fn == "fs":
+        if len(covs) != 2:
+            raise ParseError("fs takes (covariate, factor)")
+        fn, covs, group = "cr", covs[:1], covs[1]
+    return SmoothTermSpec(covariates=covs,
+                          basis_kind={"s": "tp", "te": "tensor"}.get(fn, fn),
+                          k=k, m=order, by=opts.get("by"), fs_group=group)
+
+
+def _random_term(value: str) -> SmoothTermSpec:
+    m = _RANDOM_RX.match(value)
+    if not m:
+        raise ParseError(f"cannot parse random term {value!r}")
+    fn, args = m.groups()
+    covs = tuple(a.strip() for a in args.split(",") if a.strip())
+    want = 1 if fn == "intercept" else 2
+    if len(covs) != want:
+        raise ParseError(f"{fn} takes {want} argument(s)")
+    return SmoothTermSpec(covariates=covs, is_random_effect=True)
+
+
+def parse_spec_file(path: str):
+    """Parse the line-oriented model file: (ModelSpec, (series key, order
+    key)), both keys None without a 'series:' line."""
+    response, rho, keys = None, 0.0, (None, None)
+    parametric, smooths = [], []
     for lineno, key, value in _key_lines(path):
         key = key.lower()
-        if key == "response":
-            out["response"] = value
-        elif key == "parametric":
-            words = value.split()
-            coding = "sum"
-            expr_words = []
-            for w in words:
-                if w.startswith("coding="):
-                    coding = w.split("=", 1)[1]
-                else:
-                    expr_words.append(w)
-            expr = "".join(expr_words)
-            if not expr:
-                raise SpecFileError(f"line {lineno}: empty parametric term")
-            for term in expr.split("+"):
-                if "*" in term:
-                    a, b = term.split("*", 1)
-                    out["parametric"] += [((a,), coding), ((b,), coding),
-                                          ((a, b), coding)]
-                elif ":" in term:
-                    out["parametric"].append((tuple(term.split(":")), coding))
-                else:
-                    out["parametric"].append(((term,), coding))
-        elif key == "smooth":
-            m = _SMOOTH_RX.match(value)
-            if not m:
-                raise SpecFileError(f"line {lineno}: cannot parse smooth "
-                                    f"term {value!r}")
-            fn, args, rest = m.groups()
-            covs = tuple(a.strip() for a in args.split(",") if a.strip())
-            if not covs:
-                raise SpecFileError(f"line {lineno}: smooth needs arguments")
-            opts = _parse_options(rest, lineno)
-            term = {"fn": fn, "covariates": covs,
-                    "k": _convert(_int_list, opts["k"], lineno, "k value")
-                    if "k" in opts else None,
-                    "m": _convert(int, opts["m"], lineno, "m value")
-                    if "m" in opts else 2,
-                    "by": opts.get("by")}
-            unknown = set(opts) - {"k", "m", "by"}
-            if unknown:
-                raise SpecFileError(f"line {lineno}: unknown options "
-                                    f"{sorted(unknown)}")
-            if fn == "fs" and len(covs) != 2:
-                raise SpecFileError(f"line {lineno}: fs takes "
-                                    f"(covariate, factor)")
-            out["smooths"].append(term)
-        elif key == "random":
-            m = _RANDOM_RX.match(value)
-            if not m:
-                raise SpecFileError(f"line {lineno}: cannot parse random "
-                                    f"term {value!r}")
-            fn, args = m.groups()
-            covs = tuple(a.strip() for a in args.split(",") if a.strip())
-            want = 1 if fn == "intercept" else 2
-            if len(covs) != want:
-                raise SpecFileError(f"line {lineno}: {fn} takes {want} "
-                                    f"argument(s)")
-            out["smooths"].append({"fn": "re", "covariates": covs,
-                                   "k": None, "m": 2, "by": None})
-        elif key == "rho":
-            out["rho"] = _convert(float, value, lineno, "rho")
-        elif key == "series":
-            m = _SERIES_RX.match(value)
-            if not m:
-                raise SpecFileError(f"line {lineno}: expected "
-                                    f"'series: NAME order: NAME'")
-            out["series_key"], out["order_key"] = m.groups()
-        else:
-            raise SpecFileError(f"line {lineno}: unknown key {key!r}")
-    if out["response"] is None:
+        with _line(lineno):
+            if key == "response":
+                response = value
+            elif key == "parametric":
+                parametric += _parametric_terms(value)
+            elif key == "smooth":
+                smooths.append(_smooth_term(value))
+            elif key == "random":
+                smooths.append(_random_term(value))
+            elif key == "rho":
+                rho = _convert(float, value, "rho")
+            elif key == "series":
+                m = _SERIES_RX.match(value)
+                if not m:
+                    raise ParseError("expected 'series: NAME order: NAME'")
+                keys = m.groups()
+            else:
+                raise ParseError(f"unknown key {key!r}")
+    if response is None:
         raise SpecFileError("spec file never sets 'response:'")
-    return out
+    return ModelSpec(response=response, parametric_terms=parametric,
+                     smooth_terms=smooths, rho=rho), keys
 
 
-def build_model_spec(parsed: dict, rho_override: float | None = None):
-    """Turn a parsed spec-file dict into a ModelSpec (imports numpy)."""
-    from .basis import SmoothTermSpec
-    from .fitting import ModelSpec, ParametricTerm
-
-    parametric = tuple(ParametricTerm(names=names, coding=coding)
-                       for names, coding in parsed["parametric"])
-    smooths = []
-    for t in parsed["smooths"]:
-        fn = t["fn"]
-        if fn == "re":
-            smooths.append(SmoothTermSpec(covariates=t["covariates"],
-                                          is_random_effect=True))
-        elif fn == "fs":
-            smooths.append(SmoothTermSpec(covariates=(t["covariates"][0],),
-                                          basis_kind="cr", k=t["k"],
-                                          m=t["m"],
-                                          fs_group=t["covariates"][1]))
-        else:
-            kind = {"s": "tp", "te": "tensor"}.get(fn, fn)
-            smooths.append(SmoothTermSpec(covariates=t["covariates"],
-                                          basis_kind=kind, k=t["k"],
-                                          m=t["m"], by=t["by"]))
-    rho = parsed["rho"] if rho_override is None else rho_override
-    return ModelSpec(response=parsed["response"], parametric_terms=parametric,
-                     smooth_terms=tuple(smooths), rho=rho)
-
-
-def _infer_schema(parsed: dict) -> dict:
-    """Column role map for load_csv; parametric-only columns are "auto"."""
-    schema: dict[str, str] = {parsed["response"]: "numeric"}
+def _column_roles(specs, keys) -> dict:
+    """Column role map for load_csv, read off the terms of specs (one
+    response): the response, the series and order keys, each smooth's
+    columns in term order, then parametric-only columns as "auto"."""
+    roles: dict[str, str] = {specs[0].response: "numeric"}
 
     def put(name, role):
-        if schema.get(name, role) != role:
+        if roles.get(name, role) != role:
             raise SpecFileError(f"column {name!r} used as both numeric "
                                 f"and factor")
-        schema[name] = role
+        roles[name] = role
 
-    if parsed["series_key"]:
-        put(parsed["series_key"], "factor")
-        put(parsed["order_key"], "numeric")
-    for t in parsed["smooths"]:
-        covs = t["covariates"]
-        if t["fn"] == "re":
+    if keys[0]:
+        put(keys[0], "factor")
+        put(keys[1], "numeric")
+    for term in (t for spec in specs for t in spec.smooth_terms):
+        covs = term.covariates
+        if term.is_random_effect:
             put(covs[0], "factor")
-            if len(covs) > 1:
-                put(covs[1], "numeric")
-        elif t["fn"] == "fs":
-            put(covs[0], "numeric")
-            put(covs[1], "factor")
-        else:
-            for c in covs:
-                put(c, "numeric")
-        if t.get("by"):
-            put(t["by"], "factor")
-    for names, _ in parsed["parametric"]:
-        for name in names:
-            schema.setdefault(name, "auto")
-    return schema
+            covs = covs[1:]
+        for c in covs:
+            put(c, "numeric")
+        for factor in (term.fs_group, term.by):
+            if factor:
+                put(factor, "factor")
+    for term in (t for spec in specs for t in spec.parametric_terms):
+        for name in term.names:
+            roles.setdefault(name, "auto")
+    return roles
 
 
 # ---------------------------------------------------------------------------
@@ -348,26 +336,30 @@ def _write_columns(path: str, headers, columns):
 # commands
 
 
-def _load_table(parsed: dict, data_path: str):
+def _load_table(specs, keys, data_path: str):
     from .data import load_csv
-    schema = _infer_schema(parsed)
-    return load_csv(data_path, schema, series_key=parsed["series_key"],
-                    order_key=parsed["order_key"])
+    return load_csv(data_path, _column_roles(specs, keys),
+                    series_key=keys[0], order_key=keys[1])
 
 
-def _read_inputs(args, tracker: OutputTracker, rho_override=None):
+def _parse_spec(path: str, rho=None):
+    """parse_spec_file(path), with rho replacing the file's unless None."""
+    spec, keys = parse_spec_file(path)
+    return (spec if rho is None else replace(spec, rho=rho)), keys
+
+
+def _read_inputs(args, tracker: OutputTracker, rho=None):
     """Parse --spec into a ModelSpec, then load --data, advancing
-    tracker.stage: (parsed spec file, ModelSpec, table)."""
+    tracker.stage: (ModelSpec, table)."""
     tracker.stage = "parse-spec"
-    parsed = parse_spec_file(args.spec)
-    spec = build_model_spec(parsed, rho_override)
+    spec, keys = _parse_spec(args.spec, rho)
     tracker.stage = "load-data"
-    return parsed, spec, _load_table(parsed, args.data)
+    return spec, _load_table([spec], keys, args.data)
 
 
 def _fit_from_args(args, tracker: OutputTracker):
     """Read the inputs (--rho overriding the spec's) and fit."""
-    _, spec, table = _read_inputs(args, tracker, args.rho)
+    spec, table = _read_inputs(args, tracker, args.rho)
     tracker.stage = "fit"
     from .fitting import fit
     return fit(spec, table)
@@ -557,25 +549,17 @@ def cmd_compare(args, tracker: OutputTracker):
     if len(args.spec) != 2:
         raise SpecFileError("compare needs exactly two --spec files")
     tracker.stage = "parse-spec"
-    parsed = [parse_spec_file(p) for p in args.spec]
-    if parsed[0]["response"] != parsed[1]["response"]:
+    specs, keys = zip(*(_parse_spec(p, args.rho) for p in args.spec))
+    if specs[0].response != specs[1].response:
         raise SpecFileError("the two specs model different responses: "
-                            f"{parsed[0]['response']!r} vs "
-                            f"{parsed[1]['response']!r}")
-    if (parsed[0]["series_key"], parsed[0]["order_key"]) != \
-            (parsed[1]["series_key"], parsed[1]["order_key"]):
+                            f"{specs[0].response!r} vs {specs[1].response!r}")
+    if keys[0] != keys[1]:
         raise SpecFileError("the two specs declare different "
                             "series/order keys")
-    specs = [build_model_spec(p, rho_override=args.rho) for p in parsed]
-    if specs[0].signature() == specs[1].signature():
+    if specs[0] == specs[1]:
         raise SpecFileError("the two spec files declare identical models")
     tracker.stage = "load-data"
-    merged = {"response": parsed[0]["response"],
-              "parametric": parsed[0]["parametric"] + parsed[1]["parametric"],
-              "smooths": parsed[0]["smooths"] + parsed[1]["smooths"],
-              "series_key": parsed[0]["series_key"],
-              "order_key": parsed[0]["order_key"]}
-    table = _load_table(merged, args.data)
+    table = _load_table(specs, keys[0], args.data)
     tracker.stage = "fit"
     from .fitting import fit
     from .inference import aic, compare_reml
@@ -608,7 +592,7 @@ def cmd_acf(args, tracker: OutputTracker):
 
 
 def cmd_suggest_rho(args, tracker: OutputTracker):
-    _, spec, table = _read_inputs(args, tracker)
+    spec, table = _read_inputs(args, tracker)
     tracker.stage = "suggest-rho"
     from .diagnostics import suggest_rho
     suggestion = suggest_rho(table, spec)
@@ -621,10 +605,10 @@ def cmd_suggest_rho(args, tracker: OutputTracker):
 
 
 def cmd_permtest(args, tracker: OutputTracker):
-    parsed, _, table = _read_inputs(args, tracker)
+    spec, table = _read_inputs(args, tracker)
     tracker.stage = "permtest"
     from .diagnostics import permutation_fs_test
-    result = permutation_fs_test(table, parsed["response"],
+    result = permutation_fs_test(table, spec.response,
                                  n_perm=args.n_perm, seed=args.seed)
     tracker.stage = "write-output"
     _write_pvalues(tracker.path("permtest_pvalues.csv"), result.p_values)
@@ -673,46 +657,44 @@ def _write_simulated(path: str, table):
 
 
 def parse_scenario_file(path: str):
-    """Parse the simulate command's scenario file (imports numpy lazily)."""
+    """Parse the simulate command's scenario file (imports numpy lazily).
+    Counts default to 10 subjects x 100 trials, the rest to ScenarioSpec's
+    defaults."""
     from .simulate import FixedEffect, ScenarioSpec
-    fields = {"n_subjects": 10, "n_trials": 100, "trend": "flat",
-              "trend_amplitude": 0.0, "rho": 0.0, "sigma": 1.0,
-              "subject_intercept_sd": 0.0, "mean": 0.0, "seed": 0}
+    given = {"n_subjects": 10, "n_trials": 100}
     fixed = []
     fx_rx = re.compile(r"^(factor2|numeric)\((\w+)\)\s+effect=([-\d.eE+]+)$")
     for lineno, key, value in _key_lines(path):
-        if key == "fixed":
-            m = fx_rx.match(value)
-            if not m:
-                raise SpecFileError(f"line {lineno}: cannot parse fixed "
-                                    f"effect {value!r}")
-            kind, name, eff = m.groups()
-            fixed.append(FixedEffect(name=name, kind=kind, effect=_convert(
-                float, eff, lineno, "effect")))
-        elif key == "trend":
-            words = value.split()
-            fields["trend"] = words[0]
-            for w in words[1:]:
-                if not w.startswith("amplitude="):
-                    raise SpecFileError(f"line {lineno}: unknown trend "
-                                        f"option {w!r}")
-                fields["trend_amplitude"] = _convert(
-                    float, w.split("=", 1)[1], lineno, "amplitude")
-        elif key in ("n_subjects", "n_trials", "seed"):
-            fields[key] = _convert(int, value, lineno, key)
-        elif key in ("rho", "sigma", "subject_intercept_sd", "mean",
-                     "trend_amplitude"):
-            fields[key] = _convert(float, value, lineno, key)
-        else:
-            raise SpecFileError(f"line {lineno}: unknown key {key!r}")
-    return ScenarioSpec(fixed_effects=tuple(fixed), **fields)
+        with _line(lineno):
+            if key == "fixed":
+                m = fx_rx.match(value)
+                if not m:
+                    raise ParseError(f"cannot parse fixed effect {value!r}")
+                kind, name, eff = m.groups()
+                fixed.append(FixedEffect(name=name, kind=kind, effect=_convert(
+                    float, eff, "effect")))
+            elif key == "trend":
+                words = value.split()
+                given["trend"] = words[0]
+                for w in words[1:]:
+                    if not w.startswith("amplitude="):
+                        raise ParseError(f"unknown trend option {w!r}")
+                    given["trend_amplitude"] = _convert(
+                        float, w.split("=", 1)[1], "amplitude")
+            elif key in ("n_subjects", "n_trials", "seed"):
+                given[key] = _convert(int, value, key)
+            elif key in ("rho", "sigma", "subject_intercept_sd", "mean",
+                         "trend_amplitude"):
+                given[key] = _convert(float, value, key)
+            else:
+                raise ParseError(f"unknown key {key!r}")
+    return ScenarioSpec(fixed_effects=tuple(fixed), **given)
 
 
 def cmd_simulate(args, tracker: OutputTracker):
     tracker.stage = "parse-scenario"
     scenario = parse_scenario_file(args.spec)
     if args.seed is not None:
-        from dataclasses import replace
         scenario = replace(scenario, seed=args.seed)
     tracker.stage = "simulate"
     from .simulate import gen_experiment
@@ -720,13 +702,8 @@ def cmd_simulate(args, tracker: OutputTracker):
     tracker.stage = "write-output"
     _write_simulated(tracker.path("simulated.csv"), table)
     record = {
-        "scenario": {"n_subjects": scenario.n_subjects,
-                     "n_trials": scenario.n_trials,
-                     "trend": scenario.trend,
-                     "trend_amplitude": scenario.trend_amplitude,
-                     "rho": scenario.rho, "sigma": scenario.sigma,
-                     "subject_intercept_sd": scenario.subject_intercept_sd,
-                     "mean": scenario.mean, "seed": scenario.seed},
+        "scenario": {f.name: getattr(scenario, f.name)
+                     for f in fields(scenario) if f.name != "fixed_effects"},
         "effects": truth.effects,
         "subject_intercepts": [float(v) for v in truth.subject_intercepts],
         "trends": [[float(v) for v in row] for row in truth.trends],

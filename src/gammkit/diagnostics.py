@@ -13,7 +13,7 @@ from scipy.stats import skew as _skew
 
 from .data import DataTable
 from .errors import DomainError, GammkitError, NumericError, SchemaError
-from .fitting import FittedModel, ModelSpec, fit
+from .fitting import FittedModel, ModelSpec, SmoothTermSpec, fit
 
 DEFAULT_MAX_LAG = 30
 
@@ -103,7 +103,6 @@ def residual_acf_by_group(model: FittedModel, which: str = "raw",
 
 def pilot_spec(table: DataTable, response: str, k: int = 5) -> ModelSpec:
     """Intercept + factor smooth of the order key by the series key."""
-    from .basis import SmoothTermSpec
     if table.series_key is None or table.order_key is None:
         raise SchemaError("table needs series and order keys for a pilot fit")
     fs = SmoothTermSpec(covariates=(table.order_key,), basis_kind="cr", k=k,
@@ -134,11 +133,7 @@ def suggest_rho(table: DataTable, base_spec: ModelSpec) -> RhoSuggestion:
     """
     if table.series_key is None:
         raise SchemaError("table needs a series key to estimate rho")
-    spec0 = base_spec if base_spec.rho == 0 else \
-        ModelSpec(response=base_spec.response,
-                  parametric_terms=base_spec.parametric_terms,
-                  smooth_terms=base_spec.smooth_terms, rho=0.0)
-    model = fit(spec0, table)
+    model = fit(replace(base_spec, rho=0.0), table)
     per = [r for r in residual_acf_by_group(model, "raw", max_lag=1)
            if r.group != "pooled"]
     lag1 = [r.acf[1] for r in per]

@@ -48,10 +48,11 @@ from scipy import sparse
 from scipy.linalg import block_diag, lapack, solve_triangular
 
 from . import basis as basis_mod
-from .basis import BasisBlock, SmoothTermSpec, rank_psd
+from .basis import BasisBlock, rank_psd
 from .data import DataTable, FactorColumn
 from .errors import (DomainError, GammkitError, NumericError, RankError,
                      SchemaError, ShapeError)
+from .terms import ModelSpec, ParametricTerm, SmoothTermSpec
 
 LOG_LAMBDA_MIN = math.log(1e-10)
 LOG_LAMBDA_MAX = math.log(1e12)
@@ -66,51 +67,6 @@ _NEWTON_MAX_ITER = 100
 _TAIL_RTOL = 0.1              # a Newton step this close to 1 is a tail
 
 DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
-
-
-@dataclass(frozen=True)
-class ParametricTerm:
-    """A coded parametric term: one name, or several joined as a product."""
-
-    names: tuple[str, ...]
-    coding: str = "sum"
-
-    def __post_init__(self):
-        if isinstance(self.names, str):
-            object.__setattr__(self, "names", (self.names,))
-        else:
-            object.__setattr__(self, "names", tuple(self.names))
-        if self.coding not in ("sum", "treatment"):
-            raise DomainError(f"unknown coding {self.coding!r}")
-
-    @property
-    def label(self) -> str:
-        return ":".join(self.names)
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Declarative model: response, parametric terms, smooths, AR(1) rho."""
-
-    response: str
-    parametric_terms: tuple = ()
-    smooth_terms: tuple = ()
-    rho: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "parametric_terms", tuple(self.parametric_terms))
-        object.__setattr__(self, "smooth_terms", tuple(self.smooth_terms))
-        if not (0.0 <= self.rho < 1.0):
-            raise DomainError(f"rho must lie in [0, 1), got {self.rho}")
-        labels = [t.label for t in self.parametric_terms] + \
-                 [t.label for t in self.smooth_terms]
-        if len(labels) != len(set(labels)):
-            raise SchemaError("duplicate term labels in model spec")
-
-    def signature(self) -> str:
-        par = ";".join(f"{t.label}|{t.coding}" for t in self.parametric_terms)
-        smo = ";".join(f"{t.label}|{t.basis_kind}|{t.k}|{t.m}" for t in self.smooth_terms)
-        return f"{self.response}~{par}~{smo}~rho={self.rho}"
 
 
 @dataclass

@@ -116,9 +116,7 @@ def compare_reml(model0, model1) -> ComparisonResult:
     score, which fit reports for a ridged system or a lambda fixed at 0.
     """
     spec0, spec1 = getattr(model0, "spec", None), getattr(model1, "spec", None)
-    sig0 = getattr(spec0, "signature", lambda: None)()
-    sig1 = getattr(spec1, "signature", lambda: None)()
-    if sig0 is not None and sig0 == sig1:
+    if spec0 is not None and spec0 == spec1:
         raise GammkitError("models have identical specifications; "
                            "nothing to compare")
     if spec0 is not None and spec1 is not None and spec0.rho != spec1.rho:

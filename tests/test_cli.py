@@ -225,8 +225,8 @@ def test_parametric_roles_come_from_the_one_read(tmp_path, monkeypatch):
     # factor, as a scan of every row decides
     path = tmp_path / "d.csv"
     path.write_text("y,c,d\n1,2,5\nNA,lo,6\n3,4,7\n4,2,8\n5,4,9\n")
-    parsed = parse_spec_file(_write(tmp_path / "m.spec",
-                                    "response: y\nparametric: c + d\n"))
+    spec, keys = parse_spec_file(_write(tmp_path / "m.spec",
+                                        "response: y\nparametric: c + d\n"))
     opened = []
     real_open = open
 
@@ -235,7 +235,7 @@ def test_parametric_roles_come_from_the_one_read(tmp_path, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", counting_open)
-    table = _load_table(parsed, str(path))
+    table = _load_table([spec], keys, str(path))
     assert opened.count(str(path)) == 1
     assert table.factor("c").levels == ("2", "4")
     assert table.numeric("d").tolist() == [5.0, 7.0, 8.0, 9.0]
@@ -252,6 +252,56 @@ def test_spec_value_errors_name_their_line(tmp_path, capsys):
     assert capsys.readouterr().err == ("gammkit: error at stage 'parse-spec': "
                                        "line 3: bad m value 'abc'\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("line, message", [
+    ("smooth: te(x)", "tensor smooths need >= 2 covariates"),
+    ("smooth: cr(x) k=2", "k must be >= 3 for cr smooths"),
+    ("parametric: cond coding=poly", "unknown coding 'poly'"),
+    # fs has no by= (its levels already split the curves): an error, not
+    # a plain fs term that still loads cond as a factor
+    ("smooth: fs(x, cond) k=5 by=cond",
+     "by and fs_group are mutually exclusive"),
+])
+def test_term_errors_name_their_line(tmp_path, capsys, line, message):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = _write(tmp_path / "m.spec", f"response: y\n\n{line}\n")
+    out = tmp_path / "out"
+    assert main(["fit", "--data", data, "--spec", spec,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ("gammkit: error at stage 'parse-spec': "
+                                       f"line 3: {message}\n")
+    assert not out.exists()
+
+
+def test_spec_and_scenario_files_may_start_with_a_byte_order_mark(tmp_path):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = tmp_path / "m.spec"
+    spec.write_bytes(b"\xef\xbb\xbf" + BASIC_SPEC.encode())
+    assert main(["fit", "--data", data, "--spec", str(spec),
+                 "--out", str(tmp_path / "fit")]) == 0
+    scen = tmp_path / "s.scn"
+    scen.write_bytes(b"\xef\xbb\xbf" + SCENARIO.encode())
+    assert main(["simulate", "--spec", str(scen),
+                 "--out", str(tmp_path / "sim")]) == 0
+    truth = json.loads((tmp_path / "sim" / "truth.json").read_text())
+    assert truth["scenario"]["n_subjects"] == 8
+
+
+@pytest.mark.parametrize("command", ["fit", "simulate"])
+def test_undecodable_spec_byte_names_the_file(tmp_path, capsys, command):
+    """A Latin-1 byte, even in a comment, is an error naming the spec or
+    scenario file, not a bare decoding error."""
+    spec = tmp_path / "m.spec"
+    spec.write_bytes(b"n_trials: 10\n# caf\xe9\n")
+    stage = "parse-spec" if command == "fit" else "parse-scenario"
+    argv = [command, "--spec", str(spec), "--out", str(tmp_path / "out")]
+    if command == "fit":
+        argv += ["--data", _basic_data(tmp_path / "d.csv")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"gammkit: error at stage {stage!r}: {spec}: byte 0xe9 is not UTF-8 "
+        "text (invalid continuation byte)\n")
 
 
 def test_fit_unknown_smooth_function_rejected(tmp_path, capsys):
@@ -404,6 +454,36 @@ def test_compare_specs_with_different_rho_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "stage 'compare'" in err and "(0.0 and 0.3)" in err
     assert not (out / "comparison.txt").exists()
+
+
+def test_compare_loads_a_column_by_the_role_either_spec_gives_it(tmp_path):
+    """x is parametric in one spec and a smooth's covariate in the other:
+    it is loaded numeric, and both models fit on the one table."""
+    data = _basic_data(tmp_path / "d.csv")
+    specs = [_write(tmp_path / "m0.spec", "response: y\nparametric: x\n"),
+             _write(tmp_path / "m1.spec", "response: y\nparametric: cond\n"
+                    "smooth: cr(x) k=8\n")]
+    parsed = [parse_spec_file(p) for p in specs]
+    assert cli._column_roles([s for s, _ in parsed], parsed[0][1]) == \
+        {"y": "numeric", "x": "numeric", "cond": "auto"}
+    out = tmp_path / "out"
+    assert main(["compare", "--data", data, "--spec", specs[0],
+                 "--spec", specs[1], "--out", str(out)]) == 0
+    assert (out / "comparison.txt").read_text().count("model: ") == 2
+
+
+def test_compare_refuses_a_column_one_spec_calls_a_factor(tmp_path, capsys):
+    data = _basic_data(tmp_path / "d.csv")
+    specs = [_write(tmp_path / "m0.spec",
+                    "response: y\nrandom: intercept(x)\n"),
+             _write(tmp_path / "m1.spec", "response: y\nsmooth: cr(x) k=8\n")]
+    out = tmp_path / "out"
+    assert main(["compare", "--data", data, "--spec", specs[0],
+                 "--spec", specs[1], "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "gammkit: error at stage 'load-data': column 'x' used as both "
+        "numeric and factor\n")
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -590,6 +670,14 @@ def test_scenario_value_errors_name_their_line(tmp_path, capsys, line,
     assert not out.exists()
 
 
+def test_scenario_file_sets_only_its_own_keys(tmp_path):
+    """Counts default to 10 x 100; every other field is ScenarioSpec's."""
+    scen = _write(tmp_path / "s.scn", "seed: 4\nfixed: numeric(z) effect=2\n")
+    assert cli.parse_scenario_file(scen) == ScenarioSpec(
+        n_subjects=10, n_trials=100, seed=4,
+        fixed_effects=(FixedEffect("z", "numeric", 2.0),))
+
+
 def test_simulate_rejects_bad_fixed_effect(tmp_path, capsys):
     scen = _write(tmp_path / "s.scn",
                   "n_subjects: 4\nn_trials: 10\n"
@@ -636,7 +724,8 @@ def test_load_csv_of_40k_rows_peaks_below_8_mb(large_n):
     """Each chunk of records becomes arrays before the next is read: the
     loader never holds the file's cells as strings (14.5 MB when it did)."""
     _, path, spec = large_n
-    table, peak = _traced_peak(_load_table, parse_spec_file(spec), str(path))
+    model_spec, keys = parse_spec_file(spec)
+    table, peak = _traced_peak(_load_table, [model_spec], keys, str(path))
     assert table.n_rows == 40_000
     assert peak < 8e6
 
@@ -645,8 +734,8 @@ def test_residuals_writer_of_40k_rows_peaks_below_6_mb(large_n, tmp_path):
     """The writer formats _CHUNK rows at a time (16.4 MB when it formatted
     every column whole)."""
     _, path, spec = large_n
-    parsed = parse_spec_file(spec)
-    model = fit(cli.build_model_spec(parsed), _load_table(parsed, str(path)))
+    model_spec, keys = parse_spec_file(spec)
+    model = fit(model_spec, _load_table([model_spec], keys, str(path)))
     _, peak = _traced_peak(cli._write_residuals, str(tmp_path / "r.csv"),
                            model)
     assert peak < 6e6
@@ -693,6 +782,27 @@ def test_console_script_runs_a_fit(tmp_path):
                           capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert (out / "summary.txt").is_file()
+
+
+@pytest.mark.parametrize("line", ["frobnicate: 2", "smooth: te(x)"])
+def test_spec_errors_need_no_numpy(tmp_path, line):
+    """A spec-file error, in its syntax or in building a term, exits 1 before
+    numpy or scipy is imported."""
+    src = os.path.dirname(os.path.dirname(gammkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    spec = _write(tmp_path / "m.spec", f"response: y\n{line}\n")
+    code = ("import sys; from gammkit.cli import main; "
+            "rc = main(sys.argv[1:]); "
+            "print(sorted({'numpy', 'scipy'} & set(sys.modules))); "
+            "sys.exit(rc)")
+    proc = subprocess.run([sys.executable, "-c", code, "fit", "--data",
+                           str(tmp_path / "d.csv"), "--spec", spec,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 1
+    assert "stage 'parse-spec': line 2: " in proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_help_lists_all_commands():

@@ -245,9 +245,8 @@ NO_SERIES_SPEC = "response: y\nparametric: cond\nsmooth: cr(z) k=6\n"
 
 
 def _model(spec_path, data_path):
-    parsed = cli.parse_spec_file(spec_path)
-    spec = cli.build_model_spec(parsed)
-    return fit(spec, cli._load_table(parsed, data_path))
+    spec, keys = cli.parse_spec_file(spec_path)
+    return fit(spec, cli._load_table([spec], keys, data_path))
 
 
 def _assert_same_bytes(expected_dir, actual_dir, names):
@@ -311,14 +310,13 @@ def test_acf_and_rho_outputs_match_per_row_writers(tmp_path):
     assert main(["suggest-rho", "--data", data, "--spec", spec,
                  "--out", str(out)]) == 0
     oracle.mkdir()
-    parsed = cli.parse_spec_file(spec)
-    table = cli._load_table(parsed, data)
-    model = fit(cli.build_model_spec(parsed), table)
+    model_spec, keys = cli.parse_spec_file(spec)
+    table = cli._load_table([model_spec], keys, data)
+    model = fit(model_spec, table)
     for which in ("raw", "whitened"):
         _oracle_acf(oracle / f"acf_{which}.csv",
                     residual_acf_by_group(model, which, max_lag=5))
-    suggestion = suggest_rho(table, cli.build_model_spec(parsed,
-                                                         rho_override=None))
+    suggestion = suggest_rho(table, model_spec)
     _oracle_csv(oracle / "rho_by_group.csv", ["group", "lag1"],
                 [[g, repr(float(v))] for g, v in
                  zip(suggestion.groups, suggestion.per_group)])
@@ -338,7 +336,8 @@ def test_permtest_pvalues_match_per_row_writer(tmp_path):
     assert main(["permtest", "--data", data, "--spec", spec,
                  "--out", str(out), "--n-perm", "3", "--seed", "4"]) == 0
     oracle.mkdir()
-    table = cli._load_table(cli.parse_spec_file(spec), data)
+    model_spec, keys = cli.parse_spec_file(spec)
+    table = cli._load_table([model_spec], keys, data)
     result = permutation_fs_test(table, "y", n_perm=3, seed=4)
     _oracle_pvalues(oracle / "permtest_pvalues.csv", result.p_values)
     _assert_same_bytes(oracle, out, ["permtest_pvalues.csv"])
