@@ -180,15 +180,19 @@ class _CrEval:
         hj = self.h[j]
         left = knots[j + 1] - xc
         right = xc - knots[j]
-        a_minus = left / hj
-        a_plus = right / hj
         c_minus = (left ** 3 / hj - hj * left) / 6.0
         c_plus = (right ** 3 / hj - hj * right) / 6.0
         n = x.size
-        X = c_minus[:, None] * self.fplus[j] + c_plus[:, None] * self.fplus[j + 1]
+        # scaled in place: at most two n x k arrays alive at once
+        X = self.fplus[j]
+        X *= c_minus[:, None]
+        upper = self.fplus[j + 1]
+        upper *= c_plus[:, None]
+        X += upper
+        del upper
         rows = np.arange(n)
-        np.add.at(X, (rows, j), a_minus)
-        np.add.at(X, (rows, j + 1), a_plus)
+        np.add.at(X, (rows, j), left / hj)
+        np.add.at(X, (rows, j + 1), right / hj)
         if extrapolate:
             if lo.any():
                 X[lo] = 0.0

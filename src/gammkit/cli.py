@@ -99,11 +99,17 @@ def _convert(kind, text: str, what: str):
 
 
 def _parse_options(text: str) -> dict:
-    pieces = text.split()
-    for piece in pieces:
+    opts = {}
+    for piece in text.split():
         if "=" not in piece:
             raise ParseError(f"expected key=value, got {piece!r}")
-    return dict(piece.split("=", 1) for piece in pieces)
+        key, value = piece.split("=", 1)
+        if not value:
+            raise ParseError(f"option {key!r} has no value")
+        if key in opts:
+            raise ParseError(f"option {key!r} given twice")
+        opts[key] = value
+    return opts
 
 
 def _int_list(text: str):
@@ -506,7 +512,7 @@ def _write_fit_json(path: str, model, args):
         "p": model.p,
         "rho": model.spec.rho,
         "lambdas": [float(v) for v in model.lambdas],
-        "penalty_labels": [e.label for e in model.design.penalties],
+        "penalty_labels": [e.label for e in model.design_raw.penalties],
         "reml": None if math.isnan(model.reml) else float(model.reml),
         "aic": float(aic(model)),
         "sigma2": None if math.isnan(model.sigma2) else float(model.sigma2),

@@ -499,7 +499,8 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         series = table.factor(table.series_key)
         order = table.numeric(table.order_key)
         idx = np.lexsort((order, series.codes))
-        table = table.take(idx)
+        if np.any(idx[1:] < idx[:-1]):
+            table = table.take(idx)
     y = np.asarray(table.numeric(spec.response), dtype=np.float64).copy()
 
     dense_parts, sparse_parts = [np.ones((table.n_rows, 1))], []
@@ -1341,7 +1342,6 @@ class FittedModel:
 
     spec: ModelSpec
     design_raw: AssembledDesign
-    design: AssembledDesign
     beta: np.ndarray
     lambdas: np.ndarray
     sigma2: float
@@ -1358,17 +1358,24 @@ class FittedModel:
     n_eval: int                # REML points scored by the lambda search
     grad_max: float            # its largest |projected gradient| at lambdas
 
+    @cached_property
+    def design(self) -> AssembledDesign:
+        """The whitened design the fit solved on, rebuilt from design_raw
+        on first access: a fit keeps only design_raw."""
+        rho = self.spec.rho
+        return ar1_whiten(self.design_raw, rho) if rho > 0 else self.design_raw
+
     @property
     def n(self) -> int:
-        return self.design.n
+        return self.design_raw.n
 
     @property
     def p(self) -> int:
-        return self.design.p
+        return self.design_raw.p
 
     @property
     def coef_names(self) -> list:
-        return self.design.coef_names
+        return self.design_raw.coef_names
 
     @property
     def table(self) -> DataTable:
@@ -1382,13 +1389,13 @@ class FittedModel:
         plus one per smoothing parameter; penalized basis coefficients are
         not free parameters in this convention.
         """
-        return self.design.n_parametric_cols + len(self.lambdas)
+        return self.design_raw.n_parametric_cols + len(self.lambdas)
 
     def column_range(self, term: str) -> tuple[int, int]:
-        return self.design.column_range(term)
+        return self.design_raw.column_range(term)
 
     def term_labels(self) -> list:
-        return [lbl for lbl in self.design.col_ranges]
+        return [lbl for lbl in self.design_raw.col_ranges]
 
     @property
     def fitted_values(self) -> np.ndarray:
@@ -1409,12 +1416,9 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     fallback (ridged), or when a lambda is pinned at 0.
     """
     design_raw = assemble(spec, table)
-    if spec.rho > 0:
-        if design_raw.series_codes is None:
-            raise SchemaError("rho > 0 requires the table's series/order keys")
-        design = ar1_whiten(design_raw, spec.rho)
-    else:
-        design = design_raw
+    if spec.rho > 0 and design_raw.series_codes is None:
+        raise SchemaError("rho > 0 requires the table's series/order keys")
+    design = ar1_whiten(design_raw, spec.rho) if spec.rho > 0 else design_raw
 
     converged, n_eval, grad_max = True, 0, 0.0
     if len(design.penalties) == 0:
@@ -1454,7 +1458,7 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
     resid_raw = design_raw.y - design_raw.dot(sol.beta)
     vb = sol.vb_unscaled
     vb *= sigma2 if math.isfinite(sigma2) else 0.0   # no second p x p array
-    return FittedModel(spec=spec, design_raw=design_raw, design=design,
+    return FittedModel(spec=spec, design_raw=design_raw,
                        beta=sol.beta, lambdas=lambdas, sigma2=sigma2, vb=vb,
                        edf_per_coef=sol.edf_per_coef, total_edf=total_edf,
                        reml=reml, loglik=loglik, rss_whitened=rss_w,

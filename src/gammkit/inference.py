@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.stats import chi2 as chi2_dist
 from scipy.stats import f as f_dist
 
@@ -166,7 +167,10 @@ def wald_columns(model, a: int, b: int, label: str, kind: str = "smooth",
             or model.sigma2 <= 0:
         return null
     vt = model.vb[a:b, a:b]
-    w, V = np.linalg.eigh(0.5 * (vt + vt.T))
+    sym = vt + vt.T
+    sym *= 0.5
+    # numpy's eigh bit for bit (LAPACK evd), without its copy of the input
+    w, V = eigh(sym, overwrite_a=True, check_finite=False, driver="evd")
     w, V = w[::-1], V[:, ::-1]
     cluster = np.cumsum(np.concatenate(
         [[True], w[1:] < w[:-1] - _TIE_RTOL * np.abs(w[:-1])]))

@@ -5,6 +5,8 @@ interpolation system solved from scratch, and an exact curvature-integral
 quadrature built from second differences (exact inside a cubic piece).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -206,6 +208,41 @@ def test_cr_linear_extrapolation():
     # and continuous at the boundary
     inner = blk.evaluator.evaluate([np.array([1.0 - 1e-9])]) @ beta
     assert abs(f[0] - inner[0]) < 1e-6
+
+
+def _cr_formula(ev, x):
+    """The cr rows of x inside the knot range, summed in one expression:
+    c_minus fplus[j] + c_plus fplus[j + 1], then the linear weights."""
+    knots = ev.knots
+    j = np.clip(np.searchsorted(knots, x, side="right") - 1, 0, knots.size - 2)
+    hj = ev.h[j]
+    left, right = knots[j + 1] - x, x - knots[j]
+    c_minus = (left ** 3 / hj - hj * left) / 6.0
+    c_plus = (right ** 3 / hj - hj * right) / 6.0
+    X = c_minus[:, None] * ev.fplus[j] + c_plus[:, None] * ev.fplus[j + 1]
+    rows = np.arange(x.size)
+    np.add.at(X, (rows, j), left / hj)
+    np.add.at(X, (rows, j + 1), right / hj)
+    return X
+
+
+@pytest.mark.parametrize("x", [
+    np.repeat(np.arange(1.0, 101.0), 400),
+    np.random.default_rng(5).uniform(1.0, 100.0, 40_000),
+], ids=["integer", "uniform"])
+def test_cr_evaluation_of_40k_rows_peaks_below_10_mb(x):
+    """At most two n x k arrays are alive at once (12.0 MB peak when four
+    were), and the rows keep the one-expression formula's bits."""
+    ev = cr_basis(x, knots_quantile(x, 10)).evaluator
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        X = ev.evaluate([x])
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+    assert np.array_equal(X, _cr_formula(ev, x))
 
 
 # ---------------------------------------------------------------------------

@@ -262,6 +262,8 @@ def test_spec_value_errors_name_their_line(tmp_path, capsys):
     # a plain fs term that still loads cond as a factor
     ("smooth: fs(x, cond) k=5 by=cond",
      "by and fs_group are mutually exclusive"),
+    ("smooth: cr(x) k=5 by=", "option 'by' has no value"),
+    ("smooth: cr(x) k=5 k=8", "option 'k' given twice"),
 ])
 def test_term_errors_name_their_line(tmp_path, capsys, line, message):
     data = _basic_data(tmp_path / "d.csv")
@@ -728,6 +730,23 @@ def test_load_csv_of_40k_rows_peaks_below_8_mb(large_n):
     table, peak = _traced_peak(_load_table, [model_spec], keys, str(path))
     assert table.n_rows == 40_000
     assert peak < 8e6
+
+
+def test_fit_of_40k_rows_keeps_below_9_mb(large_n):
+    """The model keeps design_raw but no whitened copy of it, and the table
+    as loaded, already in series order (12.7 MB kept with both copies)."""
+    _, path, spec = large_n
+    model_spec, keys = parse_spec_file(spec)
+    table = _load_table([model_spec], keys, str(path))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        model = fit(model_spec, table)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert model.table is table
+    assert kept < 9e6
 
 
 def test_residuals_writer_of_40k_rows_peaks_below_6_mb(large_n, tmp_path):

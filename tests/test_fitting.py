@@ -138,6 +138,12 @@ def test_assemble_sorts_rows_by_series_then_order():
     np.testing.assert_array_equal(des.y, des.table.numeric("y"))
 
 
+def test_assemble_keeps_a_table_already_in_series_order():
+    tab = _scenario(3, 8, 0)
+    des = assemble(ModelSpec(response="y"), tab)
+    assert des.table is tab
+
+
 def test_assemble_counts_random_effect_as_fully_penalized():
     g = FactorColumn.from_strings(list("aabbccdd"))
     tab = DataTable(columns={"y": np.arange(8.0), "g": g}, n_rows=8)
@@ -873,6 +879,22 @@ _FULL_SPEC = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
                                      SmoothTermSpec(("trial",), "cr", k=5,
                                                     fs_group="subject")),
                        rho=0.3)
+
+
+def test_fit_whitens_its_design_again_on_first_access():
+    """The fit keeps design_raw only; design is the bits it was solved on."""
+    model = fit(_FULL_SPEC, _scenario(6, 40, 2))
+    assert "design" not in vars(model)
+    des, want = model.design, ar1_whiten(model.design_raw, 0.3)
+    np.testing.assert_array_equal(des.y, want.y)
+    np.testing.assert_array_equal(des.X_dense, want.X_dense)
+    for part in ("data", "indices", "indptr"):
+        np.testing.assert_array_equal(getattr(des.X_sparse, part),
+                                      getattr(want.X_sparse, part))
+    np.testing.assert_array_equal(model.residuals_whitened,
+                                  des.y - des.dot(model.beta))
+    flat = fit(replace(_FULL_SPEC, rho=0.0), _scenario(6, 40, 2))
+    assert flat.design is flat.design_raw
 
 
 def _full_design(n_subjects, n_trials, seed):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, f as f_dist
 
+from gammkit import inference
 from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
 from gammkit.diagnostics import pilot_spec
@@ -356,6 +357,24 @@ def test_wald_p_does_not_depend_on_level_labels_or_row_order(model):
     p = wald_term_test(fit(spec, table), label).p
     other = wald_term_test(fit(spec, _relabel_and_shuffle(table)), label).p
     assert abs(p - other) <= 1e-6
+
+
+@pytest.mark.parametrize("model", ["fs", "re", "by"])
+def test_wald_matches_numpy_eigh(model, monkeypatch):
+    """F and p from scipy's in-place evr agree with numpy's eigh."""
+    smooth = {"fs": SmoothTermSpec(("trial",), "cr", k=5, fs_group="subject"),
+              "re": SmoothTermSpec(("subject",), is_random_effect=True),
+              "by": SmoothTermSpec("trial", "cr", k=5, by="subject")}[model]
+    fitted = fit(ModelSpec(response="y", parametric_terms=(
+        ParametricTerm("cond"),), smooth_terms=(smooth,), rho=0.3),
+        _scenario(6, 80, 6))
+    row = wald_term_test(fitted, smooth.label)
+    monkeypatch.setattr(inference, "eigh",
+                        lambda a, **_: np.linalg.eigh(a))
+    want = wald_term_test(fitted, smooth.label)
+    assert row.statistic > 0.0
+    assert row.statistic == pytest.approx(want.statistic, rel=1e-10)
+    assert row.p == pytest.approx(want.p, rel=1e-10)
 
 
 def test_te_wald_p_does_not_depend_on_row_order():
