@@ -1,10 +1,13 @@
 """Basis and penalty construction for every smooth-term type.
 
-Each constructor returns a BasisBlock holding the evaluated design columns
-for one model term, the penalty matrices that measure its wiggliness, and an
-evaluator object that reproduces the columns at new covariate values. The
-stored X is always produced *through* the evaluator, so re-evaluating at the
-training covariates is bit-identical to the stored matrix.
+This module owns a smooth term's columns. Each constructor, and term_block
+for a term of a model spec, returns a BasisBlock holding the evaluated
+design columns for one model term, the penalty matrices that measure its
+wiggliness, and an evaluator that builds the columns at new covariate
+values and flags the rows it extends past the training range
+(out_of_range). The stored X is always produced *through* the evaluator, so
+re-evaluating at the training covariates is bit-identical to the stored
+matrix. fitting only stacks the blocks.
 
 Per-level terms (random effects, factor smooths, by-factor smooths) give
 each factor level its own columns, zero off that level's rows. Their X is a
@@ -20,19 +23,20 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh, qr, solve
+from scipy.linalg import eigh, qr, solve, solve_triangular
 from scipy.spatial.distance import cdist
 
-from .data import FactorColumn
+from .data import DataTable, FactorColumn
 from .errors import DomainError, NumericError, RankError, ShapeError
-from .terms import SmoothTermSpec  # noqa: F401  (re-exported)
+from .terms import SmoothTermSpec
 
 _PSD_RTOL = 1e-8
+DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
 
 
 def _symmetrize(S: np.ndarray) -> np.ndarray:
@@ -141,7 +145,15 @@ class BasisBlock:
 # evaluators
 
 
-class _PolyEval:
+class _Unbounded:
+    """An evaluator whose columns need no extension past the training
+    range, so it flags no row."""
+
+    def out_of_range(self, cols):
+        return np.zeros(len(cols[0]), dtype=bool)
+
+
+class _PolyEval(_Unbounded):
     def __init__(self, center, halfwidth, coef_map, degree):
         self.center = center
         self.halfwidth = halfwidth
@@ -167,12 +179,9 @@ class _CrEval:
         x = np.asarray(cols[0], dtype=np.float64)
         knots = self.knots
         k = knots.size
-        span = knots[-1] - knots[0]
-        tol = 1e-9 * span
-        lo = x < knots[0] - tol
-        hi = x > knots[-1] + tol
-        if (lo.any() or hi.any()) and not extrapolate:
-            bad = int(np.argmax(lo | hi))
+        out = self.out_of_range(cols)
+        if out.any() and not extrapolate:
+            bad = int(np.argmax(out))
             raise DomainError(
                 f"x[{bad}]={x[bad]:g} outside knot range [{knots[0]:g}, {knots[-1]:g}]")
         xc = np.clip(x, knots[0], knots[-1])
@@ -194,6 +203,8 @@ class _CrEval:
         np.add.at(X, (rows, j), left / hj)
         np.add.at(X, (rows, j + 1), right / hj)
         if extrapolate:
+            lo = out & (x < knots[0])
+            hi = out & ~lo
             if lo.any():
                 X[lo] = 0.0
                 X[lo, 0] = 1.0
@@ -204,14 +215,13 @@ class _CrEval:
                 X[hi] += (x[hi] - knots[-1])[:, None] * self.d_right
         return X
 
-    def out_of_range(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        span = self.knots[-1] - self.knots[0]
-        tol = 1e-9 * span
+    def out_of_range(self, cols):
+        x = np.asarray(cols[0], dtype=np.float64)
+        tol = 1e-9 * (self.knots[-1] - self.knots[0])
         return (x < self.knots[0] - tol) | (x > self.knots[-1] + tol)
 
 
-class _TpEval:
+class _TpEval(_Unbounded):
     def __init__(self, points, d, m, loadings, powers):
         self.points = points              # u x d unique (or subsampled) sites
         self.d = d
@@ -238,6 +248,10 @@ class _TensorEval:
         Xb = self.ev_b.evaluate(cols[self.n_cov_a:], extrapolate=extrapolate)
         return row_kron(Xa, Xb)
 
+    def out_of_range(self, cols):
+        return (self.ev_a.out_of_range(cols[:self.n_cov_a])
+                | self.ev_b.out_of_range(cols[self.n_cov_a:]))
+
 
 class _PerLevelEval:
     """Shared machinery for by-factor and factor-smooth expansion."""
@@ -252,8 +266,11 @@ class _PerLevelEval:
         Xb = self.base_ev.evaluate(base_cols, extrapolate=extrapolate)
         return per_level_rows(codes, Xb, len(self.levels))
 
+    def out_of_range(self, cols):
+        return self.base_ev.out_of_range(cols[:-1])
 
-class _RandomEffectEval:
+
+class _RandomEffectEval(_Unbounded):
     def __init__(self, levels, with_covariate):
         self.levels = tuple(levels)
         self.with_covariate = with_covariate
@@ -273,22 +290,20 @@ class _ConstrainedEval:
     def evaluate(self, cols, extrapolate=False):
         return self.base_ev.evaluate(cols, extrapolate=extrapolate) @ self.Z
 
+    def out_of_range(self, cols):
+        return self.base_ev.out_of_range(cols)
 
-def recode_factor(factor, levels: tuple[str, ...]) -> np.ndarray:
-    """Map a FactorColumn (or raw code array) into training level codes."""
-    if isinstance(factor, FactorColumn):
-        if factor.levels == levels:
-            return factor.codes
-        index = {name: i for i, name in enumerate(levels)}
-        try:
-            remap = np.array([index[name] for name in factor.levels], dtype=np.int64)
-        except KeyError as exc:
-            raise DomainError(f"unseen factor level {exc.args[0]!r}") from None
-        return remap[factor.codes]
-    codes = np.asarray(factor, dtype=np.int64)
-    if codes.size and (codes.min() < 0 or codes.max() >= len(levels)):
-        raise DomainError("factor codes out of range")
-    return codes
+
+def recode_factor(factor: FactorColumn, levels: tuple[str, ...]) -> np.ndarray:
+    """Map a FactorColumn's codes into training level codes."""
+    if factor.levels == levels:
+        return factor.codes
+    index = {name: i for i, name in enumerate(levels)}
+    try:
+        remap = np.array([index[name] for name in factor.levels], dtype=np.int64)
+    except KeyError as exc:
+        raise DomainError(f"unseen factor level {exc.args[0]!r}") from None
+    return remap[factor.codes]
 
 
 def per_level_rows(codes: np.ndarray, base: np.ndarray,
@@ -646,3 +661,125 @@ def absorb_constraints(block: BasisBlock) -> BasisBlock:
                       evaluator=ev, kind=block.kind,
                       n_cov=block.n_cov,
                       constraint={"type": "sum_to_zero"}, sub_terms=None)
+
+
+def _natural_reparam(block: BasisBlock) -> BasisBlock:
+    """Rotate a single-penalty smooth into its natural parameterization.
+
+    Chooses T with (X T)'(X T) = I and T'S T diagonal (the Demmler-Reinsch
+    basis), so each coefficient's edf is literally a shrinkage factor
+    d_i/(d_i + lambda) in [0, 1]: in raw basis coordinates the diagonal of
+    the edf matrix is not so bounded. Eigenvalues below 1e-12 of the largest
+    clamp to exact zero, keeping the penalty null space unpenalized even at
+    extreme lambdas. Skipped (unchanged block) if X'X is not numerically
+    positive definite.
+    """
+    S, label, _ = block.penalties[0]
+    if rank_psd(S) == 0:
+        return block
+    A = block.X.T @ block.X
+    if sparse.issparse(A):                 # a one-level by-factor smooth
+        A = A.toarray()
+    try:
+        R = np.linalg.cholesky(A)
+    except np.linalg.LinAlgError:
+        return block
+    r_inv = solve_triangular(R, np.eye(A.shape[0]), lower=True)
+    try:
+        w, U = np.linalg.eigh(r_inv @ S @ r_inv.T)
+    except np.linalg.LinAlgError:
+        raise NumericError("natural reparameterization eigendecomposition "
+                           "did not converge") from None
+    w = np.where(w < 1e-12 * max(w[-1], 0.0), 0.0, w)
+    T = r_inv.T @ U
+    # Nesting (rather than folding T into the constraint map) keeps the
+    # stored design bit-identical to what the evaluator returns at the
+    # training covariates: both compute (evaluated X) @ T, dense result.
+    return replace(block, X=block.X @ T, penalties=[Penalty(np.diag(w), label)],
+                   evaluator=_ConstrainedEval(block.evaluator, T))
+
+
+# ---------------------------------------------------------------------------
+# model-spec terms
+
+
+def _term_k(term: SmoothTermSpec, margins: int = 1):
+    if term.k is None:
+        kind = "fs" if term.fs_group is not None else term.basis_kind
+        return (DEFAULT_K.get(kind, 10),) * margins
+    if isinstance(term.k, int):
+        return (term.k,) * margins
+    ks = tuple(term.k)
+    if len(ks) == 1:
+        return ks * margins
+    if len(ks) != margins:
+        raise DomainError(f"term {term.label!r}: got {len(ks)} k values "
+                          f"for {margins} margins")
+    return ks
+
+
+def _univariate_base(kind: str, x: np.ndarray, k: int, m: int) -> BasisBlock:
+    if kind == "poly":
+        return poly_basis(x, degree=k)
+    if kind == "cr":
+        return cr_basis(x, knots_quantile(x, k))
+    if kind == "tp":
+        return tp_basis(x, k=k, m=m)
+    raise DomainError(f"unknown univariate basis kind {kind!r}")
+
+
+def _spec_block(term: SmoothTermSpec, table: DataTable) -> tuple[BasisBlock, tuple]:
+    covs = term.covariates
+    if term.is_random_effect:
+        cov = table.numeric(covs[1]) if len(covs) > 1 else None
+        return random_effect(table.factor(covs[0]), cov), covs
+
+    if term.fs_group is not None:
+        x = table.numeric(covs[0])
+        (k,) = _term_k(term)
+        kind = term.basis_kind if term.basis_kind in ("cr", "tp") else "cr"
+        base = _univariate_base(kind, x, k, term.m)
+        return factor_smooth(base, table.factor(term.fs_group)), covs + (term.fs_group,)
+
+    if term.basis_kind in ("tensor", "ti"):
+        if len(covs) != 2:
+            raise DomainError("tensor-product smooths take exactly 2 covariates")
+        margins = [_univariate_base("cr", table.numeric(c), k, term.m)
+                   for c, k in zip(covs, _term_k(term, margins=2))]
+        block = tensor_product(margins[0], margins[1],
+                               interaction_only=(term.basis_kind == "ti"))
+    elif term.basis_kind == "tp" and len(covs) == 2:
+        xcov = np.column_stack([table.numeric(c) for c in covs])
+        (k,) = _term_k(term)
+        block = tp_basis(xcov, k=k, m=term.m)
+    elif len(covs) == 1:
+        (k,) = _term_k(term)
+        block = _univariate_base(term.basis_kind, table.numeric(covs[0]), k, term.m)
+    else:
+        raise DomainError(f"term {term.label!r}: unsupported covariate count")
+    if term.basis_kind not in ("poly", "ti"):
+        block = absorb_constraints(block)
+    if term.by is not None:
+        block = apply_by_factor(block, table.factor(term.by))
+        block.sub_terms = [(f"{term.label.split(':')[0]}:{lev}", a, b)
+                           for lev, a, b in block.sub_terms]
+        covs = covs + (term.by,)
+    if len(block.penalties) == 1:
+        block = _natural_reparam(block)
+    return block, covs
+
+
+def term_block(term: SmoothTermSpec, table: DataTable) -> tuple[BasisBlock, tuple]:
+    """The finished block of one smooth term of a model spec on table, and
+    the names of the columns its evaluator reads, in order.
+
+    Every smooth but poly and ti carries the sum-to-zero constraint (ti
+    carries it on each margin), and a one-penalty smooth is rotated into
+    its natural parameterization. A NumericError or LinAlgError while
+    building the block is raised as a NumericError naming the term.
+    """
+    try:
+        with _stage("basis construction"):
+            return _spec_block(term, table)
+    except NumericError as exc:
+        raise NumericError(f"term {term.label!r}: {exc}") from None

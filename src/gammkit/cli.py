@@ -120,7 +120,7 @@ def _int_list(text: str):
 def _parametric_terms(value: str) -> list:
     """The terms of a 'parametric:' line: a*b is a, b and a:b."""
     words = value.split()
-    codings = [w.split("=", 1)[1] for w in words if w.startswith("coding=")]
+    opts = _parse_options(" ".join(w for w in words if w.startswith("coding=")))
     expr = "".join(w for w in words if not w.startswith("coding="))
     if not expr:
         raise ParseError("empty parametric term")
@@ -131,7 +131,7 @@ def _parametric_terms(value: str) -> list:
             names += [(a,), (b,), (a, b)]
         else:
             names.append(tuple(term.split(":")))
-    return [ParametricTerm(names=n, coding=(codings or ["sum"])[-1])
+    return [ParametricTerm(names=n, coding=opts.get("coding", "sum"))
             for n in names]
 
 

@@ -1,6 +1,9 @@
 """Design assembly, AR(1) whitening, penalized least squares, REML.
 
-The fitting pipeline is assemble -> whiten -> select lambdas -> solve. The
+The fitting pipeline is assemble -> whiten -> select lambdas -> solve.
+gammkit.basis builds and evaluates each smooth term's columns; assemble only
+stacks them, and prediction checks that each covariate column has the kind
+(factor or numeric) it had in the fit before an evaluator reads it. The
 design keeps the columns of dense blocks (intercept, parametric terms,
 ordinary smooths) as one dense array and the per-level columns of random
 effects, factor smooths and by-factor smooths as one sparse matrix, which
@@ -45,10 +48,9 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import block_diag, lapack, solve_triangular
+from scipy.linalg import block_diag, lapack
 
 from . import basis as basis_mod
-from .basis import BasisBlock, rank_psd
 from .data import DataTable, FactorColumn
 from .errors import (DomainError, GammkitError, NumericError, RankError,
                      SchemaError, ShapeError)
@@ -65,8 +67,6 @@ _SCORE_RTOL = 1e-12            # relative rounding of a REML score
 _EIG_FLOOR = 1e-7
 _NEWTON_MAX_ITER = 100
 _TAIL_RTOL = 0.1              # a Newton step this close to 1 is a tail
-
-DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
 
 
 @dataclass
@@ -290,126 +290,6 @@ def _build_parametric(term: ParametricTerm, table: DataTable) -> _ParametricBuil
     return _ParametricBuilt(term.label, term.names, term.coding, tuple(roles))
 
 
-def _term_k(term: SmoothTermSpec, margins: int = 1):
-    if term.k is None:
-        if term.fs_group is not None:
-            base = DEFAULT_K["fs"]
-        else:
-            base = DEFAULT_K.get(term.basis_kind, 10)
-        return (base,) * margins
-    if isinstance(term.k, int):
-        return (term.k,) * margins
-    ks = tuple(term.k)
-    if len(ks) == 1:
-        return ks * margins
-    if len(ks) != margins:
-        raise DomainError(f"term {term.label!r}: got {len(ks)} k values "
-                          f"for {margins} margins")
-    return ks
-
-
-def _univariate_base(kind: str, x: np.ndarray, k: int, m: int) -> BasisBlock:
-    if kind == "poly":
-        return basis_mod.poly_basis(x, degree=k)
-    if kind == "cr":
-        return basis_mod.cr_basis(x, basis_mod.knots_quantile(x, k))
-    if kind == "tp":
-        return basis_mod.tp_basis(x, k=k, m=m)
-    raise DomainError(f"unknown univariate basis kind {kind!r}")
-
-
-def _build_smooth(term: SmoothTermSpec, table: DataTable) -> tuple[BasisBlock, tuple]:
-    """Returns the finished block and the evaluator's input column names."""
-    if term.is_random_effect:
-        fac = table.factor(term.covariates[0])
-        cov = table.numeric(term.covariates[1]) if len(term.covariates) > 1 else None
-        block = basis_mod.random_effect(fac, cov)
-        return block, term.covariates
-
-    if term.fs_group is not None:
-        x = table.numeric(term.covariates[0])
-        (k,) = _term_k(term)
-        kind = term.basis_kind if term.basis_kind in ("cr", "tp") else "cr"
-        base = _univariate_base(kind, x, k, term.m)
-        fac = table.factor(term.fs_group)
-        block = basis_mod.factor_smooth(base, fac)
-        return block, term.covariates + (term.fs_group,)
-
-    if term.basis_kind in ("tensor", "ti"):
-        if len(term.covariates) != 2:
-            raise DomainError("tensor-product smooths take exactly 2 covariates")
-        ks = _term_k(term, margins=2)
-        margins = [basis_mod.cr_basis(table.numeric(c), basis_mod.knots_quantile(
-            table.numeric(c), k)) for c, k in zip(term.covariates, ks)]
-        block = basis_mod.tensor_product(margins[0], margins[1],
-                                         interaction_only=(term.basis_kind == "ti"))
-        if term.basis_kind == "tensor":
-            block = basis_mod.absorb_constraints(block)
-        cov_names = term.covariates
-    else:
-        if term.basis_kind == "tp" and len(term.covariates) == 2:
-            xcov = np.column_stack([table.numeric(c) for c in term.covariates])
-            (k,) = _term_k(term)
-            block = basis_mod.tp_basis(xcov, k=k, m=term.m)
-        elif len(term.covariates) == 1:
-            (k,) = _term_k(term)
-            block = _univariate_base(term.basis_kind, table.numeric(term.covariates[0]),
-                                     k, term.m)
-        else:
-            raise DomainError(f"term {term.label!r}: unsupported covariate count")
-        if term.basis_kind != "poly":
-            block = basis_mod.absorb_constraints(block)
-        cov_names = term.covariates
-
-    if term.by is not None:
-        fac = table.factor(term.by)
-        block = basis_mod.apply_by_factor(block, fac)
-        cov_names = cov_names + (term.by,)
-    return block, cov_names
-
-
-def _natural_reparam(block: BasisBlock, term: str) -> BasisBlock:
-    """Rotate a single-penalty smooth into its natural parameterization.
-
-    Chooses T with (X T)'(X T) = I and T'S T diagonal (the Demmler-Reinsch
-    basis), so each coefficient's edf is literally a shrinkage factor
-    d_i/(d_i + lambda) in [0, 1]: in raw basis coordinates the diagonal of
-    the edf matrix is not so bounded. Eigenvalues below 1e-12 of the largest
-    clamp to exact zero, keeping the penalty null space unpenalized even at
-    extreme lambdas. Skipped (unchanged block) if X'X is not numerically
-    positive definite.
-    """
-    S, label, _ = block.penalties[0]
-    if rank_psd(S) == 0:
-        return block
-    A = block.X.T @ block.X
-    if sparse.issparse(A):                 # a one-level by-factor smooth
-        A = A.toarray()
-    try:
-        R = np.linalg.cholesky(A)
-    except np.linalg.LinAlgError:
-        return block
-    r_inv = solve_triangular(R, np.eye(A.shape[0]), lower=True)
-    try:
-        w, U = np.linalg.eigh(r_inv @ S @ r_inv.T)
-    except np.linalg.LinAlgError:
-        raise NumericError(f"term {term!r}: natural reparameterization "
-                           "eigendecomposition did not converge") from None
-    w = np.where(w < 1e-12 * max(w[-1], 0.0), 0.0, w)
-    T = r_inv.T @ U
-    # Nesting (rather than folding T into the constraint map) keeps the
-    # stored design bit-identical to what the evaluator returns at the
-    # training covariates: both compute (evaluated X) @ T, dense result.
-    ev = basis_mod._ConstrainedEval(block.evaluator, T)
-    Xn = block.X @ T
-    return BasisBlock(term_label=block.term_label, X=Xn,
-                      penalties=[basis_mod.Penalty(np.diag(w), label)],
-                      evaluator=ev,
-                      kind=block.kind, n_cov=block.n_cov,
-                      constraint=block.constraint,
-                      sub_terms=block.sub_terms)
-
-
 def _term_penalties(term: str, offset: int, penalties: list):
     """Entries and closed-form log pseudo-determinant of one term's penalties.
 
@@ -489,9 +369,9 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     so AR(1) whitening and residual diagnostics see contiguous series runs.
     Dense blocks stack into X_dense, whose columns dense_cols records; the
     sparse per-level blocks stack into X_sparse. Both must be all finite;
-    the blocks' own matrices are not kept (StackedTerm). A
-    NumericError or LinAlgError while building a term's basis is raised as
-    a NumericError naming the term.
+    the blocks' own matrices are not kept (StackedTerm). Each smooth
+    term's block comes from one basis.term_block call, whose errors name
+    the term.
     """
     if spec.response not in table.columns:
         raise SchemaError(f"response column {spec.response!r} not in table")
@@ -526,24 +406,11 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     weight_blocks = []
     for term in spec.smooth_terms:
         label = term.label
-        try:
-            block, cov_names = _build_smooth(term, table)
-        except NumericError as exc:
-            raise NumericError(f"term {label!r}: {exc}") from None
-        except np.linalg.LinAlgError as exc:
-            raise NumericError(f"term {label!r}: basis construction failed: "
-                               f"{exc}") from None
-        if block.kind == "smooth" and len(block.penalties) == 1:
-            block = _natural_reparam(block, label)
+        block, cov_names = basis_mod.term_block(term, table)
         if label in col_ranges:
             raise SchemaError(f"term label collision: {label!r}")
-        sub_terms = block.sub_terms
-        if sub_terms is not None:
-            sub_terms = [(f"{label.split(':')[0]}:{lev}", a, b)
-                         for lev, a, b in sub_terms]
-        blocks[label] = StackedTerm(block.evaluator, block.penalties,
-                                    block.kind, block.n_cov, sub_terms,
-                                    block.p_term)
+        blocks[label] = StackedTerm(block.evaluator, block.penalties, block.kind,
+                                    block.n_cov, block.sub_terms, block.p_term)
         term_covariates[label] = cov_names
         if sparse.issparse(block.X):
             sparse_parts.append(block.X)
@@ -1472,28 +1339,21 @@ def fit(spec: ModelSpec, table: DataTable, lambdas=None) -> FittedModel:
 
 
 def _evaluator_columns(design: AssembledDesign, term: str, table: DataTable):
+    """The columns of table that term's evaluator reads, each of the kind
+    (factor or numeric) it had in the fit's table, else a SchemaError
+    naming the term, the column and both kinds."""
     cols = []
     for name in design.term_covariates[term]:
         col = table.columns.get(name)
         if col is None:
             raise SchemaError(f"prediction table lacks column {name!r}")
+        kind, fitted = (("factor" if isinstance(c, FactorColumn) else "numeric")
+                        for c in (col, design.table.columns[name]))
+        if kind != fitted:
+            raise SchemaError(f"term {term!r}: column {name!r} is {kind} in "
+                              f"the prediction table but {fitted} in the fit")
         cols.append(col)
     return cols
-
-
-def _extrapolation_mask(evaluator, cols, n: int) -> np.ndarray:
-    """Rows outside a cr basis's knot range, where it extends linearly."""
-    if isinstance(evaluator, basis_mod._CrEval):
-        return evaluator.out_of_range(np.asarray(cols[0], dtype=np.float64))
-    if isinstance(evaluator, basis_mod._ConstrainedEval):
-        return _extrapolation_mask(evaluator.base_ev, cols, n)
-    if isinstance(evaluator, basis_mod._PerLevelEval):
-        return _extrapolation_mask(evaluator.base_ev, cols[:-1], n)
-    if isinstance(evaluator, basis_mod._TensorEval):
-        i = evaluator.n_cov_a
-        return (_extrapolation_mask(evaluator.ev_a, cols[:i], n)
-                | _extrapolation_mask(evaluator.ev_b, cols[i:], n))
-    return np.zeros(n, dtype=bool)
 
 
 def _rows(design: AssembledDesign, table: DataTable, labels):
@@ -1519,7 +1379,7 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
         else:
             evaluator = design.blocks[label].evaluator
             covariates = _evaluator_columns(design, label, table)
-            flagged += int(_extrapolation_mask(evaluator, covariates, n).sum())
+            flagged += int(evaluator.out_of_range(covariates).sum())
             X = evaluator.evaluate(covariates, extrapolate=True)
         if not sparse.issparse(X):
             cols.append(np.arange(a, b))

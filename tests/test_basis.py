@@ -5,12 +5,14 @@ interpolation system solved from scratch, and an exact curvature-integral
 quadrature built from second differences (exact inside a cubic piece).
 """
 
+import ast
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from gammkit import basis, fitting
 from gammkit.basis import (Penalty, absorb_constraints, apply_by_factor,
                            cr_basis, factor_smooth, knots_quantile,
                            poly_basis, random_effect, rank_psd, row_kron,
@@ -297,6 +299,21 @@ def test_tp_dimension_errors():
         tp_basis(np.column_stack([x, x]), k=5, m=1)     # 2m <= d
 
 
+def test_tp_subsamples_many_sites_deterministically(monkeypatch):
+    """Past the site cap the kernel sits on a fixed random subset of the
+    distinct sites, the same on every build, and the evaluator still
+    reproduces the stored columns bit for bit."""
+    monkeypatch.setattr(basis, "_TP_MAX_SITES", 60)
+    x = np.random.default_rng(4).uniform(0.0, 1.0, 200)
+    first, again = tp_basis(x, k=8), tp_basis(x, k=8)
+    points = first.evaluator.points
+    assert points.shape == (60, 1)
+    assert np.all(np.isin(points[:, 0], x)) and np.all(np.diff(points[:, 0]) > 0)
+    assert np.array_equal(again.evaluator.points, points)
+    assert np.array_equal(again.X, first.X)
+    assert np.array_equal(first.evaluator.evaluate([x]), first.X)
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 
@@ -511,3 +528,53 @@ def test_evaluators_reproduce_training_matrix():
         if sparse.issparse(stored):
             again, stored = again.toarray(), stored.toarray()
         assert np.array_equal(again, stored), blk.term_label
+        out = blk.evaluator.out_of_range(cols)
+        assert out.shape == (n,) and not out.any(), blk.term_label
+
+
+def test_out_of_range_flags_the_rows_a_spline_extends():
+    """cr flags rows past its knots; a composite flags what its cr parts
+    flag on their own columns; poly, tp and random effects extend to any
+    value and flag none."""
+    x = np.linspace(0.0, 1.0, 30)
+    f = FactorColumn.from_strings([f"g{i % 2}" for i in range(30)])
+    cr = cr_basis(x, knots_quantile(x, 6))
+    xs, zs = np.array([-0.5, 0.5, 1.5, 0.5]), np.array([0.5, 0.5, 0.5, 2.0])
+    fs = FactorColumn.from_strings(["g0", "g1", "g0", "g1"])
+    cases = [
+        (cr, [xs], [True, False, True, False]),
+        (absorb_constraints(cr), [xs], [True, False, True, False]),
+        (tensor_product(cr, cr_basis(x, knots_quantile(x, 4))), [xs, zs],
+         [True, False, True, True]),
+        (factor_smooth(cr, f), [xs, fs], [True, False, True, False]),
+        (apply_by_factor(cr, f), [xs, fs], [True, False, True, False]),
+        (poly_basis(x, 2), [xs], [False] * 4),
+        (tp_basis(x, 6), [xs], [False] * 4),
+        (random_effect(f, covariate=x), [fs, zs], [False] * 4),
+    ]
+    for blk, cols, want in cases:
+        assert blk.evaluator.out_of_range(cols).tolist() == want, blk.term_label
+
+
+# ---------------------------------------------------------------------------
+# module boundary
+
+
+def test_fitting_reads_no_private_basis_name():
+    """fitting reaches the basis module through public names only, so a
+    term's columns are built, evaluated and range-checked in one place."""
+    with open(fitting.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    aliases, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and \
+                node.module in ("basis", "gammkit.basis"):
+            private += [a.name for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            aliases |= {a.asname or a.name for a in node.names
+                        if a.name in ("basis", "gammkit.basis")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in aliases and node.attr.startswith("_"):
+            private.append(f"{node.value.id}.{node.attr}")
+    assert private == []

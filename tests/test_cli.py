@@ -220,6 +220,34 @@ def test_fit_repeated_header_column_is_an_error(tmp_path, capsys):
     assert "'y' repeated in header" in err
 
 
+def test_product_term_expands_to_mains_and_interaction(tmp_path):
+    """a*b is a, b and a:b, every one with the line's coding."""
+    rng = np.random.default_rng(3)
+    path = tmp_path / "d.csv"
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["y", "size", "orientation"])
+        for i in range(80):
+            size, orient = ("large", "small")[i % 2], "hv"[(i // 2) % 2]
+            y = 0.5 * (size == "small") - 0.3 * (orient == "v") \
+                + 0.4 * (size == "small") * (orient == "v") \
+                + 0.2 * rng.standard_normal()
+            w.writerow([repr(float(y)), size, orient])
+    spec = _write(tmp_path / "m.spec", "response: y\n"
+                  "parametric: size*orientation coding=treatment\n")
+    model_spec, _ = parse_spec_file(spec)
+    assert model_spec.parametric_terms == (
+        ParametricTerm("size", "treatment"),
+        ParametricTerm("orientation", "treatment"),
+        ParametricTerm(("size", "orientation"), "treatment"))
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(path), "--spec", spec,
+                 "--out", str(out)]) == 0
+    names = [row[0] for row in _read_csv(out / "coefficients.csv")[1:]]
+    assert names == ["(Intercept)", "size[small]", "orientation[v]",
+                     "size[small]:orientation[v]"]
+
+
 def test_parametric_roles_come_from_the_one_read(tmp_path, monkeypatch):
     # "lo" sits in a row dropped for its missing response; c is still a
     # factor, as a scan of every row decides
@@ -264,6 +292,9 @@ def test_spec_value_errors_name_their_line(tmp_path, capsys):
      "by and fs_group are mutually exclusive"),
     ("smooth: cr(x) k=5 by=", "option 'by' has no value"),
     ("smooth: cr(x) k=5 k=8", "option 'k' given twice"),
+    # not the last coding silently winning
+    ("parametric: cond coding=sum coding=treatment",
+     "option 'coding' given twice"),
 ])
 def test_term_errors_name_their_line(tmp_path, capsys, line, message):
     data = _basic_data(tmp_path / "d.csv")

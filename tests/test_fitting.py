@@ -1,6 +1,7 @@
 """Design assembly, AR(1) whitening, the penalized solver, and REML."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -68,6 +69,15 @@ def test_assemble_cr_smooth_layout():
     # unpenalized directions: intercept plus the smooth's linear null
     assert des.m_null_total == 2
     assert des.coef_names[1] == "cr(x)[0]"
+
+
+@pytest.mark.parametrize("kind", ["cr", "tp"])
+def test_assemble_factor_smooth_without_k_has_five_columns_per_level(kind):
+    """fs terms default to k = 5 whatever their basis's own default."""
+    des = assemble(ModelSpec(response="y", smooth_terms=(
+        SmoothTermSpec("x", kind, fs_group="g"),)), _fs_offsets_table())
+    a, b = des.column_range("fs(x,g)")
+    assert b - a == 5 * 4
 
 
 def test_assemble_sum_coding_two_level():
@@ -1836,6 +1846,32 @@ def test_predict_unseen_level_raises():
         predict(model, newdata)
 
 
+@pytest.mark.parametrize("term, column, values", [
+    # a numeric group was read as level codes, 1.7 truncated to level 1
+    ("fs(x,g)", "g", np.array([1.0, 3.0])),
+    ("fs(x,g)", "g", np.array([1.7, 0.0])),
+    # a factor where the spline reads numbers was a bare TypeError
+    ("fs(x,g)", "x", FactorColumn.from_strings(["0.2", "0.6"])),
+    ("re(g)", "g", np.array([1.0, 3.0])),
+    ("re(g)", "g", np.array([1.7, 0.0])),
+], ids=["fs-integer-group", "fs-fractional-group", "fs-factor-x",
+        "re-integer-group", "re-fractional-group"])
+def test_prediction_covariates_keep_the_kind_they_had_in_the_fit(
+        term, column, values):
+    tab = _fs_offsets_table()
+    smooth = (SmoothTermSpec("x", "cr", k=5, fs_group="g") if term[:2] == "fs"
+              else SmoothTermSpec("g", is_random_effect=True))
+    model = fit(ModelSpec(response="y", smooth_terms=(smooth,)), tab)
+    columns = {"x": np.array([0.2, 0.6]),
+               "g": FactorColumn.from_strings(["s0", "s3"]), column: values}
+    newdata = DataTable(columns=columns, n_rows=2)
+    message = re.escape(f"term {term!r}: column {column!r} is ")
+    with pytest.raises(SchemaError, match=message):
+        predict(model, newdata)
+    with pytest.raises(SchemaError, match=message):
+        partial_effect(model, term, newdata)
+
+
 def test_predict_unknown_exclude_raises():
     model, tab = _grouped_fit()
     with pytest.raises(SchemaError):
@@ -1853,6 +1889,23 @@ def test_predict_extrapolates_linearly_with_warning():
     assert np.all(np.isfinite(mean)) and np.all(np.isfinite(se))
     # beyond the training range the spline continues as a straight line
     np.testing.assert_allclose(np.diff(mean, 2), 0.0, atol=1e-8)
+
+
+def test_predict_below_the_first_knot_extends_along_its_slope():
+    """Below the first knot a cr term continues as the tangent line there,
+    and the warning counts the rows below it."""
+    tab = _table(100, seed=18)
+    model = fit(ModelSpec(response="y",
+                          smooth_terms=(SmoothTermSpec("x", "cr", k=10),)), tab)
+    x0 = float(tab.numeric("x").min())        # the first quantile knot
+    below = x0 - np.array([0.5, 0.3, 0.1])
+    h = 1e-6
+    x = np.concatenate([below, [x0, x0 + h, 0.5]])
+    with pytest.warns(UserWarning, match="^3 rows lie outside"):
+        mean, _ = predict(model, DataTable(columns={"x": x}, n_rows=x.size))
+    slope = (mean[4] - mean[3]) / h
+    np.testing.assert_allclose(mean[:3], mean[3] + (below - x0) * slope,
+                               rtol=1e-6, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
