@@ -160,7 +160,7 @@ class _PolyEval(_Unbounded):
         self.coef_map = coef_map          # (degree+1) x degree
         self.degree = degree
 
-    def evaluate(self, cols, extrapolate=False):
+    def evaluate(self, cols):
         x = np.asarray(cols[0], dtype=np.float64)
         u = (x - self.center) / self.halfwidth
         V = u[:, None] ** np.arange(self.degree + 1)
@@ -175,15 +175,12 @@ class _CrEval:
         self.d_left = d_left              # weights of f'(first knot)
         self.d_right = d_right            # weights of f'(last knot)
 
-    def evaluate(self, cols, extrapolate=False):
+    def evaluate(self, cols):
+        """The columns at x, extended linearly past the end knots."""
         x = np.asarray(cols[0], dtype=np.float64)
         knots = self.knots
         k = knots.size
         out = self.out_of_range(cols)
-        if out.any() and not extrapolate:
-            bad = int(np.argmax(out))
-            raise DomainError(
-                f"x[{bad}]={x[bad]:g} outside knot range [{knots[0]:g}, {knots[-1]:g}]")
         xc = np.clip(x, knots[0], knots[-1])
         j = np.clip(np.searchsorted(knots, xc, side="right") - 1, 0, k - 2)
         hj = self.h[j]
@@ -202,17 +199,16 @@ class _CrEval:
         rows = np.arange(n)
         np.add.at(X, (rows, j), left / hj)
         np.add.at(X, (rows, j + 1), right / hj)
-        if extrapolate:
-            lo = out & (x < knots[0])
-            hi = out & ~lo
-            if lo.any():
-                X[lo] = 0.0
-                X[lo, 0] = 1.0
-                X[lo] += (x[lo] - knots[0])[:, None] * self.d_left
-            if hi.any():
-                X[hi] = 0.0
-                X[hi, k - 1] = 1.0
-                X[hi] += (x[hi] - knots[-1])[:, None] * self.d_right
+        lo = out & (x < knots[0])
+        hi = out & ~lo
+        if lo.any():
+            X[lo] = 0.0
+            X[lo, 0] = 1.0
+            X[lo] += (x[lo] - knots[0])[:, None] * self.d_left
+        if hi.any():
+            X[hi] = 0.0
+            X[hi, k - 1] = 1.0
+            X[hi] += (x[hi] - knots[-1])[:, None] * self.d_right
         return X
 
     def out_of_range(self, cols):
@@ -221,20 +217,25 @@ class _CrEval:
         return (x < self.knots[0] - tol) | (x > self.knots[-1] + tol)
 
 
-class _TpEval(_Unbounded):
-    def __init__(self, points, d, m, loadings, powers):
+class _TpEval:
+    def __init__(self, points, d, m, loadings, powers, box):
         self.points = points              # u x d unique (or subsampled) sites
         self.d = d
         self.m = m
         self.loadings = loadings          # u x (k - M) coefficient loadings
         self.powers = powers              # M x d monomial exponents
+        self.box = box                    # 2 x d training minima, maxima
 
-    def evaluate(self, cols, extrapolate=False):
+    def evaluate(self, cols):
         Xc = _as_cov_matrix(cols, self.d)
         r = cdist(Xc, self.points)
         E = _tp_eta(r, self.d, self.m)
         T = _tp_poly(Xc, self.powers)
         return np.hstack([T, E @ self.loadings])
+
+    def out_of_range(self, cols):
+        Xc = _as_cov_matrix(cols, self.d)
+        return np.any((Xc < self.box[0]) | (Xc > self.box[1]), axis=1)
 
 
 class _TensorEval:
@@ -243,10 +244,9 @@ class _TensorEval:
         self.ev_b = ev_b
         self.n_cov_a = n_cov_a
 
-    def evaluate(self, cols, extrapolate=False):
-        Xa = self.ev_a.evaluate(cols[:self.n_cov_a], extrapolate=extrapolate)
-        Xb = self.ev_b.evaluate(cols[self.n_cov_a:], extrapolate=extrapolate)
-        return row_kron(Xa, Xb)
+    def evaluate(self, cols):
+        return row_kron(self.ev_a.evaluate(cols[:self.n_cov_a]),
+                        self.ev_b.evaluate(cols[self.n_cov_a:]))
 
     def out_of_range(self, cols):
         return (self.ev_a.out_of_range(cols[:self.n_cov_a])
@@ -260,10 +260,9 @@ class _PerLevelEval:
         self.base_ev = base_ev
         self.levels = tuple(levels)
 
-    def evaluate(self, cols, extrapolate=False):
-        base_cols, factor = cols[:-1], cols[-1]
-        codes = recode_factor(factor, self.levels)
-        Xb = self.base_ev.evaluate(base_cols, extrapolate=extrapolate)
+    def evaluate(self, cols):
+        codes = recode_factor(cols[-1], self.levels)
+        Xb = self.base_ev.evaluate(cols[:-1])
         return per_level_rows(codes, Xb, len(self.levels))
 
     def out_of_range(self, cols):
@@ -275,7 +274,7 @@ class _RandomEffectEval(_Unbounded):
         self.levels = tuple(levels)
         self.with_covariate = with_covariate
 
-    def evaluate(self, cols, extrapolate=False):
+    def evaluate(self, cols):
         codes = recode_factor(cols[0], self.levels)
         values = (np.asarray(cols[1], dtype=np.float64) if self.with_covariate
                   else np.ones(codes.size))
@@ -287,8 +286,8 @@ class _ConstrainedEval:
         self.base_ev = base_ev
         self.Z = Z
 
-    def evaluate(self, cols, extrapolate=False):
-        return self.base_ev.evaluate(cols, extrapolate=extrapolate) @ self.Z
+    def evaluate(self, cols):
+        return self.base_ev.evaluate(cols) @ self.Z
 
     def out_of_range(self, cols):
         return self.base_ev.out_of_range(cols)
@@ -404,6 +403,10 @@ def cr_basis(x, knots: KnotSet) -> BasisBlock:
     d_left = (e[1] - e[0]) / h[0] - (h[0] / 6.0) * (2.0 * fplus[0] + fplus[1])
     d_right = (e[k - 1] - e[k - 2]) / h[-1] + (h[-1] / 6.0) * (fplus[k - 2] + 2.0 * fplus[k - 1])
     ev = _CrEval(loc, fplus, d_left, d_right)
+    out = ev.out_of_range([x])
+    if out.any():
+        bad = int(np.argmax(out))
+        raise DomainError(f"x[{bad}]={x[bad]:g} outside knot range [{loc[0]:g}, {loc[-1]:g}]")
     X = ev.evaluate([x])
     return BasisBlock(term_label="cr", X=X, penalties=[Penalty(S, "cr")],
                       evaluator=ev, kind="smooth", n_cov=1)
@@ -507,7 +510,7 @@ def tp_basis(X_cov, k: int, m: int = 2) -> BasisBlock:
         raise NumericError(f"thin plate penalty not PSD (min eig {lam[0]:.3e})")
     lam = np.clip(lam, 0.0, None)
     loadings = U_k @ (Z @ V)
-    ev = _TpEval(pts, d, m, loadings, powers)
+    ev = _TpEval(pts, d, m, loadings, powers, np.stack([Xc.min(0), Xc.max(0)]))
     X = ev.evaluate([Xc])
     p = k
     S = np.zeros((p, p))
@@ -705,73 +708,49 @@ def _natural_reparam(block: BasisBlock) -> BasisBlock:
 
 def _term_k(term: SmoothTermSpec, margins: int = 1):
     if term.k is None:
-        kind = "fs" if term.fs_group is not None else term.basis_kind
-        return (DEFAULT_K.get(kind, 10),) * margins
-    if isinstance(term.k, int):
-        return (term.k,) * margins
-    ks = tuple(term.k)
-    if len(ks) == 1:
-        return ks * margins
-    if len(ks) != margins:
-        raise DomainError(f"term {term.label!r}: got {len(ks)} k values "
-                          f"for {margins} margins")
-    return ks
+        return (DEFAULT_K["fs" if term.fs_group is not None
+                           else term.basis_kind],) * margins
+    ks = (term.k,) if isinstance(term.k, int) else tuple(term.k)
+    return ks * margins if len(ks) == 1 else ks
 
 
-def _univariate_base(kind: str, x: np.ndarray, k: int, m: int) -> BasisBlock:
+def _base_block(kind: str, x: np.ndarray, k: int, m: int) -> BasisBlock:
     if kind == "poly":
         return poly_basis(x, degree=k)
     if kind == "cr":
         return cr_basis(x, knots_quantile(x, k))
-    if kind == "tp":
-        return tp_basis(x, k=k, m=m)
-    raise DomainError(f"unknown univariate basis kind {kind!r}")
+    return tp_basis(x, k=k, m=m)
 
 
-def _spec_block(term: SmoothTermSpec, table: DataTable) -> tuple[BasisBlock, tuple]:
-    covs = term.covariates
+def _spec_block(term: SmoothTermSpec, table: DataTable) -> BasisBlock:
+    kind, covs = term.basis_kind, term.covariates
     if term.is_random_effect:
         cov = table.numeric(covs[1]) if len(covs) > 1 else None
-        return random_effect(table.factor(covs[0]), cov), covs
-
-    if term.fs_group is not None:
-        x = table.numeric(covs[0])
-        (k,) = _term_k(term)
-        kind = term.basis_kind if term.basis_kind in ("cr", "tp") else "cr"
-        base = _univariate_base(kind, x, k, term.m)
-        return factor_smooth(base, table.factor(term.fs_group)), covs + (term.fs_group,)
-
-    if term.basis_kind in ("tensor", "ti"):
-        if len(covs) != 2:
-            raise DomainError("tensor-product smooths take exactly 2 covariates")
-        margins = [_univariate_base("cr", table.numeric(c), k, term.m)
+        return random_effect(table.factor(covs[0]), cov)
+    if kind in ("tensor", "ti"):
+        margins = [_base_block("cr", table.numeric(c), k, term.m)
                    for c, k in zip(covs, _term_k(term, margins=2))]
-        block = tensor_product(margins[0], margins[1],
-                               interaction_only=(term.basis_kind == "ti"))
-    elif term.basis_kind == "tp" and len(covs) == 2:
-        xcov = np.column_stack([table.numeric(c) for c in covs])
-        (k,) = _term_k(term)
-        block = tp_basis(xcov, k=k, m=term.m)
-    elif len(covs) == 1:
-        (k,) = _term_k(term)
-        block = _univariate_base(term.basis_kind, table.numeric(covs[0]), k, term.m)
+        block = tensor_product(*margins, interaction_only=(kind == "ti"))
     else:
-        raise DomainError(f"term {term.label!r}: unsupported covariate count")
-    if term.basis_kind not in ("poly", "ti"):
+        x = (table.numeric(covs[0]) if len(covs) == 1
+             else np.column_stack([table.numeric(c) for c in covs]))
+        block = _base_block(kind, x, *_term_k(term), term.m)
+    if term.fs_group is not None:
+        return factor_smooth(block, table.factor(term.fs_group))
+    if kind not in ("poly", "ti"):
         block = absorb_constraints(block)
     if term.by is not None:
         block = apply_by_factor(block, table.factor(term.by))
         block.sub_terms = [(f"{term.label.split(':')[0]}:{lev}", a, b)
                            for lev, a, b in block.sub_terms]
-        covs = covs + (term.by,)
     if len(block.penalties) == 1:
         block = _natural_reparam(block)
-    return block, covs
+    return block
 
 
-def term_block(term: SmoothTermSpec, table: DataTable) -> tuple[BasisBlock, tuple]:
-    """The finished block of one smooth term of a model spec on table, and
-    the names of the columns its evaluator reads, in order.
+def term_block(term: SmoothTermSpec, table: DataTable) -> BasisBlock:
+    """The finished block of one smooth term of a model spec on table; its
+    evaluator reads the columns term.columns names, in that order.
 
     Every smooth but poly and ti carries the sum-to-zero constraint (ti
     carries it on each margin), and a one-penalty smooth is rotated into

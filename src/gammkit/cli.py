@@ -152,9 +152,7 @@ def _smooth_term(value: str) -> SmoothTermSpec:
         raise ParseError(f"unknown options {sorted(unknown)}")
     group = None
     if fn == "fs":
-        if len(covs) != 2:
-            raise ParseError("fs takes (covariate, factor)")
-        fn, covs, group = "cr", covs[:1], covs[1]
+        fn, covs, group = "cr", covs[:-1], covs[-1]
     return SmoothTermSpec(covariates=covs,
                           basis_kind={"s": "tp", "te": "tensor"}.get(fn, fn),
                           k=k, m=order, by=opts.get("by"), fs_group=group)
@@ -206,7 +204,8 @@ def parse_spec_file(path: str):
 def _column_roles(specs, keys) -> dict:
     """Column role map for load_csv, read off the terms of specs (one
     response): the response, the series and order keys, each smooth's
-    columns in term order, then parametric-only columns as "auto"."""
+    columns in term order (its factors as factors), then parametric-only
+    columns as "auto"."""
     roles: dict[str, str] = {specs[0].response: "numeric"}
 
     def put(name, role):
@@ -219,15 +218,8 @@ def _column_roles(specs, keys) -> dict:
         put(keys[0], "factor")
         put(keys[1], "numeric")
     for term in (t for spec in specs for t in spec.smooth_terms):
-        covs = term.covariates
-        if term.is_random_effect:
-            put(covs[0], "factor")
-            covs = covs[1:]
-        for c in covs:
-            put(c, "numeric")
-        for factor in (term.fs_group, term.by):
-            if factor:
-                put(factor, "factor")
+        for c in term.columns:
+            put(c, "factor" if c in term.factors else "numeric")
     for term in (t for spec in specs for t in spec.parametric_terms):
         for name in term.names:
             roles.setdefault(name, "auto")
@@ -396,8 +388,7 @@ def _summary_sections(model):
         a, b = design.col_ranges[label]
         if block.sub_terms:
             for sub_label, s0, s1 in block.sub_terms:
-                row = wald_columns(model, a + s0, a + s1, sub_label,
-                                   kind="smooth", ref_df=float(s1 - s0))
+                row = wald_columns(model, a + s0, a + s1, sub_label)
                 smooth_rows.append([row.term, _fmt(row.edf), _fmt(row.ref_df),
                                     _fmt(row.statistic), _fmt_p(row.p)])
         else:
@@ -469,32 +460,31 @@ def _write_partials(tracker: OutputTracker, model):
     from .fitting import partial_effect
 
     design, table = model.design_raw, model.design_raw.table
-    for label, block in design.blocks.items():
+    for term in model.spec.smooth_terms:
+        label = term.label
         path = tracker.path(f"partial_{_safe_name(label)}.csv")
-        covs = design.term_covariates[label]
         a = design.col_ranges[label][0]
-        if block.kind == "random":
-            levels = table.factor(covs[0]).levels
+        if term.is_random_effect:
+            levels = table.factor(term.factors[0]).levels
             b = a + len(levels)
             _write_columns(path, ["level", "effect", "se"],
                            [list(map(_csv_cell, levels)), model.beta[a:b],
                             _se(model.vb[a:b, a:b])])
             continue
-        per_level = isinstance(table.columns[covs[-1]], FactorColumn)
-        numeric = covs[:-1] if per_level else covs
+        numeric = term.covariates
         m = 100 if len(numeric) == 1 else 40
         axes = [np.linspace(float(x.min()), float(x.max()), m)
                 for x in map(table.numeric, numeric)]
         columns = {name: g.ravel() for name, g in
                    zip(numeric, np.meshgrid(*axes, indexing="ij"))}
         headers, cells = [], []
-        if per_level:
-            fac = table.factor(covs[-1])
+        if term.factors:                     # a per-level term
+            (name,) = term.factors
+            fac = table.factor(name)
             codes = np.repeat(np.arange(fac.n_levels), m ** len(numeric))
-            columns = {name: np.tile(x, fac.n_levels)
-                       for name, x in columns.items()}
-            columns[covs[-1]] = FactorColumn(codes, fac.levels)
-            headers, cells = ["level"], [columns[covs[-1]]]
+            columns = {c: np.tile(x, fac.n_levels) for c, x in columns.items()}
+            columns[name] = FactorColumn(codes, fac.levels)
+            headers, cells = ["level"], [columns[name]]
         effect, se = partial_effect(model, label, DataTable(
             columns=columns, n_rows=len(columns[numeric[0]])))
         _write_columns(path, [*headers, *numeric, "effect", "se"],

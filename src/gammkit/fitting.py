@@ -406,12 +406,12 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     weight_blocks = []
     for term in spec.smooth_terms:
         label = term.label
-        block, cov_names = basis_mod.term_block(term, table)
+        block = basis_mod.term_block(term, table)
         if label in col_ranges:
             raise SchemaError(f"term label collision: {label!r}")
         blocks[label] = StackedTerm(block.evaluator, block.penalties, block.kind,
                                     block.n_cov, block.sub_terms, block.p_term)
-        term_covariates[label] = cov_names
+        term_covariates[label] = term.columns
         if sparse.issparse(block.X):
             sparse_parts.append(block.X)
         else:
@@ -1363,8 +1363,8 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
     row's k entries (basis.per_level_rows); a row storing another count is
     a ShapeError naming the term. When every term is dense, cols is one
     row of column indices broadcast to n rows (a view). Spline terms
-    extend linearly outside the training covariate range, with a warning
-    naming the affected row count.
+    extrapolate outside the training covariate range (cr linearly), with a
+    warning naming the affected row count.
     """
     n = table.n_rows
     parametric = {built.label: built for built in design.parametric}
@@ -1380,7 +1380,7 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
             evaluator = design.blocks[label].evaluator
             covariates = _evaluator_columns(design, label, table)
             flagged += int(evaluator.out_of_range(covariates).sum())
-            X = evaluator.evaluate(covariates, extrapolate=True)
+            X = evaluator.evaluate(covariates)
         if not sparse.issparse(X):
             cols.append(np.arange(a, b))
             vals.append(X)
@@ -1394,7 +1394,7 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
         vals.append(X.data.reshape(n, k))
     if flagged:
         warnings.warn(f"{flagged} rows lie outside a spline's training range; "
-                      "linear extension applied", stacklevel=4)
+                      "the spline is extrapolated", stacklevel=4)
     vals = np.hstack(vals)
     if all(c.ndim == 1 for c in cols):
         return np.broadcast_to(np.concatenate(cols), vals.shape), vals

@@ -145,20 +145,19 @@ def compare_reml(model0, model1) -> ComparisonResult:
     return ComparisonResult(stat=float(stat), df=df, p=p, verdict="test")
 
 
-def wald_columns(model, a: int, b: int, label: str, kind: str = "smooth",
-                 ref_df: float | None = None) -> TermSummary:
+def wald_columns(model, a: int, b: int, label: str,
+                 kind: str = "smooth") -> TermSummary:
     """Wald F test over an explicit column range [a, b) of the fit.
 
     F = beta' pinv(V) beta / edf with the pseudo-inverse truncated at rank
     round(edf), so heavily shrunk directions do not inflate the statistic;
-    df1 = edf, df2 = n - total edf. A cluster of eigenvalues of V within
+    df1 = edf, df2 = n - total edf; the reference df is the width b - a. A cluster of eigenvalues of V within
     _TIE_RTOL (an fs term repeats each once per level) that the cut splits
     enters whole, weighted by its slots below the cut over its size, so F
     does not depend on which basis of the cluster eigh returns.
     """
     edf = float(np.sum(model.edf_per_coef[a:b]))
-    if ref_df is None:
-        ref_df = float(b - a)
+    ref_df = float(b - a)
     rank = int(round(edf))
     df2 = model.n - model.total_edf
     null = TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=0.0,
@@ -196,13 +195,8 @@ def wald_term_test(model, term: str) -> TermSummary:
     """
     a, b = model.column_range(term)
     block = model.design_raw.blocks.get(term)
-    if block is None:
-        kind = "parametric"
-        ref_df = float(b - a)
-    else:
-        kind = "random" if block.kind == "random" else "smooth"
-        ref_df = float(block.p_term)
-    return wald_columns(model, a, b, term, kind=kind, ref_df=ref_df)
+    return wald_columns(model, a, b, term,
+                        kind="parametric" if block is None else block.kind)
 
 
 def summarize_terms(model) -> list[TermSummary]:

@@ -204,7 +204,7 @@ def test_cr_linear_extrapolation():
     rng = np.random.default_rng(9)
     beta = rng.normal(0.0, 1.0, 6)
     xs = np.array([1.0, 1.1, 1.2, 1.3])
-    f = blk.evaluator.evaluate([xs], extrapolate=True) @ beta
+    f = blk.evaluator.evaluate([xs]) @ beta
     # beyond the last knot the extension is a straight line
     np.testing.assert_allclose(np.diff(f, 2), 0.0, atol=1e-10)
     # and continuous at the boundary
@@ -533,8 +533,9 @@ def test_evaluators_reproduce_training_matrix():
 
 
 def test_out_of_range_flags_the_rows_a_spline_extends():
-    """cr flags rows past its knots; a composite flags what its cr parts
-    flag on their own columns; poly, tp and random effects extend to any
+    """cr flags rows past its knots and tp rows outside its training
+    covariates' per-coordinate range; a composite flags what its parts
+    flag on their own columns; poly and random effects extend to any
     value and flag none."""
     x = np.linspace(0.0, 1.0, 30)
     f = FactorColumn.from_strings([f"g{i % 2}" for i in range(30)])
@@ -549,7 +550,9 @@ def test_out_of_range_flags_the_rows_a_spline_extends():
         (factor_smooth(cr, f), [xs, fs], [True, False, True, False]),
         (apply_by_factor(cr, f), [xs, fs], [True, False, True, False]),
         (poly_basis(x, 2), [xs], [False] * 4),
-        (tp_basis(x, 6), [xs], [False] * 4),
+        (tp_basis(x, 6), [xs], [True, False, True, False]),
+        (tp_basis(np.column_stack([x, x[::-1] ** 2]), 6),
+         [np.column_stack([xs, zs])], [True, False, True, True]),
         (random_effect(f, covariate=x), [fs, zs], [False] * 4),
     ]
     for blk, cols, want in cases:

@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 import gammkit
-from gammkit import cli, fitting
+from gammkit import cli, diagnostics, fitting
 from gammkit.basis import SmoothTermSpec
 from gammkit.cli import _load_table, main, parse_spec_file
+from gammkit.errors import NumericError
 from gammkit.fitting import GRAD_TOL, ModelSpec, ParametricTerm, fit
 from gammkit.simulate import FixedEffect, ScenarioSpec, gen_experiment
 
@@ -575,6 +576,49 @@ def test_permtest_counts_file_has_exactly_two_lines(tmp_path):
     assert pvals[0] == ["perm", "p"]
     assert len(pvals) == 9
     assert all(0.0 <= float(r[1]) <= 1.0 for r in pvals[1:] if r[1])
+
+
+def test_permtest_counts_a_failed_replicate_and_leaves_its_cell_empty(
+        tmp_path, monkeypatch, capsys):
+    """A replicate whose fit fails is counted, not fatal: its p-value is
+    NaN, written as an empty cell, and stderr says how many failed."""
+    scen = _write(tmp_path / "s.scn", "n_subjects: 4\nn_trials: 30\nseed: 5\n")
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--spec", scen, "--out", str(sim_out)]) == 0
+    data = str(sim_out / "simulated.csv")
+    spec = _write(tmp_path / "m.spec", SERIES_SPEC)
+    real_fit, calls = diagnostics.fit, []
+
+    def fit_failing_replicate_1(*args):
+        calls.append(None)
+        if len(calls) == 2:
+            raise NumericError("injected failure")
+        return real_fit(*args)
+
+    monkeypatch.setattr("gammkit.diagnostics.fit", fit_failing_replicate_1)
+    model_spec, keys = parse_spec_file(spec)
+    result = diagnostics.permutation_fs_test(
+        _load_table([model_spec], keys, data), "y", n_perm=3)
+    assert result.n_failed == 1
+    assert [math.isnan(p) for p in result.p_values] == [False, True, False]
+    calls.clear()
+    out = tmp_path / "out"
+    assert main(["permtest", "--data", data, "--spec", spec, "--out", str(out),
+                 "--n-perm", "3"]) == 0
+    assert capsys.readouterr().err == "gammkit: 1 permutation fits failed\n"
+    cells = [row[1] for row in _read_csv(out / "permtest_pvalues.csv")[1:]]
+    assert [c == "" for c in cells] == [False, True, False]
+
+
+def test_a_smooth_line_outside_its_contract_names_its_line_and_term(
+        tmp_path, capsys):
+    data = _basic_data(tmp_path / "d.csv")
+    spec = _write(tmp_path / "m.spec", "response: y\nsmooth: fs(x, y, cond)\n")
+    assert main(["fit", "--data", data, "--spec", spec,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "gammkit: error at stage 'parse-spec': line 2: term 'fs(x,y,cond)': "
+        "factor smooths take 1 covariate(s), got 2\n")
 
 
 def test_one_parser_serves_every_command_of_a_process(tmp_path):

@@ -260,6 +260,23 @@ def test_whiten_matches_the_copy_and_subtract_formula_bit_for_bit():
             np.array_equal(white.X.toarray(), X)
 
 
+def test_whiten_without_a_series_key_whitens_all_rows_as_one_series():
+    """No series key: only row 0 is rescaled and every later row subtracts
+    rho times the row before it, as the copy-and-subtract formula does, to
+    the last bit."""
+    des = assemble(ModelSpec(response="y", smooth_terms=(
+        SmoothTermSpec("x", "cr", k=6),)), _table(25, seed=5))
+    assert des.series_codes is None
+    rho, raw = 0.6, des.X.toarray()
+    y, X = des.y.copy(), raw.copy()
+    y[1:] -= rho * des.y[:-1]
+    X[1:] -= rho * raw[:-1]
+    y[0], X[0] = math.sqrt(1.0 - rho * rho) * des.y[0], \
+        math.sqrt(1.0 - rho * rho) * raw[0]
+    white = ar1_whiten(des, rho)
+    assert np.array_equal(white.y, y) and np.array_equal(white.X.toarray(), X)
+
+
 # ---------------------------------------------------------------------------
 # penalized least squares
 
