@@ -32,7 +32,7 @@ from scipy.linalg import eigh, qr, solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .data import DataTable, FactorColumn
-from .errors import DomainError, NumericError, RankError, ShapeError
+from .errors import DomainError, GammkitError, NumericError, RankError, ShapeError
 from .terms import SmoothTermSpec
 
 _PSD_RTOL = 1e-8
@@ -714,12 +714,12 @@ def _term_k(term: SmoothTermSpec, margins: int = 1):
     return ks * margins if len(ks) == 1 else ks
 
 
-def _base_block(kind: str, x: np.ndarray, k: int, m: int) -> BasisBlock:
+def _base_block(kind: str, x: np.ndarray, k: int, m: int | None) -> BasisBlock:
     if kind == "poly":
         return poly_basis(x, degree=k)
     if kind == "cr":
         return cr_basis(x, knots_quantile(x, k))
-    return tp_basis(x, k=k, m=m)
+    return tp_basis(x, k=k, m=2 if m is None else m)
 
 
 def _spec_block(term: SmoothTermSpec, table: DataTable) -> BasisBlock:
@@ -754,11 +754,12 @@ def term_block(term: SmoothTermSpec, table: DataTable) -> BasisBlock:
 
     Every smooth but poly and ti carries the sum-to-zero constraint (ti
     carries it on each margin), and a one-penalty smooth is rotated into
-    its natural parameterization. A NumericError or LinAlgError while
-    building the block is raised as a NumericError naming the term.
+    its natural parameterization. A GammkitError while building the block
+    is raised again with its class and the term's label ahead of its
+    message; a LinAlgError is a NumericError naming the term.
     """
     try:
         with _stage("basis construction"):
             return _spec_block(term, table)
-    except NumericError as exc:
-        raise NumericError(f"term {term.label!r}: {exc}") from None
+    except GammkitError as exc:
+        raise type(exc)(f"term {term.label!r}: {exc}") from None

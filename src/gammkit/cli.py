@@ -15,9 +15,9 @@ Models are declared in a line-oriented spec file::
 
 Smooth functions: s (thin plate), tp (alias of s), cr, poly, te, ti, fs;
 random effects: intercept(factor), slope(factor, covariate). Options per
-smooth line: k=<int[,int]>, m=<int>, by=<factor> (not on fs). Each line
-parses straight into ModelSpec terms; an error names its line. Spec and
-scenario files are UTF-8, with an optional byte-order mark.
+smooth line: k=<int[,int]>, m=<int> (s and tp only), by=<factor> (not on
+fs). Each line parses straight into ModelSpec terms; an error names its
+line. Spec and scenario files are UTF-8, with an optional byte-order mark.
 
 Each command declares only the options it reads. main runs it inside the
 one error frame: a GammkitError, OSError or ValueError (SpecFileError
@@ -146,7 +146,7 @@ def _smooth_term(value: str) -> SmoothTermSpec:
         raise ParseError("smooth needs arguments")
     opts = _parse_options(rest)
     k = _convert(_int_list, opts["k"], "k value") if "k" in opts else None
-    order = _convert(int, opts["m"], "m value") if "m" in opts else 2
+    order = _convert(int, opts["m"], "m value") if "m" in opts else None
     unknown = set(opts) - {"k", "m", "by"}
     if unknown:
         raise ParseError(f"unknown options {sorted(unknown)}")
@@ -429,13 +429,18 @@ def _write_coefficients(path: str, model):
 
 
 def _row_keys(model):
-    """Leading (headers, columns) of a per-row output: series and order, or row."""
+    """Leading (headers, columns) of a per-row output: series and order, or
+    row. Each distinct order value is formatted once; values are distinct
+    by their bits, so -0.0 and 0.0 keep their own text."""
     import numpy as np
     design = model.design_raw
     if design.series_codes is None:
         return ["row"], [np.arange(model.n)]
+    bits, codes = np.unique(design.order_values.view(np.int64),
+                            return_inverse=True)
+    order = list(map(repr, bits.view(np.float64).tolist()))
     return ["series", "order"], [design.table.factor(design.table.series_key),
-                                 design.order_values]
+                                 (order.__getitem__, codes)]
 
 
 def _write_residuals(path: str, model):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from itertools import compress, islice
+from itertools import chain, compress, islice, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -19,7 +19,7 @@ from .errors import DomainError, GammkitError, ParseError, SchemaError, ShapeErr
 
 MISSING_TOKENS = ("", "NA")
 _MISSING = frozenset(MISSING_TOKENS)
-_CHUNK = 8192          # CSV records read, or rows written, per step
+_CHUNK = 8192          # CSV lines read, or rows written, per step
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,23 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
 
     schema maps column name -> role ("numeric" | "factor" | "auto"); only
     schema columns are loaded, and each must appear once in the header. A
-    leading byte-order mark is skipped; a byte that is not UTF-8 is a
-    ParseError. Cells are stripped; rows with a missing value ("" or "NA")
-    in any schema column, or too short to reach one, are dropped and counted
-    in meta["dropped_rows"]. An "auto" column is numeric when every
+    leading byte-order mark is skipped; a byte that is not UTF-8, or a line
+    csv cannot read (a field over csv.field_size_limit()), is a ParseError
+    naming the file. Cells are stripped; rows with a missing value ("" or
+    "NA") in any schema column, or too short to reach one, are dropped and
+    counted in meta["dropped_rows"]. An "auto" column is numeric when every
     non-missing cell parses as a number, dropped rows included, and a factor
     otherwise. A numeric cell that does not parse or is not finite is a
     ParseError naming the file line of the first such cell in file order.
 
-    Records are read _CHUNK at a time, and each chunk becomes float arrays
-    and factor codes before the next is read, so the file's text is never
-    held whole.
+    The file is read _CHUNK lines at a time, and each chunk becomes float
+    arrays and factor codes before the next is read, so the file's text is
+    never held whole. Until a line holds a '"', each line is one record: a
+    chunk whose every line has len(header) - 1 commas (and none longer than
+    csv.field_size_limit()) is split with one str.split, each column a
+    strided slice of the cells; any other chunk goes through csv.reader.
+    From the first chunk with a '"' on, csv.reader reads the rest of the
+    file, since a quoted cell may span lines and chunks.
     """
     for role in schema.values():
         if role not in ("numeric", "factor", "auto"):
@@ -154,7 +160,7 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(_records(reader, path, 0), None)
             if header is None:
                 raise ParseError(f"{path}: empty file, header required")
             for name in schema:
@@ -163,23 +169,17 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
                     raise SchemaError(f"{path}: declared column {name!r} "
                                       f"{where} header")
             positions = [header.index(name) for name in schema]
-            width = max(positions, default=-1) + 1
-            while rows := list(islice(reader, _CHUNK)):
-                if any(len(row) < width for row in rows):
-                    rows = [row + [""] * (width - len(row)) for row in rows]
-                # One list of stripped cells per schema column, one row mask.
-                cells = [list(map(str.strip, map(itemgetter(pos), rows)))
-                         for pos in positions]
-                present = [~np.fromiter(map(_MISSING.__contains__, col),
-                                        dtype=bool, count=len(rows))
-                           for col in cells]
-                keep = np.full(len(rows), bool(schema))
-                for mask in present:
-                    keep &= mask
-                for col, col_cells, mask in zip(columns.values(), cells,
-                                                present):
-                    col.add(col_cells, mask, keep, records)
-                records += len(rows)
+            for size, raw in _chunks(fh, path, reader.line_num, len(header),
+                                     positions):
+                parsed = [col.parse(cells)
+                          for col, cells in zip(columns.values(), raw)]
+                keep = np.full(size, bool(schema))
+                for _, present in parsed:
+                    if present is not None:
+                        keep &= present
+                for col, (cells, present) in zip(columns.values(), parsed):
+                    col.add(cells, present, keep, records)
+                records += size
                 n += int(keep.sum())
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: byte 0x{exc.object[exc.start]:02x} is not "
@@ -198,6 +198,48 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
                      meta={"dropped_rows": records - n})
 
 
+def _chunks(fh, path, line: int, width: int, positions: list[int]):
+    """(records, raw cells of each header position) per chunk of fh, read
+    after `line` lines and a header of `width` cells (load_csv)."""
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, _CHUNK)):
+        # each line's terminator stays on its last cell: strip and float()
+        # ignore it
+        text = ",".join(lines)
+        if '"' in text:
+            # a quoted cell may span lines and chunks: csv reads the rest
+            reader = _records(csv.reader(chain(lines, fh)), path, line)
+            while rows := list(islice(reader, _CHUNK)):
+                yield len(rows), _cells(rows, positions)
+            return
+        if max(map(len, lines)) <= limit and \
+                set(map(str.count, lines, repeat(","))) == {width - 1}:
+            flat = text.split(",")
+            yield len(lines), [flat[pos::width] for pos in positions]
+        else:
+            rows = list(_records(csv.reader(lines), path, line))
+            yield len(lines), _cells(rows, positions)
+        line += len(lines)
+
+
+def _records(reader, path, line: int):
+    """The records of a csv.reader that starts after `line` file lines; a
+    csv.Error is a ParseError naming the file line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"{path}: row {line + reader.line_num}: {exc}") \
+            from None
+
+
+def _cells(rows: list[list[str]], positions: list[int]) -> list[list[str]]:
+    """The cells of rows at each position, "" where a row is too short."""
+    width = max(positions, default=-1) + 1
+    if any(len(row) < width for row in rows):
+        rows = [row + [""] * (width - len(row)) for row in rows]
+    return [list(map(itemgetter(pos), rows)) for pos in positions]
+
+
 class _Column:
     """One schema column's kept cells, gathered chunk by chunk (load_csv):
     float arrays for a numeric role, codes for a factor role, levels
@@ -212,21 +254,38 @@ class _Column:
         self.index: dict[str, int] = {}
         self.bad: tuple[int, str] | None = None   # (record, message)
 
-    def add(self, cells: list[str], present: np.ndarray, keep: np.ndarray,
+    def parse(self, raw: list[str]):
+        """(cells, present) of one chunk's raw cells: its stripped cells and
+        present (non-missing) mask, or, for a numeric column whose every
+        cell parses, its floats and None (float() ignores surrounding
+        whitespace and refuses the missing tokens)."""
+        if self.role == "numeric":
+            values = _floats(raw)
+            if values is not None:
+                return values, None
+        cells = list(map(str.strip, raw))
+        return cells, ~np.fromiter(map(_MISSING.__contains__, cells),
+                                   dtype=bool, count=len(cells))
+
+    def add(self, cells, present: np.ndarray | None, keep: np.ndarray,
             start: int):
-        """Take one chunk: its stripped cells, present (non-missing) mask,
-        kept-row mask, and the record index of its first row."""
-        if self.role == "auto" and _floats(
-                list(compress(cells, present.tolist()))) is None:
-            self.role, self.bad = "factor", None
-            self.parts, self.held = list(map(self._codes, self.held)), []
-        kept = cells if keep.all() else list(compress(cells, keep.tolist()))
-        if self.role == "factor":
-            self.parts.append(self._codes(kept))
-            return
-        if self.role == "auto":
-            self.held.append(kept)
-        values = _floats(kept)
+        """Take one chunk: parse()'s (cells, present), the kept-row mask,
+        and the record index of its first row."""
+        if present is None:
+            kept = values = cells if keep.all() else cells[keep]
+        else:
+            if self.role == "auto" and _floats(
+                    list(compress(cells, present.tolist()))) is None:
+                self.role, self.bad = "factor", None
+                self.parts, self.held = list(map(self._codes, self.held)), []
+            kept = cells if keep.all() else list(compress(cells,
+                                                          keep.tolist()))
+            if self.role == "factor":
+                self.parts.append(self._codes(kept))
+                return
+            if self.role == "auto":
+                self.held.append(kept)
+            values = _floats(kept)
         if values is not None:
             self.parts.append(values)
         if (values is None or not np.isfinite(values).all()) \
@@ -257,8 +316,9 @@ def _record_line(path, record: int) -> int:
     starts: record + 2 unless a quoted cell above it spans lines."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        records = _records(reader, path, 0)
         for _ in range(record + 1):
-            next(reader)
+            next(records)
         return reader.line_num + 1
 
 
@@ -271,7 +331,8 @@ def _floats(cells: list[str]) -> np.ndarray | None:
 
 
 def _first_bad_cell(cells: list[str], name: str) -> tuple[int, str]:
-    """(index, message) of the first cell that is not a finite number."""
+    """(index, message) of the first cell that is not a finite number;
+    cells are text or floats."""
     for i, raw in enumerate(cells):
         try:
             value = float(raw)

@@ -122,7 +122,6 @@ class StackedTerm:
     evaluator: object
     penalties: list
     kind: str
-    n_cov: int
     sub_terms: list | None
     p_term: int
 
@@ -410,7 +409,7 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         if label in col_ranges:
             raise SchemaError(f"term label collision: {label!r}")
         blocks[label] = StackedTerm(block.evaluator, block.penalties, block.kind,
-                                    block.n_cov, block.sub_terms, block.p_term)
+                                    block.sub_terms, block.p_term)
         term_covariates[label] = term.columns
         if sparse.issparse(block.X):
             sparse_parts.append(block.X)

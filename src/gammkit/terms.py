@@ -20,12 +20,13 @@ class SmoothTermSpec:
     """Declarative description of one smooth model term. Construction
     checks, before any table is read, its basis kind, covariate count
     (cr and poly 1, tp 1-2, tensor and ti 2; a factor smooth 1 on a cr or
-    tp base; a random effect 1-2, with no k, by or fs_group) and k count."""
+    tp base; a random effect 1-2, with no k, by or fs_group), k count, and
+    that m, the penalty order a tp basis reads (None: 2), is set only there."""
 
     covariates: tuple[str, ...]
     basis_kind: str = "tp"
     k: tuple[int, ...] | int | None = None
-    m: int = 2
+    m: int | None = None
     by: str | None = None
     fs_group: str | None = None
     is_random_effect: bool = False
@@ -60,6 +61,8 @@ class SmoothTermSpec:
         margins = 2 if kind in ("tensor", "ti") else 1
         if len(ks) not in (0, 1, margins):
             self._refuse(f"got {len(ks)} k values for {margins} margins")
+        if self.m is not None and (self.is_random_effect or kind != "tp"):
+            self._refuse("only a tp basis takes m")
         if kind in ("cr", "tp") and ks and ks[0] < 3:
             raise DomainError(f"k must be >= 3 for {kind} smooths")
 

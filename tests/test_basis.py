@@ -17,7 +17,7 @@ from gammkit.basis import (Penalty, absorb_constraints, apply_by_factor,
                            cr_basis, factor_smooth, knots_quantile,
                            poly_basis, random_effect, rank_psd, row_kron,
                            tensor_product, tp_basis)
-from gammkit.data import FactorColumn
+from gammkit.data import DataTable, FactorColumn
 from gammkit.errors import DomainError, RankError, ShapeError
 
 
@@ -581,3 +581,20 @@ def test_fitting_reads_no_private_basis_name():
                 and node.value.id in aliases and node.attr.startswith("_"):
             private.append(f"{node.value.id}.{node.attr}")
     assert private == []
+
+
+@pytest.mark.parametrize("term, error, message", [
+    (basis.SmoothTermSpec("x", "cr", k=10), RankError,
+     "term 'cr(x)': need >= 10 distinct values, got 5"),
+    (basis.SmoothTermSpec(("x", "z"), "tp", k=3), DomainError,
+     "term 's(x,z)': k=3 must exceed the null-space dimension 3"),
+])
+def test_basis_errors_keep_their_class_and_name_the_term(term, error,
+                                                         message):
+    x = np.repeat(np.linspace(0.0, 1.0, 5), 10)
+    table = DataTable(columns={"x": x, "z": np.sin(7.0 * x) + x ** 2,
+                                  "y": np.cos(3.0 * x)}, n_rows=50)
+    spec = fitting.ModelSpec(response="y", smooth_terms=(term,))
+    with pytest.raises(error) as info:
+        fitting.fit(spec, table)
+    assert str(info.value).startswith(message)

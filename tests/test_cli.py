@@ -296,6 +296,10 @@ def test_spec_value_errors_name_their_line(tmp_path, capsys):
     # not the last coding silently winning
     ("parametric: cond coding=sum coding=treatment",
      "option 'coding' given twice"),
+    # m is the tp penalty order: on any other base it changed nothing
+    ("smooth: cr(x) k=5 m=3", "term 'cr(x)': only a tp basis takes m"),
+    ("smooth: fs(x, cond) k=5 m=3",
+     "term 'fs(x,cond)': only a tp basis takes m"),
 ])
 def test_term_errors_name_their_line(tmp_path, capsys, line, message):
     data = _basic_data(tmp_path / "d.csv")
@@ -305,6 +309,22 @@ def test_term_errors_name_their_line(tmp_path, capsys, line, message):
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err == ("gammkit: error at stage 'parse-spec': "
                                        f"line 3: {message}\n")
+    assert not out.exists()
+
+
+def test_a_cell_over_the_csv_field_limit_is_an_error_at_load_data(tmp_path,
+                                                                 capsys):
+    data = tmp_path / "d.csv"
+    data.write_text(open(_basic_data(tmp_path / "ok.csv")).read()
+                    + "1,1," + "x" * (csv.field_size_limit() + 1) + "\n")
+    lines = len(data.read_text().splitlines())
+    spec = _write(tmp_path / "m.spec", BASIC_SPEC)
+    out = tmp_path / "out"
+    assert main(["fit", "--data", str(data), "--spec", spec,
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gammkit: error at stage 'load-data': {data}: row {lines}: field "
+        f"larger than field limit ({csv.field_size_limit()})\n")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Tables, factors, CSV loading, and response transforms."""
 
 import csv
+import gc
 import io
 import math
 
@@ -297,14 +298,32 @@ FACTOR_CELLS = ("a", "b", "a,b", 'q"r', " c ", "d e", "é", "10", "", "NA",
 BAD_CELLS = ("oops", "inf", "1e999", "nan", "-Infinity", "1.2.3")
 
 
-def _random_csv(path, rng, bad):
+ENDINGS = ("\n", "\r\n", "\r")
+PADS = (" ", "\t", "  ")
+
+
+def _random_csv(path, rng, bad, kind="quoted"):
+    """A CSV of up to 40 random records. kind "quoted": csv.writer rows,
+    some quoted whole; "multiline": the same, some factor cells holding a
+    line break; "unquoted": cells with no '"' joined by commas (a junk
+    cell "z,x" adds one), lines ended by LF, CRLF or a lone CR (the last
+    one sometimes by nothing), some numeric cells padded with spaces or
+    tabs."""
     header = ["x", "g", "junk", "y", "h"]
     rng.shuffle(header)
+    factor_cells = FACTOR_CELLS
+    if kind == "multiline":
+        factor_cells += ("two\nlines", "c\r\nd")
+    elif kind == "unquoted":
+        factor_cells = tuple(c for c in FACTOR_CELLS if not set(c) & set(',"'))
     lines = []
     for _ in range(int(rng.integers(0, 40))):
         u = rng.random()
         if u < 0.06:
-            lines.append("\r\n" if rng.random() < 0.5 else "\n")
+            if kind == "unquoted":
+                lines.append(str(rng.choice(ENDINGS)))
+            else:
+                lines.append("\r\n" if rng.random() < 0.5 else "\n")
             continue
         row = []
         for name in header:
@@ -314,18 +333,25 @@ def _random_csv(path, rng, bad):
                     cell = str(rng.choice(BAD_CELLS))
                 elif rng.random() < 0.3:
                     cell = repr(float(rng.standard_normal() * 10.0 ** rng.integers(-5, 6)))
+                if kind == "unquoted" and rng.random() < 0.2:
+                    cell = str(rng.choice(PADS)) + cell + str(rng.choice(PADS))
             elif name == "junk":
                 cell = str(rng.choice(("5", "", "NA", "-1.5", "z,x")
                                       if rng.random() < 0.97 else ("z",)))
             else:
-                cell = str(rng.choice(FACTOR_CELLS))
+                cell = str(rng.choice(factor_cells))
             row.append(cell)
         if u < 0.12:
             row = row[:int(rng.integers(0, len(row)))]
+        if kind == "unquoted":
+            lines.append(",".join(row) + str(rng.choice(ENDINGS)))
+            continue
         buf = io.StringIO()
         quoting = csv.QUOTE_ALL if rng.random() < 0.2 else csv.QUOTE_MINIMAL
         csv.writer(buf, quoting=quoting).writerow(row)
         lines.append(buf.getvalue())
+    if kind == "unquoted" and lines and rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\r\n")
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n" + "".join(lines))
     return str(path)
@@ -356,10 +382,26 @@ def _assert_same_load(new, old):
             assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_load_csv_matches_per_cell_oracle(tmp_path, seed):
+def _oracle_cases(seeds):
+    """(seed, chunk, kind): the files as first written, read _CHUNK lines at
+    a time; then unquoted and multi-line files read 3 lines at a time, so a
+    file mixes split and csv.reader chunks, and a quoted cell may span a
+    chunk boundary after split chunks. Multi-line files hold no bad cell:
+    the oracle names a bad cell by its record number."""
+    return [pytest.param(seed, None, "quoted", id=str(seed))
+            for seed in seeds] + \
+        [pytest.param(seed, 3, kind, id=f"{kind}-chunk3-{seed}")
+         for kind in ("unquoted", "multiline") for seed in seeds]
+
+
+@pytest.mark.parametrize("seed, chunk, kind", _oracle_cases(range(40)))
+def test_load_csv_matches_per_cell_oracle(tmp_path, monkeypatch, seed, chunk,
+                                          kind):
+    if chunk:
+        monkeypatch.setattr(data_mod, "_CHUNK", chunk)
     rng = np.random.default_rng(seed)
-    p = _random_csv(tmp_path / "d.csv", rng, bad=seed % 3 == 2)
+    p = _random_csv(tmp_path / "d.csv", rng,
+                    bad=seed % 3 == 2 and kind != "multiline", kind=kind)
     schema = {"x": "numeric", "g": "factor", "y": "numeric", "h": "factor"}
     names = list(schema)
     rng.shuffle(names)
@@ -368,10 +410,14 @@ def test_load_csv_matches_per_cell_oracle(tmp_path, seed):
                       _load_or_error(_oracle_load_csv, p, schema))
 
 
-@pytest.mark.parametrize("seed", range(20))
-def test_load_csv_auto_roles_match_sniffing_oracle(tmp_path, seed):
+@pytest.mark.parametrize("seed, chunk, kind", _oracle_cases(range(20)))
+def test_load_csv_auto_roles_match_sniffing_oracle(tmp_path, monkeypatch,
+                                                   seed, chunk, kind):
+    if chunk:
+        monkeypatch.setattr(data_mod, "_CHUNK", chunk)
     rng = np.random.default_rng(100 + seed)
-    p = _random_csv(tmp_path / "d.csv", rng, bad=seed % 2 == 1)
+    p = _random_csv(tmp_path / "d.csv", rng,
+                    bad=seed % 2 == 1 and kind != "multiline", kind=kind)
     schema = {"y": "numeric", "x": "auto", "g": "auto", "junk": "auto"}
     oracle_schema = {name: role if role != "auto"
                      else _oracle_sniff_role(p, name)
@@ -500,6 +546,75 @@ def test_load_csv_auto_non_finite_cell_before_a_bad_numeric_cell(tmp_path):
     with pytest.raises(ParseError, match=rf"row {CHUNK + 5}: cannot parse "
                                          r"'oops' as numeric for column 'x'"):
         load_csv(p, schema)
+
+
+def test_load_csv_reads_on_with_csv_from_the_first_quote(tmp_path,
+                                                       monkeypatch):
+    """Three lines a chunk: two split chunks, then a chunk whose quoted
+    cell spans into the next; the bad cell after it is named by its file
+    line, one below its record number + 2."""
+    monkeypatch.setattr(data_mod, "_CHUNK", 3)
+    rows = _numbered_rows(14)
+    rows[8][1] = "two\nlines"               # file lines 10 and 11
+    rows[11][0] = "oops"
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    with pytest.raises(ParseError, match=r"row 14: cannot parse 'oops'"):
+        load_csv(p, {"x": "numeric", "g": "factor"})
+    rows[11][0] = "1"
+    p = _csv_rows(tmp_path / "d.csv", ["x", "g", "c"], rows)
+    tab = load_csv(p, {"x": "numeric", "g": "factor"})
+    _assert_same_load(tab, _oracle_load_csv(p, {"x": "numeric",
+                                                "g": "factor"}))
+    assert "two\nlines" in tab.factor("g").levels
+
+
+def test_a_cell_over_the_csv_field_limit_is_a_parse_error_naming_its_line(
+        tmp_path):
+    """csv refuses a cell over csv.field_size_limit() characters: the same
+    ParseError whether its chunk is unquoted or read on by csv from an
+    earlier quote, and from _record_line."""
+    limit = csv.field_size_limit()
+    p = tmp_path / "d.csv"
+    errors = []
+    for first in ("1,a", '1,"a"'):
+        p.write_text(f"x,g\n{first}\n2,{'b' * (limit + 1)}\n3,c\n")
+        with pytest.raises(ParseError) as info:
+            load_csv(str(p), {"x": "numeric", "g": "factor"})
+        errors.append(str(info.value))
+    assert errors[0] == errors[1] == \
+        f"{p}: row 3: field larger than field limit ({limit})"
+    with pytest.raises(ParseError, match=r"d\.csv: row 3: field larger"):
+        data_mod._record_line(str(p), 2)
+    # a cell of the limit itself is read, on a line longer than the limit
+    p.write_text(f"x,g\n1,a\n2,{'b' * limit}\n")
+    tab = load_csv(str(p), {"x": "numeric", "g": "factor"})
+    assert tab.factor("g").levels == ("a", "b" * limit)
+
+
+def test_load_csv_of_40k_unquoted_rows_runs_at_most_2_collections(tmp_path):
+    """The split route keeps no Python list per record, so loading sets off
+    (almost) no cyclic garbage collection (55 when each record was a list)."""
+    p = tmp_path / "d.csv"
+    with open(p, "w", newline="") as fh:
+        fh.write("subject,trial,y,cond\n")
+        for i in range(40_000):
+            fh.write(f"s{i // 100:03d},{i % 100 + 1},{math.sin(i)!r},"
+                     f"{'ab'[i % 2]}\n")
+    collections = []
+
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        tab = load_csv(str(p), {"y": "numeric", "cond": "factor",
+                                "trial": "numeric", "subject": "factor"},
+                       series_key="subject", order_key="trial")
+    finally:
+        gc.callbacks.remove(count)
+    assert tab.n_rows == 40_000
+    assert len(collections) <= 2, collections
 
 
 # ---------------------------------------------------------------------------

@@ -92,7 +92,7 @@ def _oracle_partials(out_dir, model):
                           repr(float(s))]
                          for *xs, e, s in zip(*points, eff, se)]
             _oracle_csv(path, ["level", *numeric, "effect", "se"], rows)
-        elif block.n_cov == 2:
+        elif len(covs) == 2:
             xs = [design.table.numeric(c) for c in covs]
             g1 = np.linspace(float(xs[0].min()), float(xs[0].max()), 40)
             g2 = np.linspace(float(xs[1].min()), float(xs[1].max()), 40)
@@ -299,6 +299,38 @@ def test_predictions_match_per_row_writer(tmp_path, design):
     mean, se = predict(model, model.table)
     _oracle_predictions(oracle / "predictions.csv", model, mean, se)
     _assert_same_bytes(oracle, out, ["predictions.csv"])
+
+
+def test_order_values_keep_their_text_when_zero_and_negative_zero_meet(
+        tmp_path):
+    """Order values are formatted once per distinct value: 0.0 in one
+    series and -0.0 in another are two values, each written as itself."""
+    rng = np.random.default_rng(3)
+    with open(tmp_path / "d.csv", "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["subject", "trial", "cond", "y"])
+        for j, subj in enumerate(SUBJECTS):
+            sign = -1.0 if j % 2 else 1.0
+            for t in range(30):
+                w.writerow([subj, repr(sign * 0.25 * t), CONDS[(t + j) % 2],
+                            repr(float(np.sin(t / 5.0)
+                                       + rng.standard_normal()))])
+    data = str(tmp_path / "d.csv")
+    assert "-0.0" in open(data).read()
+    spec = _write(tmp_path / "m.spec", SERIES_SPECS["fs"])
+    out, oracle = tmp_path / "out", tmp_path / "oracle"
+    assert main(["predict", "--data", data, "--spec", spec,
+                 "--out", str(out)]) == 0
+    assert main(["fit", "--data", data, "--spec", spec,
+                 "--out", str(out)]) == 0
+    oracle.mkdir()
+    model = _model(spec, data)
+    _oracle_residuals(oracle / "residuals.csv", model)
+    _oracle_predictions(oracle / "predictions.csv", model,
+                        *predict(model, model.table))
+    _assert_same_bytes(oracle, out, ["residuals.csv", "predictions.csv"])
+    orders = {row[1] for row in csv.reader(open(out / "residuals.csv"))}
+    assert {"0.0", "-0.0", "0.25", "-0.25"} <= orders
 
 
 def test_acf_and_rho_outputs_match_per_row_writers(tmp_path):

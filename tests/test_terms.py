@@ -38,6 +38,13 @@ def test_spec_classes_are_one_class_on_every_import_path():
     ("s(x,z,w)", (("x", "z", "w"), "tp"), {}),
     ("te(x,z)", (("x", "z"), "tensor"), {"k": (4, 4, 4)}),
     ("cr(x):x", (("x",), "cr"), {"by": "x"}),
+    # m, the penalty order, is read only by a tp basis
+    ("cr(z)", (("z",), "cr"), {"k": 8, "m": 3}),
+    ("poly(x)", (("x",), "poly"), {"k": 3, "m": 2}),
+    ("te(x,z)", (("x", "z"), "tensor"), {"m": 2}),
+    ("ti(x,z)", (("x", "z"), "ti"), {"m": 3}),
+    ("fs(x,g)", (("x",), "cr"), {"fs_group": "g", "m": 3}),
+    ("re(g)", (("g",),), {"is_random_effect": True, "m": 2}),
 ])
 def test_a_term_outside_its_contract_is_refused_by_label(label, args, kw):
     """Each of these once fitted a different model or failed only at fit
@@ -55,3 +62,10 @@ def test_columns_and_factors_state_what_a_term_reads():
     ]
     for term, columns, factors in cases:
         assert (term.columns, term.factors) == (columns, factors), term.label
+
+
+def test_m_is_the_tp_penalty_order_and_defaults_to_none():
+    assert SmoothTermSpec("x", "cr").m is None
+    assert SmoothTermSpec("x", "tp", m=3).m == 3
+    assert SmoothTermSpec("x", "tp", k=5, fs_group="g", m=1).m == 1
+    assert SmoothTermSpec(("x", "z"), "tp", by="f", m=3).m == 3
