@@ -1,13 +1,13 @@
-"""Basis and penalty construction for every smooth-term type.
+"""Basis and penalty construction for every model term.
 
-This module owns a smooth term's columns. Each constructor, and term_block
-for a term of a model spec, returns a BasisBlock holding the evaluated
-design columns for one model term, the penalty matrices that measure its
-wiggliness, and an evaluator that builds the columns at new covariate
-values and flags the rows it extends past the training range
-(out_of_range). The stored X is always produced *through* the evaluator, so
-re-evaluating at the training covariates is bit-identical to the stored
-matrix. fitting only stacks the blocks.
+This module owns a term's columns. Each constructor, and term_block for a
+parametric or smooth term of a model spec, returns a BasisBlock holding the
+evaluated design columns for one model term, the penalty matrices that
+measure its wiggliness (none for a parametric term), and an evaluator that
+builds the columns at new covariate values and flags the rows it extends
+past the training range (out_of_range). The stored X is always produced
+*through* the evaluator, so re-evaluating at the training covariates is
+bit-identical to the stored matrix. fitting only stacks the blocks.
 
 Per-level terms (random effects, factor smooths, by-factor smooths) give
 each factor level its own columns, zero off that level's rows. Their X is a
@@ -32,8 +32,9 @@ from scipy.linalg import eigh, qr, solve, solve_triangular
 from scipy.spatial.distance import cdist
 
 from .data import DataTable, FactorColumn
-from .errors import DomainError, GammkitError, NumericError, RankError, ShapeError
-from .terms import SmoothTermSpec
+from .errors import (DomainError, GammkitError, NumericError, RankError,
+                     SchemaError, ShapeError)
+from .terms import ParametricTerm, SmoothTermSpec
 
 _PSD_RTOL = 1e-8
 DEFAULT_K = {"poly": 9, "cr": 10, "tp": 10, "tensor": 5, "ti": 5, "fs": 5}
@@ -112,10 +113,9 @@ class BasisBlock:
     X: np.ndarray | sparse.csr_array
     penalties: list
     evaluator: object
-    kind: str
     n_cov: int = 1
     constraint: dict | None = None
-    sub_terms: list | None = None
+    coef_names: list | None = None     # set by term_block
 
     def __post_init__(self):
         if sparse.issparse(self.X):
@@ -293,6 +293,52 @@ class _ConstrainedEval:
         return self.base_ev.out_of_range(cols)
 
 
+def _sum_coding(codes: np.ndarray, levels: tuple[str, ...]):
+    """Deviation coding scaled by 0.5: the 2-level case is -0.5/+0.5."""
+    L = len(levels)
+    cols, names = [], []
+    for j in range(L - 1):
+        col = 0.5 * ((codes == j).astype(float) - (codes == L - 1).astype(float))
+        cols.append(col)
+        names.append(levels[j] if L > 2 else "")
+    return cols, names
+
+
+def _treatment_coding(codes: np.ndarray, levels: tuple[str, ...]):
+    cols = [(codes == j).astype(float) for j in range(1, len(levels))]
+    names = [levels[j] for j in range(1, len(levels))]
+    return cols, names
+
+
+class _ParametricEval(_Unbounded):
+    """The coded columns of a parametric term: a factor name coded over the
+    fit's levels, a numeric name as it is, and for several names the
+    product of one column of each."""
+
+    def __init__(self, names, levels, coding):
+        self.names = names
+        self.levels = levels              # per name: its levels, None if numeric
+        self.coding = _sum_coding if coding == "sum" else _treatment_coding
+
+    def evaluate(self, cols):
+        return self.named_columns(cols)[0]
+
+    def named_columns(self, cols):
+        """The columns and their coefficient names."""
+        parts = []
+        for name, col, levels in zip(self.names, cols, self.levels):
+            if levels is None:
+                parts.append([(name, np.asarray(col, dtype=np.float64))])
+                continue
+            coded, tags = self.coding(recode_factor(col, levels), levels)
+            parts.append([(f"{name}[{t}]" if t else name, c)
+                          for t, c in zip(tags, coded)])
+        out = parts[0]
+        for nxt in parts[1:]:
+            out = [(f"{na}:{nb}", ca * cb) for na, ca in out for nb, cb in nxt]
+        return np.column_stack([c for _, c in out]), [n for n, _ in out]
+
+
 def recode_factor(factor: FactorColumn, levels: tuple[str, ...]) -> np.ndarray:
     """Map a FactorColumn's codes into training level codes."""
     if factor.levels == levels:
@@ -355,7 +401,7 @@ def poly_basis(x, degree: int) -> BasisBlock:
     X = ev.evaluate([x])
     S = np.zeros((degree, degree))
     return BasisBlock(term_label="poly", X=X, penalties=[Penalty(S, "poly")],
-                      evaluator=ev, kind="smooth", n_cov=1)
+                      evaluator=ev, n_cov=1)
 
 
 def knots_quantile(x, k: int) -> KnotSet:
@@ -409,7 +455,7 @@ def cr_basis(x, knots: KnotSet) -> BasisBlock:
         raise DomainError(f"x[{bad}]={x[bad]:g} outside knot range [{loc[0]:g}, {loc[-1]:g}]")
     X = ev.evaluate([x])
     return BasisBlock(term_label="cr", X=X, penalties=[Penalty(S, "cr")],
-                      evaluator=ev, kind="smooth", n_cov=1)
+                      evaluator=ev, n_cov=1)
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +562,7 @@ def tp_basis(X_cov, k: int, m: int = 2) -> BasisBlock:
     S = np.zeros((p, p))
     S[M:, M:] = np.diag(lam)
     return BasisBlock(term_label="tp", X=X, penalties=[Penalty(S, "tp")],
-                      evaluator=ev, kind="smooth", n_cov=1 if d == 1 else 2)
+                      evaluator=ev, n_cov=1 if d == 1 else 2)
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +601,8 @@ def tensor_product(block_a: BasisBlock, block_b: BasisBlock,
     return BasisBlock(term_label=label, X=X,
                       penalties=[Penalty(S1, f"{label}:margin1"),
                                  Penalty(S2, f"{label}:margin2")],
-                      evaluator=ev, kind="smooth",
-                      n_cov=block_a.n_cov + block_b.n_cov, constraint=constraint)
+                      evaluator=ev, n_cov=block_a.n_cov + block_b.n_cov,
+                      constraint=constraint)
 
 
 def _per_level_layout(block: BasisBlock, factor: FactorColumn, what: str):
@@ -564,7 +610,7 @@ def _per_level_layout(block: BasisBlock, factor: FactorColumn, what: str):
         raise ShapeError("factor not aligned with block rows")
     L = factor.n_levels
     p = block.p_term
-    base_null = p - rank_psd(block.penalties[0].S)     # a one-penalty base
+    base_null = p - rank_psd(sum(pen.S for pen in block.penalties))
     counts = np.bincount(factor.codes, minlength=L)
     for lev in range(L):
         if counts[lev] < max(base_null, 1):
@@ -576,26 +622,24 @@ def _per_level_layout(block: BasisBlock, factor: FactorColumn, what: str):
 
 
 def apply_by_factor(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
-    """Replicate a smooth once per factor level, one penalty per level.
+    """Replicate a smooth once per factor level, its penalties per level.
 
     Level blocks are zero off-level; each level gets its own smoothing
-    parameter, so different wiggly curves can be fitted to each level.
-    Every level's penalty is the base penalty, one array, on its own block.
+    parameters, so different wiggly curves can be fitted to each level.
+    Every penalty of the base, one array each, repeats on each level's
+    block: by:<level> for a one-penalty base, by:<level>:<label> otherwise.
     """
-    if len(block.penalties) != 1:
-        raise DomainError("by-factor expansion needs a single-penalty block")
     L, p, ev = _per_level_layout(block, factor, "by-factor smooth")
-    S = block.penalties[0].S
     # The evaluator builds the same matrix from the same base rows.
     X = per_level_rows(factor.codes, block.X, L)
-    penalties = [Penalty(S, f"by:{name}", range(lev, lev + 1))
-                 for lev, name in enumerate(factor.levels)]
-    sub_terms = [(str(name), lev * p, (lev + 1) * p)
-                 for lev, name in enumerate(factor.levels)]
+    one = len(block.penalties) == 1
+    penalties = [Penalty(S, f"by:{name}" if one else f"by:{name}:{label}",
+                         range(lev, lev + 1))
+                 for lev, name in enumerate(factor.levels)
+                 for S, label, _ in block.penalties]
     return BasisBlock(term_label=f"{block.term_label}:by", X=X, penalties=penalties,
-                      evaluator=ev, kind="smooth",
-                      n_cov=block.n_cov + 1, constraint=block.constraint,
-                      sub_terms=sub_terms)
+                      evaluator=ev, n_cov=block.n_cov + 1,
+                      constraint=block.constraint)
 
 
 def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
@@ -622,7 +666,7 @@ def factor_smooth(block: BasisBlock, factor: FactorColumn) -> BasisBlock:
     return BasisBlock(term_label="fs", X=X,
                       penalties=[Penalty(S, "fs:wiggle", range(L)),
                                  Penalty(N, "fs:null", range(L))],
-                      evaluator=ev, kind="smooth", n_cov=block.n_cov + 1)
+                      evaluator=ev, n_cov=block.n_cov + 1)
 
 
 def random_effect(factor: FactorColumn, covariate=None) -> BasisBlock:
@@ -634,8 +678,7 @@ def random_effect(factor: FactorColumn, covariate=None) -> BasisBlock:
     X = ev.evaluate(cols)
     return BasisBlock(term_label="re", X=X,
                       penalties=[Penalty(np.eye(1), "re", range(factor.n_levels))],
-                      evaluator=ev, kind="random",
-                      n_cov=1 if covariate is None else 2)
+                      evaluator=ev, n_cov=1 if covariate is None else 2)
 
 
 def absorb_constraints(block: BasisBlock) -> BasisBlock:
@@ -661,9 +704,8 @@ def absorb_constraints(block: BasisBlock) -> BasisBlock:
     penalties = [Penalty(_symmetrize(Z.T @ S @ Z), label)
                  for S, label, _ in block.penalties]
     return BasisBlock(term_label=block.term_label, X=Xc, penalties=penalties,
-                      evaluator=ev, kind=block.kind,
-                      n_cov=block.n_cov,
-                      constraint={"type": "sum_to_zero"}, sub_terms=None)
+                      evaluator=ev, n_cov=block.n_cov,
+                      constraint={"type": "sum_to_zero"})
 
 
 def _natural_reparam(block: BasisBlock) -> BasisBlock:
@@ -741,25 +783,47 @@ def _spec_block(term: SmoothTermSpec, table: DataTable) -> BasisBlock:
         block = absorb_constraints(block)
     if term.by is not None:
         block = apply_by_factor(block, table.factor(term.by))
-        block.sub_terms = [(f"{term.label.split(':')[0]}:{lev}", a, b)
-                           for lev, a, b in block.sub_terms]
     if len(block.penalties) == 1:
         block = _natural_reparam(block)
     return block
 
 
-def term_block(term: SmoothTermSpec, table: DataTable) -> BasisBlock:
-    """The finished block of one smooth term of a model spec on table; its
-    evaluator reads the columns term.columns names, in that order.
+def _parametric_block(term: ParametricTerm, table: DataTable) -> BasisBlock:
+    levels = []
+    for name in term.names:
+        col = table.columns.get(name)
+        if col is None:
+            raise SchemaError(f"no column named {name!r}")
+        if isinstance(col, FactorColumn) and col.n_levels < 2:
+            raise DomainError(f"factor {name!r} needs >= 2 levels")
+        levels.append(col.levels if isinstance(col, FactorColumn) else None)
+    ev = _ParametricEval(term.names, levels, term.coding)
+    X, names = ev.named_columns([table.columns[name] for name in term.names])
+    return BasisBlock(term_label=term.label, X=X, penalties=[], evaluator=ev,
+                      n_cov=len(term.names), coef_names=names)
 
-    Every smooth but poly and ti carries the sum-to-zero constraint (ti
-    carries it on each margin), and a one-penalty smooth is rotated into
-    its natural parameterization. A GammkitError while building the block
-    is raised again with its class and the term's label ahead of its
-    message; a LinAlgError is a NumericError naming the term.
+
+def term_block(term: SmoothTermSpec | ParametricTerm,
+               table: DataTable) -> BasisBlock:
+    """The finished block of one term of a model spec on table; its
+    evaluator reads the columns term.columns names, in that order, and
+    coef_names names its columns (label[j] for a smooth's j-th).
+
+    A parametric term is its coded columns, unpenalized: sum coding scaled
+    by 0.5 or treatment coding for a factor, the column itself for a
+    number, products for an interaction. Every smooth but poly and ti
+    carries the sum-to-zero constraint (ti carries it on each margin), and
+    a one-penalty smooth is rotated into its natural parameterization. A
+    GammkitError while building the block is raised again with its class
+    and the term's label ahead of its message; a LinAlgError is a
+    NumericError naming the term.
     """
     try:
         with _stage("basis construction"):
-            return _spec_block(term, table)
+            if isinstance(term, ParametricTerm):
+                return _parametric_block(term, table)
+            block = _spec_block(term, table)
     except GammkitError as exc:
         raise type(exc)(f"term {term.label!r}: {exc}") from None
+    block.coef_names = [f"{term.label}[{j}]" for j in range(block.p_term)]
+    return block

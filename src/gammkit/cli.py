@@ -384,17 +384,17 @@ def _summary_sections(model):
         par_rows.append([design.coef_names[j], _fmt(est), _fmt(se),
                          _fmt(tval), _fmt_p(p)])
     smooth_rows = []
-    for label, block in design.blocks.items():
-        a, b = design.col_ranges[label]
-        if block.sub_terms:
-            for sub_label, s0, s1 in block.sub_terms:
-                row = wald_columns(model, a + s0, a + s1, sub_label)
-                smooth_rows.append([row.term, _fmt(row.edf), _fmt(row.ref_df),
-                                    _fmt(row.statistic), _fmt_p(row.p)])
-        else:
-            row = wald_term_test(model, label)
-            smooth_rows.append([row.term, _fmt(row.edf), _fmt(row.ref_df),
-                                _fmt(row.statistic), _fmt_p(row.p)])
+    for term in model.spec.smooth_terms:
+        if term.by is None:
+            rows = [wald_term_test(model, term.label)]
+        else:                       # one row per level of the by factor
+            t, base = design.terms[term.label], term.label.split(":")[0]
+            a, k = t.cols[0], t.k
+            rows = [wald_columns(model, a + j * k, a + (j + 1) * k,
+                                 f"{base}:{lev}")
+                    for j, lev in enumerate(design.table.factor(term.by).levels)]
+        smooth_rows += [[row.term, _fmt(row.edf), _fmt(row.ref_df),
+                         _fmt(row.statistic), _fmt_p(row.p)] for row in rows]
     return par_rows, smooth_rows
 
 
@@ -468,7 +468,7 @@ def _write_partials(tracker: OutputTracker, model):
     for term in model.spec.smooth_terms:
         label = term.label
         path = tracker.path(f"partial_{_safe_name(label)}.csv")
-        a = design.col_ranges[label][0]
+        a = design.terms[label].cols[0]
         if term.is_random_effect:
             levels = table.factor(term.factors[0]).levels
             b = a + len(levels)

@@ -145,11 +145,10 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
 
     The file is read _CHUNK lines at a time, and each chunk becomes float
     arrays and factor codes before the next is read, so the file's text is
-    never held whole. Until a line holds a '"', each line is one record: a
-    chunk whose every line has len(header) - 1 commas (and none longer than
-    csv.field_size_limit()) is split with one str.split, each column a
-    strided slice of the cells; any other chunk goes through csv.reader.
-    From the first chunk with a '"' on, csv.reader reads the rest of the
+    never held whole. A chunk with no '"' whose every line has
+    len(header) - 1 commas (and none longer than csv.field_size_limit()) is
+    split with one str.split, each column a strided slice of the cells.
+    From the first chunk that is not, csv.reader reads the rest of the
     file, since a quoted cell may span lines and chunks.
     """
     for role in schema.values():
@@ -206,19 +205,16 @@ def _chunks(fh, path, line: int, width: int, positions: list[int]):
         # each line's terminator stays on its last cell: strip and float()
         # ignore it
         text = ",".join(lines)
-        if '"' in text:
-            # a quoted cell may span lines and chunks: csv reads the rest
+        if '"' in text or max(map(len, lines)) > limit or \
+                set(map(str.count, lines, repeat(","))) != {width - 1}:
+            # a quoted cell may span lines and chunks, and a ragged or
+            # overlong line needs csv's reading: csv reads the rest
             reader = _records(csv.reader(chain(lines, fh)), path, line)
             while rows := list(islice(reader, _CHUNK)):
                 yield len(rows), _cells(rows, positions)
             return
-        if max(map(len, lines)) <= limit and \
-                set(map(str.count, lines, repeat(","))) == {width - 1}:
-            flat = text.split(",")
-            yield len(lines), [flat[pos::width] for pos in positions]
-        else:
-            rows = list(_records(csv.reader(lines), path, line))
-            yield len(lines), _cells(rows, positions)
+        flat = text.split(",")
+        yield len(lines), [flat[pos::width] for pos in positions]
         line += len(lines)
 
 

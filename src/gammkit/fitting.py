@@ -1,7 +1,7 @@
 """Design assembly, AR(1) whitening, penalized least squares, REML.
 
 The fitting pipeline is assemble -> whiten -> select lambdas -> solve.
-gammkit.basis builds and evaluates each smooth term's columns; assemble only
+gammkit.basis builds and evaluates each term's columns; assemble only
 stacks them, and prediction checks that each covariate column has the kind
 (factor or numeric) it had in the fit before an evaluator reads it. The
 design keeps the columns of dense blocks (intercept, parametric terms,
@@ -52,8 +52,8 @@ from scipy.linalg import block_diag, lapack
 
 from . import basis as basis_mod
 from .data import DataTable, FactorColumn
-from .errors import (DomainError, GammkitError, NumericError, RankError,
-                     SchemaError, ShapeError)
+from .errors import (DomainError, NumericError, RankError, SchemaError,
+                     ShapeError)
 from .terms import ModelSpec, ParametricTerm, SmoothTermSpec
 
 LOG_LAMBDA_MIN = math.log(1e-10)
@@ -114,16 +114,16 @@ class PenaltyEntry:
 
 
 @dataclass(frozen=True)
-class StackedTerm:
-    """A smooth term of an assembled design: what evaluates and penalizes
-    it. Its p_term basis columns are held only in the design's X_dense or
-    X_sparse, at col_ranges[label]."""
+class DesignTerm:
+    """One term of an assembled design: its spec (None for the intercept),
+    its columns [a, b) of X, the evaluator that builds them at new rows
+    from the table columns spec.columns names, and k, the width of a
+    per-level term's level blocks (its penalties' base size)."""
 
+    spec: ParametricTerm | SmoothTermSpec | None
+    cols: tuple[int, int]
     evaluator: object
-    penalties: list
-    kind: str
-    sub_terms: list | None
-    p_term: int
+    k: int
 
 
 @dataclass
@@ -134,21 +134,19 @@ class AssembledDesign:
     (those of dense blocks) as one dense array, and X_sparse, every other
     column in order (the per-level columns) as one CSR matrix. The fit path
     reads only the parts; X stacks them into one sparse matrix on first use.
-    blocks maps each smooth term's label to its StackedTerm.
+    terms maps each term's label to its DesignTerm: the intercept, the
+    parametric terms, then the smooths, in column order.
     """
 
     y: np.ndarray
     X_dense: np.ndarray
     X_sparse: sparse.csr_array
     dense_cols: np.ndarray
-    col_ranges: dict
+    terms: dict
     penalties: list
     logpdet_const: float       # log|S_lambda|_+ = const + sum log(weights @ lambda)
     logpdet_weights: np.ndarray
     m_null_total: int
-    blocks: dict
-    term_covariates: dict
-    parametric: list
     coef_names: list
     spec: ModelSpec
     table: DataTable
@@ -208,85 +206,27 @@ class AssembledDesign:
             self._arrow = _arrow_layout(self)
         return self._arrow
 
+    @property
+    def col_ranges(self) -> dict:
+        return {label: term.cols for label, term in self.terms.items()}
+
     def column_range(self, term: str) -> tuple[int, int]:
         try:
-            return self.col_ranges[term]
+            return self.terms[term].cols
         except KeyError:
             raise SchemaError(f"no term named {term!r}; have "
-                              f"{sorted(self.col_ranges)}") from None
+                              f"{sorted(self.terms)}") from None
 
     @property
     def n_parametric_cols(self) -> int:
-        stop = 1
-        for t in self.spec.parametric_terms:
-            stop = max(stop, self.col_ranges[t.label][1])
-        return stop
+        """The columns of the intercept and the parametric terms, which
+        come first."""
+        return list(self.terms.values())[
+            len(self.spec.parametric_terms)].cols[1]
 
 
 # ---------------------------------------------------------------------------
 # assembly
-
-
-def _sum_coding(codes: np.ndarray, levels: tuple[str, ...]):
-    """Deviation coding scaled by 0.5: the 2-level case is -0.5/+0.5."""
-    L = len(levels)
-    cols, names = [], []
-    for j in range(L - 1):
-        col = 0.5 * ((codes == j).astype(float) - (codes == L - 1).astype(float))
-        cols.append(col)
-        names.append(levels[j] if L > 2 else "")
-    return cols, names
-
-
-def _treatment_coding(codes: np.ndarray, levels: tuple[str, ...]):
-    cols = [(codes == j).astype(float) for j in range(1, len(levels))]
-    names = [levels[j] for j in range(1, len(levels))]
-    return cols, names
-
-
-@dataclass(frozen=True)
-class _ParametricBuilt:
-    label: str
-    names: tuple[str, ...]
-    coding: str
-    roles: tuple            # per name: ("factor", levels) | ("numeric",)
-
-    def build(self, table: DataTable):
-        """Column set and coefficient names; products for interactions."""
-        parts = []
-        for name, role in zip(self.names, self.roles):
-            if role[0] == "factor":
-                levels = role[1]
-                fac = table.factor(name)
-                codes = basis_mod.recode_factor(fac, levels)
-                if self.coding == "sum":
-                    cols, tags = _sum_coding(codes, levels)
-                else:
-                    cols, tags = _treatment_coding(codes, levels)
-                named = [(f"{name}[{t}]" if t else name, c) for t, c in zip(tags, cols)]
-            else:
-                named = [(name, np.asarray(table.numeric(name), dtype=np.float64))]
-            parts.append(named)
-        out = parts[0]
-        for nxt in parts[1:]:
-            out = [(f"{na}:{nb}", ca * cb) for na, ca in out for nb, cb in nxt]
-        names = [n for n, _ in out]
-        return np.column_stack([c for _, c in out]), names
-
-
-def _build_parametric(term: ParametricTerm, table: DataTable) -> _ParametricBuilt:
-    roles = []
-    for name in term.names:
-        col = table.columns.get(name)
-        if col is None:
-            raise SchemaError(f"parametric term references missing column {name!r}")
-        if isinstance(col, FactorColumn):
-            if col.n_levels < 2:
-                raise DomainError(f"factor {name!r} needs >= 2 levels")
-            roles.append(("factor", col.levels))
-        else:
-            roles.append(("numeric",))
-    return _ParametricBuilt(term.label, term.names, term.coding, tuple(roles))
 
 
 def _term_penalties(term: str, offset: int, penalties: list):
@@ -366,11 +306,10 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
 
     Rows are sorted by (series, order) when the table declares a series key,
     so AR(1) whitening and residual diagnostics see contiguous series runs.
-    Dense blocks stack into X_dense, whose columns dense_cols records; the
-    sparse per-level blocks stack into X_sparse. Both must be all finite;
-    the blocks' own matrices are not kept (StackedTerm). Each smooth
-    term's block comes from one basis.term_block call, whose errors name
-    the term.
+    Each term's block comes from one basis.term_block call, whose errors
+    name the term. Dense blocks stack into X_dense, whose columns
+    dense_cols records; the sparse per-level blocks stack into X_sparse.
+    Both must be all finite; the blocks' own matrices are not kept.
     """
     if spec.response not in table.columns:
         raise SchemaError(f"response column {spec.response!r} not in table")
@@ -385,45 +324,29 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     dense_parts, sparse_parts = [np.ones((table.n_rows, 1))], []
     dense_cols = [np.arange(1)]
     coef_names = ["(Intercept)"]
-    col_ranges = {"(Intercept)": (0, 1)}
+    terms = {"(Intercept)": DesignTerm(None, (0, 1), None, 1)}
     cursor = 1
-    parametric = []
-    for term in spec.parametric_terms:
-        built = _build_parametric(term, table)
-        cols, names = built.build(table)
-        dense_parts.append(cols)
-        dense_cols.append(np.arange(cursor, cursor + cols.shape[1]))
-        coef_names.extend(names)
-        col_ranges[term.label] = (cursor, cursor + cols.shape[1])
-        cursor += cols.shape[1]
-        parametric.append(built)
-
-    blocks: dict[str, StackedTerm] = {}
-    term_covariates: dict[str, tuple] = {}
     entries: list[PenaltyEntry] = []
     logpdet_const = 0.0
     weight_blocks = []
-    for term in spec.smooth_terms:
-        label = term.label
+    for term in spec.parametric_terms + spec.smooth_terms:
         block = basis_mod.term_block(term, table)
-        if label in col_ranges:
-            raise SchemaError(f"term label collision: {label!r}")
-        blocks[label] = StackedTerm(block.evaluator, block.penalties, block.kind,
-                                    block.sub_terms, block.p_term)
-        term_covariates[label] = term.columns
+        p = block.p_term
         if sparse.issparse(block.X):
             sparse_parts.append(block.X)
         else:
             dense_parts.append(block.X)
-            dense_cols.append(np.arange(cursor, cursor + block.p_term))
-        coef_names.extend(f"{label}[{j}]" for j in range(block.p_term))
-        col_ranges[label] = (cursor, cursor + block.p_term)
-        term_entries, const, weights = _term_penalties(label, cursor,
+            dense_cols.append(np.arange(cursor, cursor + p))
+        coef_names.extend(block.coef_names)
+        k = block.penalties[0].S.shape[0] if block.penalties else p
+        terms[term.label] = DesignTerm(term, (cursor, cursor + p),
+                                       block.evaluator, k)
+        term_entries, const, weights = _term_penalties(term.label, cursor,
                                                        block.penalties)
         entries.extend(term_entries)
         logpdet_const += const
         weight_blocks.append(weights)
-        cursor += block.p_term
+        cursor += p
 
     X_dense = np.hstack(dense_parts)
     if len(sparse_parts) == 1:
@@ -440,12 +363,9 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
         series_codes = table.factor(table.series_key).codes
         order_values = table.numeric(table.order_key)
     return AssembledDesign(y=y, X_dense=X_dense, X_sparse=X_sparse,
-                           dense_cols=np.concatenate(dense_cols),
-                           col_ranges=col_ranges, penalties=entries,
-                           logpdet_const=logpdet_const,
+                           dense_cols=np.concatenate(dense_cols), terms=terms,
+                           penalties=entries, logpdet_const=logpdet_const,
                            logpdet_weights=weights, m_null_total=m_null,
-                           blocks=blocks,
-                           term_covariates=term_covariates, parametric=parametric,
                            coef_names=coef_names, spec=spec, table=table,
                            series_codes=series_codes, order_values=order_values)
 
@@ -733,11 +653,11 @@ def _level_blocks(design: AssembledDesign, i: np.ndarray, j: np.ndarray):
     Returns its label and its columns, one row per level; (None, 0 x 0) if
     there is none."""
     best = None, np.zeros((0, 0), dtype=np.int64)
-    for label, (a, b) in design.col_ranges.items():
+    for label, term in design.terms.items():
+        (a, b), k = term.cols, term.k
         w = b - a
         if w <= best[1].size or a not in design.sparse_cols:
             continue
-        k = design.blocks[label].penalties[0].S.shape[0]
         inside = (i >= a) & (i < b) & (j >= a) & (j < b)
         if k < w and np.array_equal((i[inside] - a) // k,
                                     (j[inside] - a) // k):
@@ -1261,7 +1181,7 @@ class FittedModel:
         return self.design_raw.column_range(term)
 
     def term_labels(self) -> list:
-        return [lbl for lbl in self.design_raw.col_ranges]
+        return list(self.design_raw.terms)
 
     @property
     def fitted_values(self) -> np.ndarray:
@@ -1342,7 +1262,7 @@ def _evaluator_columns(design: AssembledDesign, term: str, table: DataTable):
     (factor or numeric) it had in the fit's table, else a SchemaError
     naming the term, the column and both kinds."""
     cols = []
-    for name in design.term_covariates[term]:
+    for name in design.terms[term].spec.columns:
         col = table.columns.get(name)
         if col is None:
             raise SchemaError(f"prediction table lacks column {name!r}")
@@ -1366,20 +1286,17 @@ def _rows(design: AssembledDesign, table: DataTable, labels):
     warning naming the affected row count.
     """
     n = table.n_rows
-    parametric = {built.label: built for built in design.parametric}
     cols, vals = [np.zeros(0, dtype=np.int64)], [np.zeros((n, 0))]
     flagged = 0
     for label in labels:
-        a, b = design.col_ranges[label]
-        if label == "(Intercept)":
+        term = design.terms[label]
+        a, b = term.cols
+        if term.spec is None:
             X = np.ones((n, 1))
-        elif label in parametric:
-            X = parametric[label].build(table)[0]
         else:
-            evaluator = design.blocks[label].evaluator
             covariates = _evaluator_columns(design, label, table)
-            flagged += int(evaluator.out_of_range(covariates).sum())
-            X = evaluator.evaluate(covariates)
+            flagged += int(term.evaluator.out_of_range(covariates).sum())
+            X = term.evaluator.evaluate(covariates)
         if not sparse.issparse(X):
             cols.append(np.arange(a, b))
             vals.append(X)
@@ -1437,7 +1354,7 @@ def predict(model: FittedModel, newdata: DataTable,
     design = model.design_raw
     for label in [*(include or ()), *(exclude or ())]:
         design.column_range(label)          # SchemaError if no such term
-    labels = [label for label in design.col_ranges
+    labels = [label for label in design.terms
               if (include is None or label == "(Intercept)"
                   or label in include)
               and (exclude is None or label not in exclude)]
@@ -1454,8 +1371,8 @@ def partial_effect(model: FittedModel, term: str,
     from the term's block of the posterior covariance and pinches to zero
     where a centered effect crosses zero.
     """
-    design = model.design_raw
-    if term not in design.blocks:
+    smooths = [t.label for t in model.spec.smooth_terms]
+    if term not in smooths:
         raise SchemaError(f"no smooth term named {term!r}; have "
-                          f"{sorted(design.blocks)}")
+                          f"{sorted(smooths)}")
     return _mean_se(model, grid, [term])

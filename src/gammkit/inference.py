@@ -16,6 +16,7 @@ from scipy.stats import chi2 as chi2_dist
 from scipy.stats import f as f_dist
 
 from .errors import GammkitError, NestingError, SchemaError
+from .terms import SmoothTermSpec
 
 _TIE_RTOL = 1e-6               # eigenvalues of V this close form a cluster
 
@@ -194,18 +195,12 @@ def wald_term_test(model, term: str) -> TermSummary:
     Conditional on the selected lambdas, like every test here.
     """
     a, b = model.column_range(term)
-    block = model.design_raw.blocks.get(term)
-    return wald_columns(model, a, b, term,
-                        kind="parametric" if block is None else block.kind)
+    spec = model.design_raw.terms[term].spec
+    kind = ("parametric" if not isinstance(spec, SmoothTermSpec)
+            else "random" if spec.is_random_effect else "smooth")
+    return wald_columns(model, a, b, term, kind=kind)
 
 
 def summarize_terms(model) -> list[TermSummary]:
     """TermSummary rows for every model term, parametric first."""
-    rows = []
-    for label in model.design_raw.col_ranges:
-        if label in model.design_raw.blocks:
-            continue
-        rows.append(wald_term_test(model, label))
-    for label in model.design_raw.blocks:
-        rows.append(wald_term_test(model, label))
-    return rows
+    return [wald_term_test(model, label) for label in model.design_raw.terms]

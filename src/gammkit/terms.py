@@ -112,6 +112,11 @@ class ParametricTerm:
             raise DomainError(f"unknown coding {self.coding!r}")
 
     @property
+    def columns(self) -> tuple[str, ...]:
+        """The table columns the term's evaluator reads, in order."""
+        return self.names
+
+    @property
     def label(self) -> str:
         return ":".join(self.names)
 

@@ -351,7 +351,7 @@ def test_tensor_with_constant_margin_degenerates():
     a, _, ba, _ = _two_marginals(ka=6)
     const = type(ba)(term_label="c", X=np.full((60, 1), 2.0),
                      penalties=[Penalty(np.zeros((1, 1)), "c")],
-                     evaluator=None, kind="smooth")
+                     evaluator=None)
     blk = tensor_product(ba, const)
     np.testing.assert_allclose(blk.X, 2.0 * ba.X)
 
@@ -461,7 +461,6 @@ def test_random_effect_indicator_matrix():
     np.testing.assert_array_equal(S, np.eye(1))
     assert levels == range(3)
     assert blk.p_term - 3 * rank_psd(S) == 0
-    assert blk.kind == "random"
 
 
 def test_random_slope_masks_covariate():
@@ -598,3 +597,20 @@ def test_basis_errors_keep_their_class_and_name_the_term(term, error,
     with pytest.raises(error) as info:
         fitting.fit(spec, table)
     assert str(info.value).startswith(message)
+
+
+def test_a_per_level_term_needs_null_dimension_rows_on_every_level():
+    """A level of fs(x, g) with fewer rows than the base penalty's null
+    dimension (2 for cr: constant and linear) cannot be fitted."""
+    rng = np.random.default_rng(8)
+    x = rng.uniform(0.0, 1.0, 31)
+    g = FactorColumn.from_strings(["abc"[i % 3] for i in range(30)] + ["d"])
+    table = DataTable(columns={"x": x, "g": g, "y": np.sin(3.0 * x)},
+                      n_rows=31)
+    spec = fitting.ModelSpec(response="y", smooth_terms=(
+        basis.SmoothTermSpec("x", "cr", k=5, fs_group="g"),))
+    with pytest.raises(DomainError) as info:
+        fitting.fit(spec, table)
+    assert str(info.value) == (
+        "term 'fs(x,g)': factor smooth: level 'd' has 1 rows, fewer than "
+        "the basis null dimension 2")

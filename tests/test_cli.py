@@ -455,6 +455,75 @@ def test_fit_writes_a_two_covariate_by_factor_smooth(tmp_path):
     assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[3:])
 
 
+def _kinds_data(path, n=240, seed=4):
+    """x and z numeric, c a 3-level and g a 4-level factor."""
+    rng = np.random.default_rng(seed)
+    x, z = rng.uniform(0, 1, n), rng.uniform(0, 1, n)
+    c, g = np.arange(n) % 3, np.arange(n) % 4
+    y = np.sin(2 * np.pi * x) * (1 + 0.5 * c) + z + 0.3 * g \
+        + 0.2 * rng.standard_normal(n)
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["y", "x", "z", "c", "g"])
+        for row in zip(y, x, z, c, g):
+            w.writerow([*map(repr, map(float, row[:3])), f"c{row[3]}",
+                        f"g{row[4]}"])
+    return str(path)
+
+
+# One row per row of the README's kind table: a spec-file line, or a
+# library term where the spec-file format has no line for it (it writes fs
+# on a cr base only).
+KIND_ROWS = {
+    "cr": "smooth: cr(x) k=6", "cr-by": "smooth: cr(x) k=6 by=c",
+    "poly": "smooth: poly(x) k=3", "poly-by": "smooth: poly(x) k=3 by=c",
+    "tp": "smooth: s(x) k=6", "tp-by": "smooth: s(x) k=6 by=c",
+    "tp2": "smooth: s(x, z) k=10", "tp2-by": "smooth: s(x, z) k=10 by=c",
+    "te": "smooth: te(x, z) k=4", "te-by": "smooth: te(x, z) k=4 by=c",
+    "ti": "smooth: ti(x, z) k=4", "ti-by": "smooth: ti(x, z) k=4 by=c",
+    "fs-cr": "smooth: fs(x, g) k=5",
+    "fs-tp": SmoothTermSpec("x", "tp", k=5, fs_group="g"),
+    "intercept": "random: intercept(g)", "slope": "random: slope(g, x)",
+}
+
+
+@pytest.mark.parametrize("row", sorted(KIND_ROWS))
+def test_fit_writes_every_kind_of_the_readme_table(tmp_path, monkeypatch,
+                                                   row):
+    """Exit 0, the term's partial file over its grid (a random effect's
+    levels), and one summary row per level of a by= factor."""
+    data = _kinds_data(tmp_path / "d.csv")
+    line = KIND_ROWS[row]
+    spec = _write(tmp_path / "m.spec", "response: y\n" + (
+        line + "\n" if isinstance(line, str) else ""))
+    if not isinstance(line, str):
+        parsed = cli.parse_spec_file(spec)
+        monkeypatch.setattr(cli, "parse_spec_file", lambda path: (
+            ModelSpec(response="y", smooth_terms=(line,)), parsed[1]))
+    (term,) = cli.parse_spec_file(spec)[0].smooth_terms
+    out = tmp_path / "out"
+    assert main(["fit", "--data", data, "--spec", spec, "--out", str(out),
+                 "--format", "delimited"]) == 0
+    rows = _read_csv(out / f"partial_{cli._safe_name(term.label)}.csv")
+    n_levels = {"c": 3, "g": 4}
+    if term.is_random_effect:
+        assert rows[0] == ["level", "effect", "se"]
+        assert len(rows) == 1 + 4
+    else:
+        grid = 100 if len(term.covariates) == 1 else 1600
+        levels = [n_levels[f] for f in term.factors]
+        assert rows[0] == ["level"] * len(levels) + [*term.covariates,
+                                                      "effect", "se"]
+        assert len(rows) == 1 + grid * math.prod(levels)
+    assert all(math.isfinite(float(v)) for r in rows[1:] for v in r[-2:])
+    summary = (out / "summary.txt").read_text().split(
+        "B. smooth terms")[1].splitlines()[2:]
+    names = [r.split("\t")[0] for r in summary]
+    base = term.label.split(":")[0]
+    assert names == ([f"{base}:c{j}" for j in range(3)] if term.by
+                     else [term.label])
+
+
 # ---------------------------------------------------------------------------
 # predict and compare
 

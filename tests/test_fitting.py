@@ -1871,22 +1871,36 @@ def test_predict_unseen_level_raises():
     ("fs(x,g)", "x", FactorColumn.from_strings(["0.2", "0.6"])),
     ("re(g)", "g", np.array([1.0, 3.0])),
     ("re(g)", "g", np.array([1.7, 0.0])),
+    # parametric columns named only the column and the kind expected
+    ("cond", "cond", np.array([1.0, 0.0])),
+    ("z", "z", FactorColumn.from_strings(["0.2", "0.6"])),
 ], ids=["fs-integer-group", "fs-fractional-group", "fs-factor-x",
-        "re-integer-group", "re-fractional-group"])
+        "re-integer-group", "re-fractional-group", "numeric-cond",
+        "factor-z"])
 def test_prediction_covariates_keep_the_kind_they_had_in_the_fit(
         term, column, values):
     tab = _fs_offsets_table()
-    smooth = (SmoothTermSpec("x", "cr", k=5, fs_group="g") if term[:2] == "fs"
-              else SmoothTermSpec("g", is_random_effect=True))
-    model = fit(ModelSpec(response="y", smooth_terms=(smooth,)), tab)
-    columns = {"x": np.array([0.2, 0.6]),
-               "g": FactorColumn.from_strings(["s0", "s3"]), column: values}
+    if term in ("cond", "z"):                 # a factor cond, a numeric z
+        tab = tab.with_column("cond", FactorColumn.from_strings(
+            [f"c{i % 2}" for i in range(tab.n_rows)]))
+        tab = tab.with_column("z", tab.numeric("x") ** 2)
+        spec = ModelSpec(response="y", parametric_terms=(
+            ParametricTerm("cond"), ParametricTerm("z")))
+    else:
+        spec = ModelSpec(response="y", smooth_terms=(
+            SmoothTermSpec("x", "cr", k=5, fs_group="g") if term[:2] == "fs"
+            else SmoothTermSpec("g", is_random_effect=True),))
+    model = fit(spec, tab)
+    columns = {"x": np.array([0.2, 0.6]), "z": np.array([0.04, 0.36]),
+               "g": FactorColumn.from_strings(["s0", "s3"]),
+               "cond": FactorColumn.from_strings(["c0", "c1"]), column: values}
     newdata = DataTable(columns=columns, n_rows=2)
     message = re.escape(f"term {term!r}: column {column!r} is ")
     with pytest.raises(SchemaError, match=message):
         predict(model, newdata)
-    with pytest.raises(SchemaError, match=message):
-        partial_effect(model, term, newdata)
+    if spec.smooth_terms:
+        with pytest.raises(SchemaError, match=message):
+            partial_effect(model, term, newdata)
 
 
 def test_predict_unknown_exclude_raises():
@@ -2118,7 +2132,7 @@ def test_per_level_rows_of_unequal_width_are_a_shape_error(monkeypatch):
     """partial_effect reads each per-level row as k stored entries; a row
     storing another count is a ShapeError naming the term."""
     model = _per_level_fit()
-    block = model.design_raw.blocks["re(item)"]
+    block = model.design_raw.terms["re(item)"]
     ragged = sparse.csr_array((np.ones(3), np.array([0, 1, 2]),
                                np.array([0, 1, 3])), shape=(2, 9))
     monkeypatch.setattr(block.evaluator, "evaluate",

@@ -63,19 +63,18 @@ def _oracle_residuals(path, model):
 
 def _oracle_partials(out_dir, model):
     design = model.design_raw
-    for label, block in design.blocks.items():
+    for spec_term in model.spec.smooth_terms:
+        label = spec_term.label
         path = out_dir / f"partial_{cli._safe_name(label)}.csv"
-        covs = design.term_covariates[label]
+        covs = spec_term.columns
         a, b = design.col_ranges[label]
-        if block.kind == "random":
+        if spec_term.is_random_effect:
             fac = design.table.factor(covs[0])
             rows = [[lev, repr(float(model.beta[a + j])),
                      repr(math.sqrt(max(model.vb[a + j, a + j], 0.0)))]
                     for j, lev in enumerate(fac.levels)]
             _oracle_csv(path, ["level", "effect", "se"], rows)
             continue
-        spec_term = next(t for t in model.spec.smooth_terms
-                         if t.label == label)
         if spec_term.by is not None or spec_term.fs_group is not None:
             group_name, numeric = covs[-1], covs[:-1]
             m = 100 if len(numeric) == 1 else 40

@@ -35,6 +35,7 @@ TERMS = {
     "ti": (S(("x", "z"), "ti", k=5),),
     "te": (S(("x", "z"), "tensor", k=5),),
     "by": (S("x", "cr", k=6, by="c"),),
+    "te-by": (S(("x", "z"), "tensor", k=4, by="c"),),
     "re+cr+te": (S(("g",), is_random_effect=True), S("x", "cr", k=6),
                  S(("x", "z"), "tensor", k=4)),
 }
