@@ -13,9 +13,6 @@ _EXPORTS = {
     "DataTable": "gammkit.data",
     "FactorColumn": "gammkit.data",
     "load_csv": "gammkit.data",
-    "rescale_unit": "gammkit.data",
-    "transform_response": "gammkit.data",
-    "boxcox_profile": "gammkit.data",
     # basis
     "BasisBlock": "gammkit.basis",
     "KnotSet": "gammkit.basis",
@@ -58,16 +55,12 @@ _EXPORTS = {
     "residual_acf_by_group": "gammkit.diagnostics",
     "suggest_rho": "gammkit.diagnostics",
     "permutation_fs_test": "gammkit.diagnostics",
-    "cv_by_group": "gammkit.diagnostics",
-    "residual_report": "gammkit.diagnostics",
     "pilot_spec": "gammkit.diagnostics",
     # simulate
     "ScenarioSpec": "gammkit.simulate",
     "FixedEffect": "gammkit.simulate",
     "gen_trend": "gammkit.simulate",
     "gen_experiment": "gammkit.simulate",
-    "blup_oracle": "gammkit.simulate",
-    "grid_reml_oracle": "gammkit.simulate",
     # errors
     "GammkitError": "gammkit.errors",
     "SchemaError": "gammkit.errors",

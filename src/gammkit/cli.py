@@ -16,8 +16,10 @@ Models are declared in a line-oriented spec file::
 Smooth functions: s (thin plate), tp (alias of s), cr, poly, te, ti, fs;
 random effects: intercept(factor), slope(factor, covariate). Options per
 smooth line: k=<int[,int]>, m=<int> (s and tp only), by=<factor> (not on
-fs). Each line parses straight into ModelSpec terms; an error names its
-line. Spec and scenario files are UTF-8, with an optional byte-order mark.
+fs). fs(x, g) always builds a cr base; a tp base is library-only
+(SmoothTermSpec(..., "tp", fs_group=g)). Each line parses straight into
+ModelSpec terms; an error names its line. Spec and scenario files are
+UTF-8, with an optional byte-order mark.
 
 Each command declares only the options it reads. main runs it inside the
 one error frame: a GammkitError, OSError or ValueError (SpecFileError

@@ -1,4 +1,4 @@
-"""Observation tables: CSV loading, validation, response transforms, scaling.
+"""Observation tables: CSV loading and validation.
 
 Tables are column-oriented and immutable by convention: every operation
 returns a new DataTable and never mutates arrays in place, so tables are
@@ -239,22 +239,30 @@ def _cells(rows: list[list[str]], positions: list[int]) -> list[list[str]]:
 class _Column:
     """One schema column's kept cells, gathered chunk by chunk (load_csv):
     float arrays for a numeric role, codes for a factor role, levels
-    numbered in order of first sight. An "auto" column is read as numeric,
-    its kept cells held as text, until a present cell fails to parse; then
-    it becomes a factor, coded from the held text onward."""
+    numbered in order of first sight. A factor cell's text is stripped and
+    tested for a missing token once per distinct text, and each cell is
+    then coded by one dict lookup; only the texts of kept rows become
+    levels. An "auto" column is read as numeric, its kept cells held as
+    text, until a present cell fails to parse; then it becomes a factor,
+    coded from the held text onward."""
 
     def __init__(self, name: str, role: str):
         self.name, self.role = name, role
         self.parts: list[np.ndarray] = []
         self.held: list[list[str]] = []
-        self.index: dict[str, int] = {}
+        self.codes: dict[str, int] = {}    # text -> level code, -1 if missing
+        self.index: dict[str, int] = {}    # level -> level code
         self.bad: tuple[int, str] | None = None   # (record, message)
 
     def parse(self, raw: list[str]):
-        """(cells, present) of one chunk's raw cells: its stripped cells and
-        present (non-missing) mask, or, for a numeric column whose every
-        cell parses, its floats and None (float() ignores surrounding
-        whitespace and refuses the missing tokens)."""
+        """(cells, present) of one chunk's raw cells: a factor column's
+        level codes (-1 where missing) and present (non-missing) mask; a
+        numeric column's floats and None when every cell parses (float()
+        ignores surrounding whitespace and refuses the missing tokens);
+        otherwise its stripped cells and present mask."""
+        if self.role == "factor":
+            codes = self._codes(raw)
+            return codes, codes >= 0
         if self.role == "numeric":
             values = _floats(raw)
             if values is not None:
@@ -267,17 +275,19 @@ class _Column:
             start: int):
         """Take one chunk: parse()'s (cells, present), the kept-row mask,
         and the record index of its first row."""
+        if self.role == "factor":
+            self.parts.append(cells if keep.all() else cells[keep])
+            return
         if present is None:
             kept = values = cells if keep.all() else cells[keep]
         else:
+            kept = cells if keep.all() else list(compress(cells,
+                                                          keep.tolist()))
             if self.role == "auto" and _floats(
                     list(compress(cells, present.tolist()))) is None:
                 self.role, self.bad = "factor", None
-                self.parts, self.held = list(map(self._codes, self.held)), []
-            kept = cells if keep.all() else list(compress(cells,
-                                                          keep.tolist()))
-            if self.role == "factor":
-                self.parts.append(self._codes(kept))
+                self.parts = list(map(self._codes, self.held + [kept]))
+                self.held = []
                 return
             if self.role == "auto":
                 self.held.append(kept)
@@ -289,22 +299,29 @@ class _Column:
             i, message = _first_bad_cell(kept, self.name)
             self.bad = (start + int(np.flatnonzero(keep)[i]), message)
 
-    def _codes(self, kept: list[str]) -> np.ndarray:
-        index = self.index
-        for name in set(kept).difference(index):
-            index[name] = len(index)
-        return np.fromiter(map(index.__getitem__, kept), dtype=np.int64,
-                           count=len(kept))
+    def _codes(self, texts: list[str]) -> np.ndarray:
+        """Level codes of cell texts, -1 for a missing one."""
+        codes, index = self.codes, self.index
+        for text in set(texts).difference(codes):
+            cell = text.strip()
+            codes[text] = -1 if cell in _MISSING else \
+                index.setdefault(cell, len(index))
+        return np.fromiter(map(codes.__getitem__, texts), dtype=np.int64,
+                           count=len(texts))
 
     def values(self):
         """The column: a float array, or a FactorColumn with sorted levels
         (deterministic under row reordering)."""
         if self.role != "factor":
             return np.concatenate(self.parts)
-        levels = tuple(sorted(self.index))
-        rank = np.empty(len(levels), dtype=np.int64)
+        codes = np.concatenate(self.parts)
+        # a text seen only in dropped rows is no level
+        names = list(self.index)
+        used = np.bincount(codes, minlength=len(names)).nonzero()[0]
+        levels = tuple(sorted(names[i] for i in used))
+        rank = np.empty(len(names), dtype=np.int64)
         rank[[self.index[name] for name in levels]] = np.arange(len(levels))
-        return FactorColumn(rank[np.concatenate(self.parts)], levels)
+        return FactorColumn(rank[codes], levels)
 
 
 def _record_line(path, record: int) -> int:
@@ -337,94 +354,3 @@ def _first_bad_cell(cells: list[str], name: str) -> tuple[int, str]:
         if not math.isfinite(value):
             return i, f"non-finite value in {name!r}"
     raise AssertionError(f"column {name!r} has no bad cell")
-
-
-def rescale_unit(table: DataTable, column: str) -> DataTable:
-    """Rescale a numeric column to [0, 1] via (x - min)/(max - min).
-
-    The affine map back to the original scale is recorded in
-    meta["scale_maps"][column] as (offset, scale): original = offset + scale*x.
-    Composes with any previously recorded map, so applying twice is a no-op
-    on values and keeps the map pointing at the original units.
-    """
-    x = table.numeric(column)
-    lo, hi = float(x.min()), float(x.max())
-    if hi <= lo:
-        raise DomainError(f"column {column!r} is constant; cannot rescale to unit interval")
-    scaled = (x - lo) / (hi - lo)
-    meta = dict(table.meta)
-    maps = dict(meta.get("scale_maps", {}))
-    prev_off, prev_scale = maps.get(column, (0.0, 1.0))
-    maps[column] = (prev_off + prev_scale * lo, prev_scale * (hi - lo))
-    meta["scale_maps"] = maps
-    out = table.with_column(column, scaled)
-    return replace(out, meta=meta)
-
-
-def transform_response(table: DataTable, column: str, kind: str,
-                       power: float | None = None) -> DataTable:
-    """Apply a response transform: identity | log | neg1000_over | power.
-
-    neg1000_over is -1000/y (y in milliseconds is the caller's
-    responsibility). power is the Box-Cox transform (y^p - 1)/p, log at p=0.
-    identity returns the table bit-identical (nothing recorded).
-    """
-    if kind == "identity":
-        return table
-    y = table.numeric(column)
-    if kind in ("log", "neg1000_over") and np.any(y <= 0):
-        row = int(np.argmax(y <= 0))
-        raise DomainError(f"{kind} transform requires positive values; "
-                          f"column {column!r} row {row} is {y[row]}")
-    if kind == "log":
-        z = np.log(y)
-        label = "log"
-    elif kind == "neg1000_over":
-        z = -1000.0 / y
-        label = "neg1000_over"
-    elif kind == "power":
-        if power is None:
-            raise DomainError("power transform requires the exponent")
-        if np.any(y <= 0):
-            row = int(np.argmax(y <= 0))
-            raise DomainError(f"power transform requires positive values; "
-                              f"column {column!r} row {row} is {y[row]}")
-        z = np.log(y) if power == 0 else (y ** power - 1.0) / power
-        label = f"power({power:g})"
-    else:
-        raise DomainError(f"unknown transform kind {kind!r}")
-    meta = dict(table.meta)
-    transforms = dict(meta.get("transforms", {}))
-    transforms[column] = label
-    meta["transforms"] = transforms
-    out = table.with_column(column, z)
-    return replace(out, meta=meta)
-
-
-def boxcox_profile(y, lam_grid=None) -> tuple[float, np.ndarray]:
-    """Box-Cox profile log-likelihood over a lambda grid.
-
-    For each lambda, transforms y, evaluates the Gaussian intercept-only
-    log-likelihood at the ML variance, and adds the Jacobian term
-    (lambda - 1) * sum(log y). Returns (argmax lambda, full profile).
-    Single-parameter form (no shift).
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if y.size == 0:
-        raise DomainError("empty response vector")
-    if np.any(y <= 0):
-        raise DomainError("Box-Cox requires strictly positive values")
-    if lam_grid is None:
-        lam_grid = np.linspace(-2.0, 2.0, 41)
-    lam_grid = np.asarray(lam_grid, dtype=np.float64)
-    if lam_grid.size == 0:
-        raise DomainError("empty lambda grid")
-    n = y.size
-    log_y_sum = float(np.sum(np.log(y)))
-    scores = np.empty(lam_grid.size)
-    for i, lam in enumerate(lam_grid):
-        z = np.log(y) if lam == 0 else (y ** lam - 1.0) / lam
-        s2 = float(np.mean((z - z.mean()) ** 2))
-        scores[i] = -0.5 * n * (np.log(2.0 * np.pi * s2) + 1.0) + (lam - 1.0) * log_y_sum
-    best = int(np.argmax(scores))
-    return float(lam_grid[best]), scores

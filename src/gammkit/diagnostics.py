@@ -1,4 +1,4 @@
-"""Residual autocorrelation, rho selection, and model-criticism summaries."""
+"""Residual autocorrelation, rho selection, and permutation checks."""
 
 from __future__ import annotations
 
@@ -7,9 +7,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.stats import kurtosis as _kurtosis
-from scipy.stats import norm as norm_dist
-from scipy.stats import skew as _skew
 
 from .data import DataTable
 from .errors import DomainError, GammkitError, NumericError, SchemaError
@@ -199,63 +196,3 @@ def permutation_fs_test(table: DataTable, response: str, n_perm: int = 100,
     rejections = int(np.sum(p[~np.isnan(p)] < alpha))
     return PermutationTest(rejections=rejections, p_values=p, alpha=alpha,
                            n_failed=n_failed)
-
-
-@dataclass(frozen=True)
-class CvRow:
-    group: str
-    n: int
-    mean: float
-    sd: float
-    cv: float
-
-
-def cv_by_group(table: DataTable, value_column: str, group: str) -> list[CvRow]:
-    """Coefficient of variation sd/mean per group; values must be positive."""
-    y = np.asarray(table.numeric(value_column), dtype=np.float64)
-    if np.any(y <= 0):
-        raise DomainError(f"{value_column!r} must be positive for a CV")
-    fac = table.factor(group)
-    rows = []
-    skipped = 0
-    for j, name in enumerate(fac.levels):
-        vals = y[fac.codes == j]
-        if vals.size < 2:
-            skipped += 1
-            continue
-        mean = float(vals.mean())
-        sd = float(vals.std(ddof=1))
-        rows.append(CvRow(group=name, n=vals.size, mean=mean, sd=sd,
-                          cv=sd / mean))
-    if skipped:
-        warnings.warn(f"{skipped} groups of size < 2 skipped", stacklevel=2)
-    return rows
-
-
-@dataclass(frozen=True)
-class ResidualReport:
-    """Plot-data tables for model criticism; no plotting here."""
-
-    qq_theoretical: np.ndarray
-    qq_observed: np.ndarray
-    fitted: np.ndarray
-    residuals: np.ndarray
-    skewness: float
-    kurtosis: float            # Pearson convention: normal -> 3
-
-
-def residual_report(model: FittedModel) -> ResidualReport:
-    """QQ pairs, residual-vs-fitted pairs, and moment summaries.
-
-    Everything uses whitened quantities: the model's error theory holds on
-    the whitened scale. QQ positions are (i - 0.5)/n, so residuals that are
-    themselves standard-normal quantiles land exactly on the identity line.
-    """
-    resid = model.residuals_whitened
-    n = resid.size
-    theo = norm_dist.ppf((np.arange(1, n + 1) - 0.5) / n)
-    return ResidualReport(qq_theoretical=theo, qq_observed=np.sort(resid),
-                          fitted=model.design.dot(model.beta),
-                          residuals=resid,
-                          skewness=float(_skew(resid)),
-                          kurtosis=float(_kurtosis(resid, fisher=False)))

@@ -18,8 +18,8 @@ from gammkit.diagnostics import (permutation_fs_test, residual_acf_by_group,
 from gammkit.fitting import (ModelSpec, ParametricTerm, assemble, fit,
                              optimize_lambdas, predict, reml_score)
 from gammkit.inference import ModelScore, compare_reml, nested_f_test
-from gammkit.simulate import (ScenarioSpec, blup_oracle, gen_experiment,
-                              grid_reml_oracle)
+from gammkit.simulate import ScenarioSpec, gen_experiment
+from oracles import blup_oracle, grid_reml_oracle
 
 
 def _verdict(capsys, label, ok, detail):

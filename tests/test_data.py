@@ -1,4 +1,4 @@
-"""Tables, factors, CSV loading, and response transforms."""
+"""Tables, factors, and CSV loading."""
 
 import csv
 import gc
@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from gammkit import data as data_mod
-from gammkit.data import (DataTable, FactorColumn, boxcox_profile, load_csv,
-                          rescale_unit, transform_response)
+from gammkit.data import DataTable, FactorColumn, load_csv
 from gammkit.errors import (DomainError, GammkitError, ParseError,
                             SchemaError, ShapeError)
 
@@ -293,8 +292,8 @@ def _oracle_sniff_role(path, column):
 
 NUMERIC_CELLS = ("1.5", " 2.25 ", "-0.0", "0", "+3", "1e-3", "7", "1_000",
                  " -4.5e2", "0.1", "", "NA", " NA ", "NA ", "  ")
-FACTOR_CELLS = ("a", "b", "a,b", 'q"r', " c ", "d e", "é", "10", "", "NA",
-                " NA ", "Na")
+FACTOR_CELLS = ("a", "b", "a,b", 'q"r', " c ", "c", "d e", "é", "10", "",
+                "NA", " NA ", "Na")
 BAD_CELLS = ("oops", "inf", "1e999", "nan", "-Infinity", "1.2.3")
 
 
@@ -640,104 +639,3 @@ def test_load_csv_undecodable_byte_is_a_parse_error_naming_the_file(tmp_path):
     with pytest.raises(ParseError, match=r"latin1\.csv: byte 0xe9 is not "
                                          r"UTF-8"):
         load_csv(str(p), {"x": "numeric", "g": "factor"})
-
-
-# ---------------------------------------------------------------------------
-# transforms
-
-
-def test_rescale_unit_range_and_map():
-    tab = DataTable(columns={"x": np.array([10.0, 20.0, 30.0])}, n_rows=3)
-    out = rescale_unit(tab, "x")
-    assert out.numeric("x").tolist() == [0.0, 0.5, 1.0]
-    off, scale = out.meta["scale_maps"]["x"]
-    np.testing.assert_allclose(off + scale * out.numeric("x"),
-                               tab.numeric("x"))
-
-
-def test_rescale_unit_twice_keeps_original_map():
-    tab = DataTable(columns={"x": np.array([10.0, 20.0, 30.0])}, n_rows=3)
-    once = rescale_unit(tab, "x")
-    twice = rescale_unit(once, "x")
-    np.testing.assert_array_equal(once.numeric("x"), twice.numeric("x"))
-    off, scale = twice.meta["scale_maps"]["x"]
-    np.testing.assert_allclose(off + scale * twice.numeric("x"),
-                               tab.numeric("x"))
-
-
-def test_rescale_unit_constant_column():
-    tab = DataTable(columns={"x": np.full(3, 7.0)}, n_rows=3)
-    with pytest.raises(DomainError):
-        rescale_unit(tab, "x")
-
-
-def test_transform_identity_is_same_object():
-    tab = DataTable(columns={"y": np.array([1.0, 2.0])}, n_rows=2)
-    assert transform_response(tab, "y", "identity") is tab
-
-
-@pytest.mark.parametrize("kind,fn", [
-    ("log", np.log),
-    ("neg1000_over", lambda y: -1000.0 / y),
-])
-def test_transform_values(kind, fn):
-    y = np.array([250.0, 431.0, 977.5])
-    tab = DataTable(columns={"y": y}, n_rows=3)
-    out = transform_response(tab, "y", kind)
-    np.testing.assert_allclose(out.numeric("y"), fn(y))
-    assert out.meta["transforms"]["y"] == kind
-
-
-def test_transform_power_is_boxcox():
-    y = np.array([1.0, 2.0, 4.0])
-    tab = DataTable(columns={"y": y}, n_rows=3)
-    out = transform_response(tab, "y", "power", power=0.5)
-    np.testing.assert_allclose(out.numeric("y"), (np.sqrt(y) - 1.0) / 0.5)
-    out0 = transform_response(tab, "y", "power", power=0.0)
-    np.testing.assert_allclose(out0.numeric("y"), np.log(y))
-
-
-def test_transform_rejects_nonpositive():
-    tab = DataTable(columns={"y": np.array([1.0, -2.0])}, n_rows=2)
-    for kind in ("log", "neg1000_over"):
-        with pytest.raises(DomainError):
-            transform_response(tab, "y", kind)
-    with pytest.raises(DomainError):
-        transform_response(tab, "y", "power", power=0.5)
-
-
-def test_transform_power_requires_exponent():
-    tab = DataTable(columns={"y": np.array([1.0, 2.0])}, n_rows=2)
-    with pytest.raises(DomainError):
-        transform_response(tab, "y", "power")
-
-
-def test_transform_unknown_kind():
-    tab = DataTable(columns={"y": np.array([1.0])}, n_rows=1)
-    with pytest.raises(DomainError):
-        transform_response(tab, "y", "sqrt")
-
-
-def test_boxcox_profile_recovers_log_scale():
-    # y = exp(z) with z Gaussian: profile should peak near lambda = 0.
-    rng = np.random.default_rng(31)
-    y = np.exp(rng.normal(0.0, 0.5, 4000))
-    lam, scores = boxcox_profile(y, np.linspace(-1.0, 1.0, 81))
-    assert abs(lam) < 0.15
-    assert scores.shape == (81,)
-
-
-def test_boxcox_profile_identity_scale():
-    rng = np.random.default_rng(32)
-    y = rng.normal(50.0, 2.0, 4000)
-    lam, _ = boxcox_profile(y, np.linspace(-2.0, 4.0, 121))
-    assert abs(lam - 1.0) < 0.5
-
-
-def test_boxcox_profile_rejects_bad_input():
-    with pytest.raises(DomainError):
-        boxcox_profile(np.array([]))
-    with pytest.raises(DomainError):
-        boxcox_profile(np.array([1.0, 0.0]))
-    with pytest.raises(DomainError):
-        boxcox_profile(np.array([1.0]), np.array([]))

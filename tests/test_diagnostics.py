@@ -1,17 +1,15 @@
-"""Autocorrelation, rho suggestion, permutation checks, CV, residual plots."""
+"""Autocorrelation, rho suggestion, and permutation checks."""
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
-from gammkit.diagnostics import (acf, cv_by_group, permutation_fs_test,
-                                 pilot_spec, residual_acf_by_group,
-                                 residual_report, suggest_rho)
+from gammkit.diagnostics import (acf, permutation_fs_test, pilot_spec,
+                                 residual_acf_by_group, suggest_rho)
 from gammkit.errors import (DomainError, GammkitError, NumericError,
                             SchemaError)
 from gammkit.fitting import ModelSpec, fit
@@ -229,84 +227,3 @@ def test_permutation_test_validates_input():
     plain = DataTable(columns={"y": np.arange(8.0)}, n_rows=8)
     with pytest.raises(SchemaError):
         permutation_fs_test(plain, "y", n_perm=5)
-
-
-# ---------------------------------------------------------------------------
-# coefficient of variation
-
-
-def test_cv_by_group_worked_example():
-    """Values (1.5, 2, 2.5) have sd 0.5 around mean 2: CV = 0.25."""
-    tab = DataTable(columns={"v": np.array([1.5, 2.0, 2.5, 4.0, 4.0]),
-                             "g": FactorColumn.from_strings(
-                                 ["a", "a", "a", "b", "b"])},
-                    n_rows=5)
-    rows = cv_by_group(tab, "v", "g")
-    assert rows[0].group == "a" and rows[0].n == 3
-    assert rows[0].mean == pytest.approx(2.0)
-    assert rows[0].sd == pytest.approx(0.5)
-    assert rows[0].cv == pytest.approx(0.25)
-    assert rows[1].cv == 0.0
-
-
-def test_cv_by_group_skips_singletons_with_warning():
-    tab = DataTable(columns={"v": np.array([1.0, 2.0, 3.0]),
-                             "g": FactorColumn.from_strings(["a", "a", "b"])},
-                    n_rows=3)
-    with pytest.warns(UserWarning, match="size < 2"):
-        rows = cv_by_group(tab, "v", "g")
-    assert [r.group for r in rows] == ["a"]
-
-
-def test_cv_by_group_requires_positive_values():
-    tab = DataTable(columns={"v": np.array([1.0, -2.0]),
-                             "g": FactorColumn.from_strings(["a", "a"])},
-                    n_rows=2)
-    with pytest.raises(DomainError):
-        cv_by_group(tab, "v", "g")
-
-
-# ---------------------------------------------------------------------------
-# residual report
-
-
-def _report_stub(resid):
-    n = len(resid)
-    return SimpleNamespace(residuals_whitened=np.asarray(resid, dtype=float),
-                           design=SimpleNamespace(
-                               dot=lambda beta: np.zeros((n, 1)) @ beta),
-                           beta=np.zeros(1))
-
-
-def test_residual_report_qq_identity_for_exact_quantiles():
-    from scipy.stats import norm
-    n = 101
-    q = norm.ppf((np.arange(1, n + 1) - 0.5) / n)
-    rng = np.random.default_rng(13)
-    rep = residual_report(_report_stub(rng.permutation(q)))
-    np.testing.assert_allclose(rep.qq_observed, rep.qq_theoretical,
-                               atol=1e-10)
-
-
-def test_residual_report_moments_for_gaussian_noise():
-    rng = np.random.default_rng(14)
-    rep = residual_report(_report_stub(rng.standard_normal(1000)))
-    assert abs(rep.skewness) < 0.25
-    assert 2.5 < rep.kurtosis < 3.6
-
-
-def test_residual_report_flags_heavy_tails():
-    rng = np.random.default_rng(15)
-    rep = residual_report(_report_stub(rng.standard_t(3, size=2000)))
-    assert rep.kurtosis > 4.0
-
-
-def test_residual_report_uses_whitened_scale():
-    tab = _series_table(n_series=4, per=50, rho=0.5, seed=16)
-    spec = ModelSpec(response="y", rho=0.4)
-    model = fit(spec, tab)
-    rep = residual_report(model)
-    np.testing.assert_array_equal(rep.residuals, model.residuals_whitened)
-    np.testing.assert_allclose(rep.fitted, model.design.X @ model.beta)
-    assert rep.qq_observed.shape == (model.n,)
-    assert np.all(np.diff(rep.qq_observed) >= 0)

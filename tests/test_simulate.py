@@ -1,19 +1,22 @@
 """Scenario generator and the closed-form / dense-grid oracles."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gammkit
 from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
 from gammkit.diagnostics import acf
 from gammkit.errors import DomainError, ShapeError
 from gammkit.fitting import (ModelSpec, ParametricTerm, assemble, fit,
                              optimize_lambdas, reml_score)
-from gammkit.simulate import (BlupOracle, FixedEffect, ScenarioSpec,
-                              blup_oracle, gen_experiment, gen_trend,
-                              grid_reml_oracle)
+from gammkit.simulate import (FixedEffect, ScenarioSpec, gen_experiment,
+                              gen_trend)
+from oracles import blup_oracle, grid_reml_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -321,3 +324,38 @@ def test_grid_oracle_validates_shapes():
                     tab)
     with pytest.raises(DomainError):
         grid_reml_oracle(des3, np.zeros((3, 3)))
+
+
+def _gammkit_imports(path: Path) -> set[str]:
+    """The gammkit modules a source file imports, by absolute or relative
+    import, with the package's lazy re-exports resolved to their module."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = f"gammkit.{module}".rstrip(".")
+            if module != "gammkit":
+                found.add(module)
+                continue
+            found.update(gammkit._EXPORTS.get(alias.name,
+                                              f"gammkit.{alias.name}")
+                         for alias in node.names)
+    return {m for m in found if m.startswith("gammkit.")}
+
+
+def test_oracles_import_no_fitting_basis_or_inference_code():
+    """The oracles check fitting, basis and inference, so neither they nor
+    any gammkit module they import, directly or not, reads those three:
+    agreement with them is evidence, not tautology."""
+    src = Path(gammkit.__file__).parent
+    seen = set()
+    todo = _gammkit_imports(Path(__file__).with_name("oracles.py"))
+    while todo:
+        module = todo.pop()
+        seen.add(module)
+        todo |= _gammkit_imports(src / f"{module.split('.')[1]}.py") - seen
+    assert seen and not seen & {"gammkit.fitting", "gammkit.basis",
+                                "gammkit.inference"}, sorted(seen)
