@@ -29,7 +29,6 @@ from typing import NamedTuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh, qr, solve, solve_triangular
-from scipy.spatial.distance import cdist
 
 from .data import DataTable, FactorColumn
 from .errors import (DomainError, GammkitError, NumericError, RankError,
@@ -228,8 +227,7 @@ class _TpEval:
 
     def evaluate(self, cols):
         Xc = _as_cov_matrix(cols, self.d)
-        r = cdist(Xc, self.points)
-        E = _tp_eta(r, self.d, self.m)
+        E = _tp_eta(_tp_dist(Xc, self.points), self.d, self.m)
         T = _tp_poly(Xc, self.powers)
         return np.hstack([T, E @ self.loadings])
 
@@ -478,6 +476,17 @@ def _as_cov_matrix(cols, d: int) -> np.ndarray:
     return np.column_stack([np.asarray(c, dtype=np.float64) for c in cols])
 
 
+def _tp_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Distances between the rows of A and of B, bit for bit scipy's cdist:
+    squared coordinate differences summed in coordinate order, then sqrt."""
+    r = np.zeros((len(A), len(B)))
+    for a, b in zip(A.T, B.T):
+        diff = np.subtract.outer(a, b)
+        diff *= diff
+        r += diff
+    return np.sqrt(r, out=r)
+
+
 def _tp_eta(r: np.ndarray, d: int, m: int) -> np.ndarray:
     """Radial kernel of the thin plate spline for dimension d, order m."""
     if d % 2 == 1:
@@ -538,7 +547,7 @@ def tp_basis(X_cov, k: int, m: int = 2) -> BasisBlock:
         keep = rng.choice(pts.shape[0], size=_TP_MAX_SITES, replace=False)
         pts = pts[np.sort(keep)]
 
-    E = _tp_eta(cdist(pts, pts), d, m)
+    E = _tp_eta(_tp_dist(pts, pts), d, m)
     with _stage("thin plate kernel eigendecomposition"):
         w, U = eigh(_symmetrize(E))
     order = np.argsort(-np.abs(w), kind="stable")[:k]

@@ -348,13 +348,14 @@ def _parse_spec(path: str, rho=None):
     return (spec if rho is None else replace(spec, rho=rho)), keys
 
 
-def _read_inputs(args, tracker: OutputTracker, rho=None):
-    """Parse --spec into a ModelSpec, then load --data, advancing
-    tracker.stage: (ModelSpec, table)."""
+def _read_inputs(args, tracker: OutputTracker, rho=None, pilot=False):
+    """Parse --spec into a ModelSpec, then load --data (for a pilot model,
+    only the response and keys), advancing tracker.stage: (spec, table)."""
     tracker.stage = "parse-spec"
     spec, keys = _parse_spec(args.spec, rho)
     tracker.stage = "load-data"
-    return spec, _load_table([spec], keys, args.data)
+    return spec, _load_table([ModelSpec(spec.response) if pilot else spec],
+                             keys, args.data)
 
 
 def _fit_from_args(args, tracker: OutputTracker):
@@ -367,24 +368,11 @@ def _fit_from_args(args, tracker: OutputTracker):
 
 def _summary_sections(model):
     """(parametric rows, smooth rows) for the two-section summary table."""
-    from scipy.stats import t as t_dist
-
-    from .inference import wald_columns, wald_term_test
+    from .inference import coef_t_tests, wald_columns, wald_term_test
 
     design = model.design_raw
-    df_resid = model.n - model.total_edf
-    par_rows = []
-    stop = design.n_parametric_cols
-    for j in range(stop):
-        est = model.beta[j]
-        se = math.sqrt(max(model.vb[j, j], 0.0))
-        if se > 0 and df_resid > 0:
-            tval = est / se
-            p = 2.0 * float(t_dist.sf(abs(tval), df_resid))
-        else:
-            tval, p = math.nan, math.nan
-        par_rows.append([design.coef_names[j], _fmt(est), _fmt(se),
-                         _fmt(tval), _fmt_p(p)])
+    par_rows = [[name, _fmt(est), _fmt(se), _fmt(tval), _fmt_p(p)]
+                for name, est, se, tval, p in coef_t_tests(model)]
     smooth_rows = []
     for term in model.spec.smooth_terms:
         if term.by is None:
@@ -608,7 +596,7 @@ def cmd_suggest_rho(args, tracker: OutputTracker):
 
 
 def cmd_permtest(args, tracker: OutputTracker):
-    spec, table = _read_inputs(args, tracker)
+    spec, table = _read_inputs(args, tracker, pilot=True)
     tracker.stage = "permtest"
     from .diagnostics import permutation_fs_test
     result = permutation_fs_test(table, spec.response,

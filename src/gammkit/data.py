@@ -176,8 +176,8 @@ def load_csv(path, schema: dict[str, str], series_key: str | None = None,
                 for _, present in parsed:
                     if present is not None:
                         keep &= present
-                for col, (cells, present) in zip(columns.values(), parsed):
-                    col.add(cells, present, keep, records)
+                for col, text, got in zip(columns.values(), raw, parsed):
+                    col.add(text, *got, keep, records)
                 records += size
                 n += int(keep.sum())
     except UnicodeDecodeError as exc:
@@ -257,29 +257,31 @@ class _Column:
     def parse(self, raw: list[str]):
         """(cells, present) of one chunk's raw cells: a factor column's
         level codes (-1 where missing) and present (non-missing) mask; a
-        numeric column's floats and None when every cell parses (float()
-        ignores surrounding whitespace and refuses the missing tokens);
-        otherwise its stripped cells and present mask."""
+        numeric or auto column's floats and None when every cell parses
+        (float() ignores surrounding whitespace and refuses the missing
+        tokens); otherwise its stripped cells and present mask."""
         if self.role == "factor":
             codes = self._codes(raw)
             return codes, codes >= 0
-        if self.role == "numeric":
-            values = _floats(raw)
-            if values is not None:
-                return values, None
+        values = _floats(raw)
+        if values is not None:
+            return values, None
         cells = list(map(str.strip, raw))
         return cells, ~np.fromiter(map(_MISSING.__contains__, cells),
                                    dtype=bool, count=len(cells))
 
-    def add(self, cells, present: np.ndarray | None, keep: np.ndarray,
-            start: int):
-        """Take one chunk: parse()'s (cells, present), the kept-row mask,
-        and the record index of its first row."""
+    def add(self, raw: list[str], cells, present: np.ndarray | None,
+            keep: np.ndarray, start: int):
+        """Take one chunk: its raw cells, parse()'s (cells, present), the
+        kept-row mask, and the record index of its first row."""
         if self.role == "factor":
             self.parts.append(cells if keep.all() else cells[keep])
             return
         if present is None:
             kept = values = cells if keep.all() else cells[keep]
+            if self.role == "auto":
+                self.held.append(raw if keep.all() else
+                                 list(compress(raw, keep.tolist())))
         else:
             kept = cells if keep.all() else list(compress(cells,
                                                           keep.tolist()))

@@ -170,8 +170,6 @@ def permutation_fs_test(table: DataTable, response: str, n_perm: int = 100,
     from .inference import wald_term_test
     if n_perm < 1:
         raise DomainError("n_perm must be >= 1")
-    if table.series_key is None or table.order_key is None:
-        raise SchemaError("permutation test needs series and order keys")
     spec = pilot_spec(table, response, k=k)
     fs_label = spec.smooth_terms[0].label
     codes = table.factor(table.series_key).codes

@@ -309,7 +309,7 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     Each term's block comes from one basis.term_block call, whose errors
     name the term. Dense blocks stack into X_dense, whose columns
     dense_cols records; the sparse per-level blocks stack into X_sparse.
-    Both must be all finite; the blocks' own matrices are not kept.
+    Each block checks its own entries finite; its matrices are not kept.
     """
     if spec.response not in table.columns:
         raise SchemaError(f"response column {spec.response!r} not in table")
@@ -354,8 +354,6 @@ def assemble(spec: ModelSpec, table: DataTable) -> AssembledDesign:
     else:               # no per-level term, or several side by side
         X_sparse = sparse.hstack(
             sparse_parts or [sparse.csr_array((table.n_rows, 0))], format="csr")
-    if not (np.all(np.isfinite(X_dense)) and np.all(np.isfinite(X_sparse.data))):
-        raise NumericError("assembled design contains non-finite entries")
     weights = block_diag(*weight_blocks) if weight_blocks else np.zeros((0, 0))
     m_null = cursor - weights.shape[0]
     series_codes = order_values = None

@@ -1,8 +1,9 @@
-"""Edf accounting, AIC, and model-comparison tests.
+"""Edf accounting, AIC, and every test and p-value the program reports.
 
-All p-values here are approximate: they condition on the selected smoothing
-parameters and use Wald/F reference distributions. Results carry an
-``approximate`` flag so downstream formatting can say so.
+The p-values, from scipy.special's F, chi-squared and t tails, are all
+approximate: they condition on the selected smoothing parameters and use
+Wald/F/t reference distributions. Results carry an ``approximate`` flag
+so downstream formatting can say so.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
-from scipy.stats import chi2 as chi2_dist
-from scipy.stats import f as f_dist
+from scipy.special import chdtrc, fdtrc, stdtr
 
 from .errors import GammkitError, NestingError, SchemaError
 from .terms import SmoothTermSpec
@@ -88,8 +88,21 @@ def nested_f_test(model_small, model_big) -> tuple[float, float, float, float]:
         raise NestingError("larger model has no residual df")
     fstat = (d_rss / d_edf) / model_big.sigma2
     fstat = max(fstat, 0.0)
-    p = float(f_dist.sf(fstat, d_edf, df2))
+    p = float(fdtrc(d_edf, df2, fstat))
     return float(fstat), float(d_edf), float(df2), p
+
+
+def coef_t_tests(model) -> list[tuple[str, float, float, float, float]]:
+    """(name, estimate, SE, t, two-sided p) of each parametric column, on
+    n - total edf residual df; t and p are NaN unless SE and df are > 0."""
+    df_resid = model.n - model.total_edf
+    rows = []
+    for j in range(model.design_raw.n_parametric_cols):
+        est, se = model.beta[j], math.sqrt(max(model.vb[j, j], 0.0))
+        tval = est / se if se > 0 and df_resid > 0 else math.nan
+        rows.append((model.coef_names[j], est, se, tval,
+                     2.0 * float(stdtr(df_resid, -abs(tval)))))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -142,7 +155,7 @@ def compare_reml(model0, model1) -> ComparisonResult:
     if df == 0:
         raise GammkitError("equal parameter counts; chi-squared comparison "
                            "undefined at df = 0")
-    p = float(chi2_dist.sf(stat, df))
+    p = float(chdtrc(df, stat))
     return ComparisonResult(stat=float(stat), df=df, p=p, verdict="test")
 
 
@@ -182,7 +195,7 @@ def wald_columns(model, a: int, b: int, label: str,
     z = V.T @ model.beta[a:b]
     stat = float(np.sum(weight * z * z / np.where(w > 0, w, 1.0))) \
         / max(edf, 1e-8)
-    p = float(f_dist.sf(stat, max(edf, 1e-8), df2))
+    p = float(fdtrc(max(edf, 1e-8), df2, stat))
     return TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=stat,
                        p=p, kind=kind)
 

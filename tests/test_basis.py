@@ -314,6 +314,18 @@ def test_tp_subsamples_many_sites_deterministically(monkeypatch):
     assert np.array_equal(first.evaluator.evaluate([x]), first.X)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_tp_distances_equal_cdist_bit_for_bit(d):
+    """The thin-plate distances are scipy's cdist, bit for bit, repeated
+    sites (zero distances) included."""
+    from scipy.spatial.distance import cdist
+    rng = np.random.default_rng(d)
+    A = rng.normal(0.0, 3.0, (300, d)) * 10.0 ** rng.integers(-6, 6, (300, 1))
+    B = np.vstack([A[::7], rng.uniform(-1.0, 1.0, (40, d))])
+    assert np.array_equal(basis._tp_dist(A, B), cdist(A, B))
+    assert np.array_equal(basis._tp_dist(B, B), cdist(B, B))
+
+
 # ---------------------------------------------------------------------------
 # tensor products
 

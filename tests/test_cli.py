@@ -988,6 +988,57 @@ def test_spec_errors_need_no_numpy(tmp_path, line):
     assert proc.stdout == "[]\n"
 
 
+def test_commands_import_neither_scipy_stats_nor_scipy_spatial(tmp_path):
+    """fit with a thin-plate smooth, compare and permtest run in a fresh
+    interpreter without importing scipy.stats or scipy.spatial."""
+    src = os.path.dirname(os.path.dirname(gammkit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    scen = _write(tmp_path / "s.scn", "n_subjects: 4\nn_trials: 40\n"
+                  "seed: 3\nfixed: factor2(cond) effect=0.5\n")
+    small = _write(tmp_path / "m0.spec", "response: y\nparametric: cond\n"
+                   "series: subject order: trial\n")
+    big = _write(tmp_path / "m1.spec", "response: y\nparametric: cond\n"
+                 "smooth: s(trial) k=6\nseries: subject order: trial\n")
+    data, out = str(tmp_path / "sim" / "simulated.csv"), str(tmp_path / "o")
+    runs = [["simulate", "--spec", scen, "--out", str(tmp_path / "sim")],
+            ["fit", "--data", data, "--spec", big, "--out", out + "1"],
+            ["compare", "--data", data, "--spec", small, "--spec", big,
+             "--out", out + "2"],
+            ["permtest", "--data", data, "--spec", small, "--out", out + "3",
+             "--n-perm", "2"]]
+    code = ("import json, sys; from gammkit.cli import main; "
+            "codes = [main(run) for run in json.loads(sys.argv[1])]; "
+            "print(codes, sorted({'scipy.stats', 'scipy.spatial'} "
+            "& set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(runs)],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[0, 0, 0, 0] []\n"
+
+
+def test_permtest_reads_only_the_pilot_models_columns(tmp_path):
+    """A missing cell in a column the pilot model does not read drops no
+    row: the p-values equal those of a spec that does not name it."""
+    scen = _write(tmp_path / "s.scn", "n_subjects: 4\nn_trials: 40\n"
+                  "seed: 3\nfixed: factor2(cond) effect=0.5\n")
+    assert main(["simulate", "--spec", scen, "--out", str(tmp_path)]) == 0
+    rows = _read_csv(tmp_path / "simulated.csv")
+    at = rows[0].index("cond")
+    for row in rows[1::12]:
+        row[at] = "NA"
+    with open(tmp_path / "d.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    pvalues = []
+    for extra in ("", "parametric: cond\n"):
+        spec = _write(tmp_path / "m.spec", SERIES_SPEC + extra)
+        out = tmp_path / f"out{len(pvalues)}"
+        assert main(["permtest", "--data", str(tmp_path / "d.csv"), "--spec",
+                     spec, "--out", str(out), "--n-perm", "3"]) == 0
+        pvalues.append(_read_csv(out / "permtest_pvalues.csv"))
+    assert pvalues[0] == pvalues[1]
+
+
 def test_module_help_lists_all_commands():
     # the child imports gammkit from where this process found it
     src = os.path.dirname(os.path.dirname(gammkit.__file__))

@@ -1,11 +1,13 @@
 """AIC, nested F tests, REML score comparisons, and Wald term tests."""
 
+import ast
 import math
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.stats import chi2, f as f_dist
+from scipy.stats import chi2, f as f_dist, t as t_dist
 
 from gammkit import inference
 from gammkit.basis import SmoothTermSpec
@@ -389,3 +391,50 @@ def test_te_wald_p_does_not_depend_on_row_order():
     p = wald_term_test(fit(spec, table), label).p
     shuffled = table.take(rng.permutation(n))
     assert abs(wald_term_test(fit(spec, shuffled), label).p - p) <= 1e-6
+
+
+def test_tails_equal_scipy_stats_sf_bit_for_bit():
+    """The three scipy.special tails inference calls return scipy.stats'
+    sf values exactly, at 0, inf, NaN, a near-zero edf and large df."""
+    x = np.concatenate([[0.0, 1e-300, 1e-12, 0.5, 1.0, 3.7, 40.0, 1e6,
+                         np.inf, np.nan],
+                        np.random.default_rng(0).gamma(1.5, 2.0, 200)])
+    df = np.array([1e-8, 0.3, 1.0, 2.4, 7.0, 58.6, 1e4, 1e9])
+    d1, d2, xx = df[:, None, None], df[None, :, None], x[None, None, :]
+    np.testing.assert_array_equal(inference.fdtrc(d1, d2, xx),
+                                  f_dist.sf(xx, d1, d2), strict=True)
+    k, xk = df[:, None], x[None, :]
+    np.testing.assert_array_equal(inference.chdtrc(k, xk),
+                                  chi2.sf(xk, k), strict=True)
+    np.testing.assert_array_equal(inference.stdtr(k, -xk),
+                                  t_dist.sf(xk, k), strict=True)
+
+
+def test_coef_t_tests_match_scipy_stats_t():
+    model = fit(ModelSpec(response="y", parametric_terms=(
+        ParametricTerm("cond"),), smooth_terms=(
+        SmoothTermSpec(("trial",), "cr", k=6),)), _scenario(4, 50, 2))
+    rows = inference.coef_t_tests(model)
+    assert [r[0] for r in rows] == model.coef_names[:2]
+    for j, (_, est, se, tval, p) in enumerate(rows):
+        assert (est, se) == (model.beta[j], math.sqrt(model.vb[j, j]))
+        assert tval == est / se
+        assert p == 2.0 * t_dist.sf(abs(tval), model.n - model.total_edf)
+
+
+def test_program_imports_only_scipy_linalg_sparse_and_special():
+    """No module imports scipy.stats or scipy.spatial, and inference alone
+    imports scipy.special, so it alone computes p-values."""
+    found = {}
+    for path in sorted(Path(inference.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            for name in names:
+                if name.startswith("scipy"):
+                    found.setdefault(name, set()).add(path.stem)
+    assert set(found) <= {"scipy", "scipy.linalg", "scipy.sparse",
+                          "scipy.special"}
+    assert found["scipy.special"] == {"inference"}
