@@ -43,7 +43,6 @@ _EXPORTS = {
     # inference
     "TermSummary": "gammkit.inference",
     "ModelScore": "gammkit.inference",
-    "term_edf": "gammkit.inference",
     "aic": "gammkit.inference",
     "nested_f_test": "gammkit.inference",
     "compare_reml": "gammkit.inference",

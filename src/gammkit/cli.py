@@ -254,16 +254,13 @@ class OutputTracker:
                 pass
 
 
-def _fmt(x) -> str:
-    if x is None or (isinstance(x, float) and math.isnan(x)):
-        return "nan"
+def _fmt(x: float) -> str:
+    """x to 4 decimals; NaN is "nan"."""
     return f"{x:.4f}"
 
 
-def _fmt_p(p) -> str:
-    if p is None or (isinstance(p, float) and math.isnan(p)):
-        return "nan"
-    return "< 0.0001" if p < 1e-4 else f"{p:.4f}"
+def _fmt_p(p: float) -> str:
+    return "< 0.0001" if p < 1e-4 else _fmt(p)
 
 
 def _write_table(fh, headers, rows, delimited: bool):
@@ -289,13 +286,6 @@ _NEEDS_QUOTES = re.compile(r'[,"\r\n]').search
 def _csv_cell(text: str) -> str:
     """text as one cell of csv.writer's default dialect (RFC 4180 quoting)."""
     return '"' + text.replace('"', '""') + '"' if _NEEDS_QUOTES(text) else text
-
-
-def _se(vb):
-    """sqrt(max(v, 0)) of vb's diagonal, with Python's max (NaN stays NaN)."""
-    import numpy as np
-    d = np.diag(vb)
-    return np.sqrt(np.where(0.0 > d, 0.0, d))
 
 
 def _pvalue_cell(p: float) -> str:
@@ -366,31 +356,13 @@ def _fit_from_args(args, tracker: OutputTracker):
     return fit(spec, table)
 
 
-def _summary_sections(model):
-    """(parametric rows, smooth rows) for the two-section summary table."""
-    from .inference import coef_t_tests, wald_columns, wald_term_test
-
-    design = model.design_raw
-    par_rows = [[name, _fmt(est), _fmt(se), _fmt(tval), _fmt_p(p)]
-                for name, est, se, tval, p in coef_t_tests(model)]
-    smooth_rows = []
-    for term in model.spec.smooth_terms:
-        if term.by is None:
-            rows = [wald_term_test(model, term.label)]
-        else:                       # one row per level of the by factor
-            t, base = design.terms[term.label], term.label.split(":")[0]
-            a, k = t.cols[0], t.k
-            rows = [wald_columns(model, a + j * k, a + (j + 1) * k,
-                                 f"{base}:{lev}")
-                    for j, lev in enumerate(design.table.factor(term.by).levels)]
-        smooth_rows += [[row.term, _fmt(row.edf), _fmt(row.ref_df),
-                         _fmt(row.statistic), _fmt_p(row.p)] for row in rows]
-    return par_rows, smooth_rows
-
-
 def _write_summary(path: str, model, delimited: bool):
-    from .inference import aic
-    par_rows, smooth_rows = _summary_sections(model)
+    from .inference import aic, summarize_terms
+    coefs, smooths = summarize_terms(model)
+    par_rows = [[name, _fmt(est), _fmt(se), _fmt(tval), _fmt_p(p)]
+                for name, est, se, tval, p in coefs]
+    smooth_rows = [[row.term, _fmt(row.edf), _fmt(row.ref_df),
+                    _fmt(row.statistic), _fmt_p(row.p)] for row in smooths]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"response: {model.spec.response}    n = {model.n}    "
                  f"rho = {model.spec.rho:.4f}\n")
@@ -415,7 +387,7 @@ def _write_summary(path: str, model, delimited: bool):
 def _write_coefficients(path: str, model):
     _write_columns(path, ["name", "estimate", "se"],
                    [list(map(_csv_cell, model.coef_names)), model.beta,
-                    _se(model.vb)])
+                    model.se])
 
 
 def _row_keys(model):
@@ -464,7 +436,7 @@ def _write_partials(tracker: OutputTracker, model):
             b = a + len(levels)
             _write_columns(path, ["level", "effect", "se"],
                            [list(map(_csv_cell, levels)), model.beta[a:b],
-                            _se(model.vb[a:b, a:b])])
+                            model.se[a:b]])
             continue
         numeric = term.covariates
         m = 100 if len(numeric) == 1 else 40

@@ -25,10 +25,6 @@ class AcfResult:
     n: int
     band: float
 
-    @property
-    def max_lag(self) -> int:
-        return len(self.lags) - 1
-
 
 def acf(series, max_lag: int) -> AcfResult:
     """Sample ACF r_k = sum (x_t - xbar)(x_{t+k} - xbar) / sum (x_t - xbar)^2.
@@ -109,15 +105,11 @@ def pilot_spec(table: DataTable, response: str, k: int = 5) -> ModelSpec:
 
 @dataclass(frozen=True)
 class RhoSuggestion:
-    """Lag-1-based AR(1) estimate; iterable as (rho_hat, per_group)."""
+    """Lag-1-based AR(1) estimate."""
 
     rho_hat: float             # mean per-group lag-1 ACF, clipped to [0, 0.95]
-    rho_raw: float
     per_group: np.ndarray
     groups: tuple
-
-    def __iter__(self):
-        return iter((self.rho_hat, self.per_group))
 
 
 def suggest_rho(table: DataTable, base_spec: ModelSpec) -> RhoSuggestion:
@@ -135,37 +127,34 @@ def suggest_rho(table: DataTable, base_spec: ModelSpec) -> RhoSuggestion:
            if r.group != "pooled"]
     lag1 = [r.acf[1] for r in per]
     groups = tuple(r.group for r in per)
-    raw = float(np.mean(lag1))
-    return RhoSuggestion(rho_hat=float(np.clip(raw, 0.0, 0.95)), rho_raw=raw,
+    return RhoSuggestion(rho_hat=float(np.clip(np.mean(lag1), 0.0, 0.95)),
                          per_group=np.asarray(lag1), groups=groups)
 
 
 @dataclass(frozen=True)
 class PermutationTest:
-    """Type-I check for the factor smooth; iterable as (rejections, p_values)."""
+    """Type-I check for the factor smooth: one p-value per replicate (NaN
+    for a failed fit), each from order values shuffled within every series
+    in (series, order) order, so the result does not depend on row order."""
 
-    rejections: int
     p_values: np.ndarray
-    alpha: float
     n_failed: int
-
-    def __iter__(self):
-        return iter((self.rejections, self.p_values))
 
     def rejections_at(self, alpha: float) -> int:
         return int(np.sum(self.p_values < alpha))
 
 
 def permutation_fs_test(table: DataTable, response: str, n_perm: int = 100,
-                        alpha: float = 0.05, seed: int = 0,
-                        k: int = 5) -> PermutationTest:
+                        seed: int = 0, k: int = 5) -> PermutationTest:
     """Permutation check that the factor smooth finds no trend in shuffled data.
 
     Each replicate shuffles the order values within every series, refits the
     pilot model (intercept + factor smooth of order by series), and records
     the factor smooth's approximate p-value. Fit failures are counted, not
     fatal. Bit-reproducible for a fixed seed: replicate b draws from its own
-    stream seeded (seed, b).
+    stream seeded (seed, b), one permutation per series in level order, each
+    over the series' rows taken in (series, order) order, not in row order;
+    so a table and any reordering of its rows give the same p-values.
     """
     from .inference import wald_term_test
     if n_perm < 1:
@@ -174,8 +163,9 @@ def permutation_fs_test(table: DataTable, response: str, n_perm: int = 100,
     fs_label = spec.smooth_terms[0].label
     codes = table.factor(table.series_key).codes
     order = np.asarray(table.numeric(table.order_key))
-    group_rows = [np.flatnonzero(codes == j)
-                  for j in range(table.factor(table.series_key).n_levels)]
+    by_series = np.lexsort((order, codes))
+    group_rows = np.split(by_series,
+                          np.flatnonzero(np.diff(codes[by_series])) + 1)
     p_values = []
     n_failed = 0
     for b in range(n_perm):
@@ -190,7 +180,4 @@ def permutation_fs_test(table: DataTable, response: str, n_perm: int = 100,
         except GammkitError:
             n_failed += 1
             p_values.append(math.nan)
-    p = np.asarray(p_values)
-    rejections = int(np.sum(p[~np.isnan(p)] < alpha))
-    return PermutationTest(rejections=rejections, p_values=p, alpha=alpha,
-                           n_failed=n_failed)
+    return PermutationTest(p_values=np.asarray(p_values), n_failed=n_failed)

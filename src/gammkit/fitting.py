@@ -1149,6 +1149,13 @@ class FittedModel:
         rho = self.spec.rho
         return ar1_whiten(self.design_raw, rho) if rho > 0 else self.design_raw
 
+    @cached_property
+    def se(self) -> np.ndarray:
+        """Standard errors: sqrt of vb's diagonal, a negative entry clipped
+        to 0 (NaN stays NaN, -0.0 stays -0.0)."""
+        d = np.diag(self.vb)
+        return np.sqrt(np.where(0.0 > d, 0.0, d))
+
     @property
     def n(self) -> int:
         return self.design_raw.n

@@ -2,8 +2,7 @@
 
 The p-values, from scipy.special's F, chi-squared and t tails, are all
 approximate: they condition on the selected smoothing parameters and use
-Wald/F/t reference distributions. Results carry an ``approximate`` flag
-so downstream formatting can say so.
+Wald/F/t reference distributions.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ from scipy.linalg import eigh
 from scipy.special import chdtrc, fdtrc, stdtr
 
 from .errors import GammkitError, NestingError, SchemaError
-from .terms import SmoothTermSpec
 
 _TIE_RTOL = 1e-6               # eigenvalues of V this close form a cluster
 
@@ -30,8 +28,6 @@ class TermSummary:
     ref_df: float
     statistic: float
     p: float
-    kind: str                  # parametric | smooth | random
-    approximate: bool = True
 
 
 @dataclass(frozen=True)
@@ -41,17 +37,6 @@ class ModelScore:
     reml: float
     param_count: int
     label: str = ""
-
-
-def term_edf(model, term: str) -> float:
-    """Sum of per-coefficient edf over the term's columns.
-
-    The intercept's edf (1 for any unpenalized fit) lives under the
-    "(Intercept)" label; smooth terms never include it, so per-term edf
-    values sum exactly to the model's total edf.
-    """
-    a, b = model.column_range(term)
-    return float(np.sum(model.edf_per_coef[a:b]))
 
 
 def aic(model) -> float:
@@ -98,7 +83,7 @@ def coef_t_tests(model) -> list[tuple[str, float, float, float, float]]:
     df_resid = model.n - model.total_edf
     rows = []
     for j in range(model.design_raw.n_parametric_cols):
-        est, se = model.beta[j], math.sqrt(max(model.vb[j, j], 0.0))
+        est, se = model.beta[j], model.se[j]
         tval = est / se if se > 0 and df_resid > 0 else math.nan
         rows.append((model.coef_names[j], est, se, tval,
                      2.0 * float(stdtr(df_resid, -abs(tval)))))
@@ -107,15 +92,12 @@ def coef_t_tests(model) -> list[tuple[str, float, float, float, float]]:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    """Score-difference test; iterable as (stat, df, p)."""
+    """Score-difference test."""
 
     stat: float
     df: int
     p: float | None
     verdict: str               # "test" | "simpler_and_better"
-
-    def __iter__(self):
-        return iter((self.stat, self.df, self.p))
 
 
 def compare_reml(model0, model1) -> ComparisonResult:
@@ -159,8 +141,7 @@ def compare_reml(model0, model1) -> ComparisonResult:
     return ComparisonResult(stat=float(stat), df=df, p=p, verdict="test")
 
 
-def wald_columns(model, a: int, b: int, label: str,
-                 kind: str = "smooth") -> TermSummary:
+def wald_columns(model, a: int, b: int, label: str) -> TermSummary:
     """Wald F test over an explicit column range [a, b) of the fit.
 
     F = beta' pinv(V) beta / edf with the pseudo-inverse truncated at rank
@@ -175,7 +156,7 @@ def wald_columns(model, a: int, b: int, label: str,
     rank = int(round(edf))
     df2 = model.n - model.total_edf
     null = TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=0.0,
-                       p=1.0, kind=kind)
+                       p=1.0)
     if rank <= 0 or df2 <= 0 or not math.isfinite(model.sigma2) \
             or model.sigma2 <= 0:
         return null
@@ -197,7 +178,7 @@ def wald_columns(model, a: int, b: int, label: str,
         / max(edf, 1e-8)
     p = float(fdtrc(max(edf, 1e-8), df2, stat))
     return TermSummary(term=label, edf=edf, ref_df=ref_df, statistic=stat,
-                       p=p, kind=kind)
+                       p=p)
 
 
 def wald_term_test(model, term: str) -> TermSummary:
@@ -207,13 +188,23 @@ def wald_term_test(model, term: str) -> TermSummary:
     1-column parametric term the statistic reduces to (beta/se)^2.
     Conditional on the selected lambdas, like every test here.
     """
-    a, b = model.column_range(term)
-    spec = model.design_raw.terms[term].spec
-    kind = ("parametric" if not isinstance(spec, SmoothTermSpec)
-            else "random" if spec.is_random_effect else "smooth")
-    return wald_columns(model, a, b, term, kind=kind)
+    return wald_columns(model, *model.column_range(term), term)
 
 
-def summarize_terms(model) -> list[TermSummary]:
-    """TermSummary rows for every model term, parametric first."""
-    return [wald_term_test(model, label) for label in model.design_raw.terms]
+def summarize_terms(model) -> tuple[list, list[TermSummary]]:
+    """The two sections of the model summary: coef_t_tests(model), then a
+    TermSummary per smooth term in spec order, one per level of a by=
+    smooth (labelled base:level, over that level's k columns). The joint
+    test of a by= or parametric term is wald_term_test's."""
+    design = model.design_raw
+    rows = []
+    for term in model.spec.smooth_terms:
+        if term.by is None:
+            rows.append(wald_term_test(model, term.label))
+            continue
+        t, base = design.terms[term.label], term.label.split(":")[0]
+        a, k = t.cols[0], t.k
+        rows += [wald_columns(model, a + j * k, a + (j + 1) * k,
+                              f"{base}:{level}")
+                 for j, level in enumerate(design.table.factor(term.by).levels)]
+    return coef_t_tests(model), rows

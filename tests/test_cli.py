@@ -164,6 +164,75 @@ def test_fit_summary_t_is_estimate_over_se(tmp_path):
     assert checked == 2
 
 
+SUMMARY_SPECS = {
+    "by": "parametric: cond\nsmooth: cr(trial) k=6 by=cond\n"
+          "random: intercept(subject)\n",
+    "fs": "parametric: cond\nsmooth: cr(trial) k=6\n"
+          "smooth: fs(trial, subject) k=5\nrho: 0.3\n",
+}
+
+
+def _fit_both_ways(tmp_path, lines):
+    """gammkit fit --format delimited of SERIES_SPEC + lines on simulate
+    seed 7 at 8 x 60 with a cond factor, and the library fit of the same:
+    (output directory, model)."""
+    scen = _write(tmp_path / "s.scn", SCENARIO + "trend: undulating "
+                  "amplitude=1.0\nfixed: factor2(cond) effect=0.8\n")
+    assert main(["simulate", "--spec", scen, "--out", str(tmp_path)]) == 0
+    data = str(tmp_path / "simulated.csv")
+    spec = _write(tmp_path / "m.spec", SERIES_SPEC + lines)
+    out = tmp_path / "out"
+    assert main(["fit", "--data", data, "--spec", spec, "--out", str(out),
+                 "--format", "delimited"]) == 0
+    model_spec, keys = parse_spec_file(spec)
+    return out, fit(model_spec, _load_table([model_spec], keys, data))
+
+
+def _summary_section(out, title):
+    """The rows (lists of cells) of one delimited summary section."""
+    lines = (out / "summary.txt").read_text().splitlines()
+    start = lines.index(title) + 2
+    end = lines.index("", start) if "" in lines[start:] else len(lines)
+    return [line.split("\t") for line in lines[start:end]]
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_SPECS))
+def test_summary_lists_the_rows_of_summarize_terms(tmp_path, name):
+    """summary.txt formats summarize_terms term by term: a t-test per
+    parametric column, a Wald row per smooth and per level of a by= one."""
+    from gammkit.inference import summarize_terms
+    out, model = _fit_both_ways(tmp_path, SUMMARY_SPECS[name])
+    coefs, smooths = summarize_terms(model)
+    assert _summary_section(out, "A. parametric coefficients") == [
+        [n, cli._fmt(est), cli._fmt(se), cli._fmt(t), cli._fmt_p(p)]
+        for n, est, se, t, p in coefs]
+    assert _summary_section(out, "B. smooth terms (approximate "
+                                 "significance)") == [
+        [r.term, cli._fmt(r.edf), cli._fmt(r.ref_df), cli._fmt(r.statistic),
+         cli._fmt_p(r.p)] for r in smooths]
+    assert [r.term for r in smooths] == {
+        "by": ["cr(trial):a", "cr(trial):b", "re(subject)"],
+        "fs": ["cr(trial)", "fs(trial,subject)"]}[name]
+
+
+@pytest.mark.parametrize("name", sorted(SUMMARY_SPECS))
+def test_every_output_reads_the_one_standard_error(tmp_path, name):
+    """coefficients.csv, the summary's SE column and a random effect's
+    partial file all print model.se."""
+    out, model = _fit_both_ways(tmp_path, SUMMARY_SPECS[name])
+    rows = _read_csv(out / "coefficients.csv")[1:]
+    assert [r[2] for r in rows] == [repr(float(v)) for v in model.se]
+    n_par = model.design_raw.n_parametric_cols
+    assert [r[2] for r in _summary_section(
+        out, "A. parametric coefficients")] == [
+        cli._fmt(v) for v in model.se[:n_par]]
+    if name == "by":
+        a, b = model.column_range("re(subject)")
+        rows = _read_csv(out / "partial_re_subject.csv")[1:]
+        assert [r[2] for r in rows] == [repr(float(v))
+                                        for v in model.se[a:b]]
+
+
 def test_fit_rho_flag_overrides_spec_file(tmp_path):
     scen = _write(tmp_path / "s.scn", SCENARIO)
     sim_out = tmp_path / "sim"
@@ -665,6 +734,29 @@ def test_permtest_counts_file_has_exactly_two_lines(tmp_path):
     assert pvals[0] == ["perm", "p"]
     assert len(pvals) == 9
     assert all(0.0 <= float(r[1]) <= 1.0 for r in pvals[1:] if r[1])
+
+
+def test_permtest_does_not_depend_on_the_csvs_row_order(tmp_path):
+    """Each series' order values are shuffled in (series, order) order, so
+    the rows of the CSV in any order give the same p-values."""
+    scen = _write(tmp_path / "s.scn", "n_subjects: 4\nn_trials: 40\n"
+                  "trend: undulating amplitude=1.0\nseed: 2\n")
+    sim_out = tmp_path / "sim"
+    assert main(["simulate", "--spec", scen, "--out", str(sim_out)]) == 0
+    rows = _read_csv(sim_out / "simulated.csv")
+    body = rows[1:]
+    np.random.default_rng(0).shuffle(body)
+    shuffled = tmp_path / "shuffled.csv"
+    with open(shuffled, "w", newline="") as fh:
+        csv.writer(fh).writerows([rows[0]] + body)
+    spec = _write(tmp_path / "m.spec", SERIES_SPEC)
+    p_values = []
+    for data in (sim_out / "simulated.csv", shuffled):
+        out = tmp_path / f"out_{data.stem}"
+        assert main(["permtest", "--data", str(data), "--spec", spec,
+                     "--out", str(out), "--n-perm", "3"]) == 0
+        p_values.append((out / "permtest_pvalues.csv").read_bytes())
+    assert p_values[0] == p_values[1]
 
 
 def test_permtest_counts_a_failed_replicate_and_leaves_its_cell_empty(

@@ -14,10 +14,9 @@ from gammkit.basis import SmoothTermSpec
 from gammkit.data import DataTable, FactorColumn
 from gammkit.diagnostics import pilot_spec
 from gammkit.errors import GammkitError, NestingError, SchemaError
-from gammkit.fitting import ModelSpec, ParametricTerm, fit
+from gammkit.fitting import FittedModel, ModelSpec, ParametricTerm, fit
 from gammkit.inference import (ModelScore, aic, compare_reml, nested_f_test,
-                               summarize_terms, term_edf, wald_columns,
-                               wald_term_test)
+                               summarize_terms, wald_columns, wald_term_test)
 from gammkit.simulate import ScenarioSpec, gen_experiment
 from test_fitting import _relabel_and_shuffle, _scenario
 
@@ -141,8 +140,6 @@ def test_compare_reml_score_difference_example():
     assert res.stat == pytest.approx(926.48, abs=0.01)
     assert res.df == 7
     assert res.p < 1e-100
-    stat, df, p = res
-    assert (stat, df, p) == (res.stat, res.df, res.p)
 
 
 def test_compare_reml_chi2_tail_matches_scipy():
@@ -245,7 +242,7 @@ def test_wald_one_column_term_is_squared_t():
     a, _ = model.column_range("cond")
     t2 = model.beta[a] ** 2 / model.vb[a, a]
     assert row.statistic == pytest.approx(float(t2), rel=1e-10)
-    assert row.kind == "parametric" and row.ref_df == 1.0
+    assert row.ref_df == 1.0
     assert row.p == pytest.approx(
         float(f_dist.sf(t2, 1.0, model.n - model.total_edf)), rel=1e-9)
 
@@ -253,7 +250,6 @@ def test_wald_one_column_term_is_squared_t():
 def test_wald_strong_smooth_is_significant():
     model = _factor_fit()
     row = wald_term_test(model, "cr(x)")
-    assert row.kind == "smooth"
     assert row.ref_df == 9.0
     assert row.statistic > 20.0 and row.p < 1e-6
     assert 1.0 < row.edf < 9.0
@@ -274,20 +270,41 @@ def test_wald_fully_shrunk_term_scores_zero():
 
 
 def test_summarize_terms_covers_every_label():
+    """A t-test row per parametric column, then a Wald row per smooth."""
     model = _factor_fit()
-    rows = summarize_terms(model)
-    assert [r.term for r in rows] == ["(Intercept)", "cond", "cr(x)"]
-    kinds = {r.term: r.kind for r in rows}
-    assert kinds["cond"] == "parametric" and kinds["cr(x)"] == "smooth"
-    assert all(0.0 <= r.p <= 1.0 for r in rows)
-    assert all(r.approximate for r in rows)
+    coefs, smooths = summarize_terms(model)
+    assert coefs == inference.coef_t_tests(model)
+    assert [r[0] for r in coefs] == model.coef_names[:2]
+    assert [r.term for r in smooths] == ["cr(x)"]
+    assert smooths == [wald_term_test(model, "cr(x)")]
+    assert all(0.0 <= p <= 1.0 for p in [r[4] for r in coefs]
+               + [r.p for r in smooths])
+
+
+def test_summarize_terms_gives_a_by_smooth_one_row_per_level():
+    """cr(x) by=cond: one row per level over that level's k - 1 columns,
+    labelled base:level; the joint test stays wald_term_test's."""
+    base = _factor_fit()
+    spec = ModelSpec(response="y", parametric_terms=(ParametricTerm("cond"),),
+                     smooth_terms=(SmoothTermSpec("x", "cr", k=10,
+                                                  by="cond"),))
+    model = fit(spec, base.table)
+    _, smooths = summarize_terms(model)
+    a, b = model.column_range("cr(x):cond")
+    assert [r.term for r in smooths] == ["cr(x):a", "cr(x):b"]
+    assert smooths == [wald_columns(model, a, a + 9, "cr(x):a"),
+                       wald_columns(model, a + 9, b, "cr(x):b")]
+    assert b - a == 18
+    assert sum(r.edf for r in smooths) == pytest.approx(
+        wald_term_test(model, "cr(x):cond").edf, rel=1e-12)
 
 
 def test_term_edf_partitions_total():
     model = _factor_fit()
-    parts = [term_edf(model, label) for label in model.term_labels()]
+    parts = [wald_term_test(model, label).edf
+             for label in model.term_labels()]
     assert sum(parts) == pytest.approx(model.total_edf, abs=1e-10)
-    assert term_edf(model, "(Intercept)") == pytest.approx(1.0)
+    assert wald_term_test(model, "(Intercept)").edf == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +435,18 @@ def test_coef_t_tests_match_scipy_stats_t():
     assert [r[0] for r in rows] == model.coef_names[:2]
     for j, (_, est, se, tval, p) in enumerate(rows):
         assert (est, se) == (model.beta[j], math.sqrt(model.vb[j, j]))
+        assert se == model.se[j]
         assert tval == est / se
         assert p == 2.0 * t_dist.sf(abs(tval), model.n - model.total_edf)
+
+
+def test_standard_errors_clip_like_pythons_max():
+    """se = sqrt(max(v, 0)) bit for bit: a negative variance gives 0, NaN
+    stays NaN and -0.0 stays -0.0."""
+    diag = [4.0, -0.0, math.nan, -1e-18, 2.0]
+    got = FittedModel.se.func(SimpleNamespace(vb=np.diag(diag)))
+    want = [math.sqrt(max(v, 0.0)) for v in diag]
+    assert np.asarray(want).tobytes() == got.tobytes()
 
 
 def test_program_imports_only_scipy_linalg_sparse_and_special():
